@@ -11,7 +11,7 @@ from dataclasses import dataclass, astuple
 import numpy as np
 
 from . import verify
-from .circuit import Circuit
+from .circuit import conforms
 from .paulis import PauliPolynomial
 from .randgen import (RandomSpec, RNG_ALGORITHM, DEFAULT_ANGLE_SET,
                       instance_seed, random_polynomial)
@@ -19,6 +19,9 @@ from .synth import SynthConfig, SynthesisResult, naive_synthesize, synthesize
 from .topology import Topology
 
 METHODS = ("naive", "proposed")
+
+# Benchmark rows up to this many qubits are also checked against the dense oracle.
+CHECK_MAX_Q = 5
 
 CSV_COLUMNS = ("method", "topology", "q", "n", "seed",
                "cnots", "depth", "cnot_depth", "wall_time_ms")
@@ -55,16 +58,15 @@ def check_result(poly: PauliPolynomial, result: SynthesisResult,
 
 
 def _bench_task(args) -> tuple:
-    method, topo_spec, n, seed, cfg, check_max_q = args
+    method, topo_spec, n, seed, cfg = args
     topo = Topology.from_spec(topo_spec)
     poly = random_polynomial(RandomSpec(topo.num_qubits, n, DEFAULT_ANGLE_SET, seed))
     start = time.perf_counter()
     result = run_method(method, poly, topo, cfg)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    from .circuit import conforms
     if not conforms(result.circuit, topo):
         raise AssertionError(f"non-conforming circuit from {method} on {topo_spec}")
-    if topo.num_qubits <= check_max_q and not check_result(poly, result):
+    if topo.num_qubits <= CHECK_MAX_Q and not check_result(poly, result):
         raise AssertionError(f"equivalence check failed for {method} on {topo_spec}")
     m = result.metrics
     return (method, topo_spec, topo.num_qubits, n, seed,
@@ -73,8 +75,7 @@ def _bench_task(args) -> tuple:
 
 def run_benchmark(methods: list[str], topologies: list[str], sizes: list[int],
                   repeats: int, out_csv: str | None, base_seed: int = 1,
-                  cfg: SynthConfig | None = None, jobs: int = 1,
-                  check_max_q: int = 5) -> list[ExperimentRow]:
+                  cfg: SynthConfig | None = None, jobs: int = 1) -> list[ExperimentRow]:
     """One row per (method, topology, size, repeat); instances are shared
     across methods via deterministic per-instance seeds."""
     if not methods:
@@ -90,7 +91,7 @@ def run_benchmark(methods: list[str], topologies: list[str], sizes: list[int],
             for rep in range(repeats):
                 seed = instance_seed(base_seed, ti, si, rep)
                 for method in methods:
-                    tasks.append((method, topo_spec, n, seed, cfg, check_max_q))
+                    tasks.append((method, topo_spec, n, seed, cfg))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(_bench_task, tasks))

@@ -8,7 +8,6 @@ single-qubit gates on a wire into one U3 slot before layering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable
 
 from .paulis import Gate
 from .topology import Topology
@@ -43,10 +42,6 @@ class Circuit:
         return Circuit(self.num_qubits, tuple(
             Gate("rz", g.qubits, g.angle * factor) if g.kind == "rz" else g
             for g in self.gates))
-
-
-def circuit(num_qubits: int, gates: Iterable[Gate] = ()) -> Circuit:
-    return Circuit(num_qubits, tuple(gates))
 
 
 @dataclass(frozen=True)

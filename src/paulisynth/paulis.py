@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
+import numpy as np
+
 
 class Pauli(IntEnum):
     I = 0
@@ -149,6 +151,30 @@ def conjugate_letter(gate: Gate, letters: tuple[Pauli, ...]) -> tuple[tuple[Paul
 def conjugate_by(gate: Gate, letters: tuple[Pauli, ...]) -> tuple[tuple[Pauli, ...], bool]:
     """Conjugate the other way around: ``g P g^`` (the action of an emitted gate)."""
     return conjugate_letter(gate.adjoint(), letters)
+
+
+def conjugation_luts(order: tuple[Pauli, ...]):
+    """``conjugate_by`` as lookup arrays over a caller's letter code.
+
+    ``order[c]`` is the Pauli with code ``c``.  Returns ``(one, cx_letters,
+    cx_flips)``: ``one[kind] = (letters, flips)`` maps a code to the code of
+    ``g P g^`` and its sign flip; the cx arrays do the same for the pair code
+    ``4 * control + target``.
+    """
+    code = {p: c for c, p in enumerate(order)}
+    one = {}
+    for kind in ONE_QUBIT_CLIFFORDS:
+        images = [conjugate_by(Gate(kind, (0,)), (p,)) for p in order]
+        one[kind] = (np.array([code[res] for (res,), _ in images], dtype=np.uint8),
+                     np.array([flip for _, flip in images], dtype=bool))
+    pairs = [conjugate_by(Gate("cx", (0, 1)), (pc, pt)) for pc in order for pt in order]
+    cx_letters = np.array([4 * code[rc] + code[rt] for (rc, rt), _ in pairs], dtype=np.uint8)
+    cx_flips = np.array([flip for _, flip in pairs], dtype=bool)
+    return one, cx_letters, cx_flips
+
+
+# TO_Z[p](j) is the gate g on wire j that turns letter p into Z: g p g^ = +Z.
+TO_Z = {X: h, Y: v}
 
 
 @dataclass(frozen=True)

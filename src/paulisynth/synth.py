@@ -15,42 +15,20 @@ hit the interpreter recursion limit.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, Metrics, metrics
-from .paulis import (Gate, Pauli, PauliPolynomial, ONE_QUBIT_CLIFFORDS,
-                     commutes, conjugate_by, cx, h, rz, s, v)
+from .paulis import (TO_Z, Gate, Pauli, PauliGadget, PauliPolynomial, PauliString,
+                     commutes, conjugation_luts, cx, h, rz, s)
 from .tableau import CliffordTableau, QubitPermutation, synthesize_tableau
 from .topology import Topology, tree_postorder
 
 DEBUG_ENV_VAR = "PAULISYNTH_DEBUG"
 
 
-def _prop_luts():
-    """Letter/flip lookup tables for conjugating gadgets by an emitted gate."""
-    one = {}
-    for kind in ONE_QUBIT_CLIFFORDS:
-        letters = np.zeros(4, dtype=np.uint8)
-        flips = np.zeros(4, dtype=bool)
-        for p in range(4):
-            (res,), flip = conjugate_by(Gate(kind, (0,)), (Pauli(p),))
-            letters[p] = int(res)
-            flips[p] = flip
-        one[kind] = (letters, flips)
-    cx_letters = np.zeros(16, dtype=np.uint8)
-    cx_flips = np.zeros(16, dtype=bool)
-    gate = Gate("cx", (0, 1))
-    for pc in range(4):
-        for pt in range(4):
-            (rc, rt), flip = conjugate_by(gate, (Pauli(pc), Pauli(pt)))
-            cx_letters[4 * pc + pt] = 4 * int(rc) + int(rt)
-            cx_flips[4 * pc + pt] = flip
-    return one, cx_letters, cx_flips
-
-
-_PROP_1Q, _PROP_CX_L, _PROP_CX_F = _prop_luts()
+_PROP_1Q, _PROP_CX_L, _PROP_CX_F = conjugation_luts((Pauli.I, Pauli.X, Pauli.Y, Pauli.Z))
 
 _MODES = ("arbitrary", "commuting-sets")
 
@@ -107,7 +85,6 @@ class _State:
         self.k = cfg.k
         self.poly = poly
         self.debug = os.environ.get(DEBUG_ENV_VAR) == "1" and q <= 5
-        self._ct_gates: list[Gate] = []
 
     def emit_clifford(self, gate: Gate) -> None:
         """Append to the circuit, conjugate all live gadgets, stash the adjoint."""
@@ -129,10 +106,7 @@ class _State:
                 flips = flut[codes]
             if flips.any():
                 self.angles[idx[flips]] *= -1.0
-        adj = gate.adjoint()
-        self.tableau.prepend(adj)
-        if self.debug:
-            self._ct_gates.append(adj)
+        self.tableau.prepend(gate.adjoint())
 
     def emit_rotation(self, i: int) -> None:
         legs = np.flatnonzero(self.letters[i])
@@ -140,10 +114,8 @@ class _State:
             raise AssertionError("rotation emission needs exactly one leg")
         qb = int(legs[0])
         letter = int(self.letters[i, qb])
-        if letter == Pauli.X:
-            self.emit_clifford(h(qb))
-        elif letter == Pauli.Y:
-            self.emit_clifford(v(qb))
+        if letter in TO_Z:
+            self.emit_clifford(TO_Z[letter](qb))
         self.gates.append(rz(float(self.angles[i]), qb))
         self.alive[i] = False
         self.emitted.append(i)
@@ -218,14 +190,11 @@ def diagonalize_qubit(state: _State, g: list[int], qubit: int) -> None:
     ``qubit`` into Z.  The gadgets must share one letter there (call per
     letter group otherwise); the gate propagates through all live gadgets."""
     letters = {int(state.letters[i, qubit]) for i in g} - {int(Pauli.I)}
+    if len(letters) > 1:
+        raise ValueError("mixed letters at qubit; diagonalize per letter group")
     if not letters or letters == {int(Pauli.Z)}:
         return
-    if letters == {int(Pauli.X)}:
-        state.emit_clifford(h(qubit))
-    elif letters == {int(Pauli.Y)}:
-        state.emit_clifford(v(qubit))
-    else:
-        raise ValueError("mixed letters at qubit; diagonalize per letter group")
+    state.emit_clifford(TO_Z[letters.pop()](qubit))
     if any(int(state.letters[i, qubit]) != Pauli.Z for i in g):
         raise AssertionError("diagonalization left a non-Z leg")
 
@@ -359,16 +328,11 @@ def naive_synthesize(poly: PauliPolynomial, topo: Topology) -> SynthesisResult:
     everything = frozenset(range(q))
     gates: list[Gate] = []
     for gadget in poly.gadgets:
-        legs = [i for i, p in enumerate(gadget.string.letters) if p != Pauli.I]
+        letters = gadget.string.letters
+        legs = [i for i, p in enumerate(letters) if p != Pauli.I]
         if not legs:
             continue
-        pre: list[Gate] = []
-        for j in legs:
-            letter = gadget.string.letters[j]
-            if letter == Pauli.X:
-                pre.append(h(j))
-            elif letter == Pauli.Y:
-                pre.append(v(j))
+        pre = [TO_Z[letters[j]](j) for j in legs if letters[j] in TO_Z]
         root = legs[0]
         ladder: list[Gate] = []
         carrying = set(legs)
@@ -392,22 +356,23 @@ def naive_synthesize(poly: PauliPolynomial, topo: Topology) -> SynthesisResult:
 
 
 def _check_invariant(state: _State) -> None:
-    """Dense check of the running decomposition (debug toggle, small q only)."""
+    """Dense check of the running decomposition (debug toggle, small q only).
+
+    With U the product of the Clifford gates emitted so far, ``U^ @ (live
+    gadgets) @ circuit`` must equal the polynomial in emission order.
+    """
     from . import verify
 
     q = state.poly.num_qubits
     circ_u = verify.circuit_unitary(Circuit(q, tuple(state.gates)))
-    dim = 2 ** q
-    poly_u = np.eye(dim, dtype=complex)
+    poly_u = np.eye(2 ** q, dtype=complex)
     for i in np.flatnonzero(state.alive):
         letters = tuple(Pauli(int(p)) for p in state.letters[i])
-        from .paulis import PauliGadget, PauliString
         poly_u = verify.gadget_unitary(
             PauliGadget(float(state.angles[i]), PauliString(letters))) @ poly_u
-    ct_u = np.eye(dim, dtype=complex)
-    for g in state._ct_gates:
-        ct_u = ct_u @ verify.gate_matrix(g, q)
-    lhs = ct_u @ poly_u @ circ_u
+    cliffords = tuple(g for g in state.gates if g.is_clifford)
+    u_dg = verify.circuit_unitary(Circuit(q, cliffords)).conj().T
+    lhs = u_dg @ poly_u @ circ_u
     order = state.emitted + [int(i) for i in np.flatnonzero(state.alive)]
     rhs = verify.polynomial_unitary(state.poly, order)
     if not verify.equivalent(lhs, rhs, None, 1e-8):

@@ -7,8 +7,10 @@ component.
 
 ``prepend(g)`` realizes ``W -> W * W_g`` (gate applied before the tableau)
 as row operations; ``append(g)`` realizes ``W -> W_g * W`` by conjugating
-every stored image.  All sign updates were derived from the dense-matrix
-oracle and are re-checked against it in the test suite.
+every stored image.  ``append`` takes its letter and sign rules from
+``paulis.CONJ_1Q``/``CONJ_CNOT`` through ``paulis.conjugation_luts``;
+``prepend``'s row rules and their sign updates are derived by hand and
+re-checked against the dense-matrix oracle in the test suite.
 
 ``synthesize_tableau`` emits an architecture-conforming circuit E and an
 output permutation ``perm`` such that ``W_t = P(perm) * U(E)``; with
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit
-from .paulis import (Gate, Pauli, conjugate_by, cx, h, s, sdg, v,
-                     ONE_QUBIT_CLIFFORDS)
+from .paulis import TO_Z, Gate, Pauli, conjugation_luts, cx, h, s, sdg, v
 from .topology import Topology, tree_postorder
 
 # Letter codes internal to the tableau: l = x + 2z, so I=0, X=1, Z=2, Y=3.
@@ -35,36 +36,10 @@ _PHASE = np.array([
     [0, 3, 1, 0],
 ], dtype=np.int64)
 
-# Pauli enum (I,X,Y,Z = 0..3) <-> xz code; the mapping is an involution.
-_XZ_OF_PAULI = np.array([0, 1, 3, 2], dtype=np.int8)
-_PAULI_OF_XZ = _XZ_OF_PAULI
+# _XZ_ORDER[l] is the Pauli with xz code l.
+_XZ_ORDER = (Pauli.I, Pauli.X, Pauli.Z, Pauli.Y)
 
-
-def _conjugation_luts():
-    """Per-kind lookup tables for conjugating stored images by a gate (g P g^)."""
-    one_q = {}
-    for kind in ONE_QUBIT_CLIFFORDS:
-        gate = Gate(kind, (0,))
-        letters = np.zeros(4, dtype=np.int8)
-        flips = np.zeros(4, dtype=bool)
-        for code in range(4):
-            (res,), flip = conjugate_by(gate, (Pauli(int(_PAULI_OF_XZ[code])),))
-            letters[code] = _XZ_OF_PAULI[res]
-            flips[code] = flip
-        one_q[kind] = (letters, flips)
-    cx_letters = np.zeros(16, dtype=np.int8)
-    cx_flips = np.zeros(16, dtype=bool)
-    gate = Gate("cx", (0, 1))
-    for lc in range(4):
-        for lt in range(4):
-            (rc, rt), flip = conjugate_by(
-                gate, (Pauli(int(_PAULI_OF_XZ[lc])), Pauli(int(_PAULI_OF_XZ[lt]))))
-            cx_letters[4 * lc + lt] = 4 * _XZ_OF_PAULI[rc] + _XZ_OF_PAULI[rt]
-            cx_flips[4 * lc + lt] = flip
-    return one_q, cx_letters, cx_flips
-
-
-_APPEND_1Q, _APPEND_CX_L, _APPEND_CX_F = _conjugation_luts()
+_APPEND_1Q, _APPEND_CX_L, _APPEND_CX_F = conjugation_luts(_XZ_ORDER)
 
 
 @dataclass(frozen=True)
@@ -110,10 +85,6 @@ class CliffordTableau:
         self.num_qubits = num_qubits
         self.mat = np.eye(2 * num_qubits, dtype=bool)
         self.signs = np.zeros(2 * num_qubits, dtype=bool)
-
-    @classmethod
-    def identity(cls, num_qubits: int) -> "CliffordTableau":
-        return cls(num_qubits)
 
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "CliffordTableau":
@@ -202,7 +173,7 @@ class CliffordTableau:
     def row_letter(self, r: int, wire: int) -> Pauli:
         q = self.num_qubits
         code = int(self.mat[r, wire]) + 2 * int(self.mat[r, q + wire])
-        return Pauli(int(_PAULI_OF_XZ[code]))
+        return _XZ_ORDER[code]
 
     def is_symplectic(self) -> bool:
         q = self.num_qubits
@@ -274,10 +245,6 @@ class CliffordTableau:
             lines.append(f"{bits} | {int(self.signs[r])}")
         return "\n".join(lines) + "\n"
 
-    def synthesize(self, topo: Topology, allow_permutation: bool = True
-                   ) -> tuple[Circuit, QubitPermutation]:
-        return synthesize_tableau(self, topo, allow_permutation)
-
 
 def row_interaction_cost(t: CliffordTableau, r: int) -> int:
     """Number of wires touched by the X and Z images of logical qubit r."""
@@ -322,14 +289,10 @@ def _reduce_pair(work: CliffordTableau, r: int, c: int, active: set[int],
         emit(v(c))
     elif root_letter != Pauli.Z:
         raise AssertionError("anticommutation forces Z or Y on the target wire")
-    for j in sorted(active):
-        if j == c:
-            continue
+    for j in sorted(active - {c}):
         letter = work.row_letter(q + r, j)
-        if letter == Pauli.X:
-            emit(h(j))
-        elif letter == Pauli.Y:
-            emit(v(j))
+        if letter in TO_Z:
+            emit(TO_Z[letter](j))
     supp_z = [j for j in sorted(active) if work.row_letter(q + r, j) != Pauli.I]
     tree = topo.steiner_tree(set(supp_z) | {c}, active)
     for child, parent in tree_postorder(tree, c):

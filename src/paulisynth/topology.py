@@ -154,13 +154,6 @@ class Topology:
                     queue.append(w)
         return seen
 
-    def is_connected_subset(self, active: Iterable[int]) -> bool:
-        active_set = set(active)
-        if not active_set:
-            return True
-        start = next(iter(active_set))
-        return self._component(start, active_set) == active_set
-
     def is_non_cutting(self, q: int, active: Iterable[int]) -> bool:
         """Whether removing ``q`` keeps the induced subgraph on ``active`` connected."""
         active_set = set(active)

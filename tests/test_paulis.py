@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import paulisynth as ps
 from paulisynth import verify
-from paulisynth.paulis import CONJ_1Q, CONJ_CNOT, Pauli
+from paulisynth.paulis import CONJ_1Q, CONJ_CNOT, TO_Z, Pauli, conjugation_luts
 
 ALL_1Q_KINDS = ("h", "s", "sdg", "v", "vdg")
 
@@ -65,6 +65,31 @@ def test_conjugate_by_is_the_reverse_direction():
             (mid,), flip1 = ps.conjugate_letter(g, (p,))
             (back,), flip2 = ps.conjugate_by(g, (mid,))
             assert back == p and flip1 == flip2
+
+
+@pytest.mark.parametrize("order", [(Pauli.I, Pauli.X, Pauli.Y, Pauli.Z),
+                                   (Pauli.I, Pauli.X, Pauli.Z, Pauli.Y)],
+                         ids=["pauli-enum", "xz"])
+def test_conjugation_luts_match_conjugate_by(order):
+    one, cx_letters, cx_flips = conjugation_luts(order)
+    assert sorted(one) == sorted(ALL_1Q_KINDS)
+    for kind in ALL_1Q_KINDS:
+        letters, flips = one[kind]
+        for c, p in enumerate(order):
+            (res,), flip = ps.conjugate_by(ps.Gate(kind, (0,)), (p,))
+            assert (order[letters[c]], bool(flips[c])) == (res, flip), (kind, p.name)
+    for cc, pc in enumerate(order):
+        for ct, pt in enumerate(order):
+            (rc, rt), flip = ps.conjugate_by(ps.cx(0, 1), (pc, pt))
+            code = int(cx_letters[4 * cc + ct])
+            assert (order[code >> 2], order[code & 3]) == (rc, rt), (pc.name, pt.name)
+            assert bool(cx_flips[4 * cc + ct]) == flip, (pc.name, pt.name)
+
+
+def test_to_z_turns_each_letter_into_plus_z():
+    assert sorted(TO_Z) == [Pauli.X, Pauli.Y]
+    for p, make in TO_Z.items():
+        assert ps.conjugate_by(make(0), (p,)) == ((Pauli.Z,), False)
 
 
 @given(st.sampled_from(ALL_1Q_KINDS + ("cx",)), st.data())

@@ -418,3 +418,10 @@ def test_debug_invariant_mode(monkeypatch):
     poly = ps.random_polynomial(ps.RandomSpec(3, 6, seed=9))
     res = ps.synthesize(poly, ps.Topology.line(3))
     assert check_result(poly, res)
+    for spec, seed in (("cycle:4", 4), ("grid:2x2", 5)):
+        topo = ps.Topology.from_spec(spec)
+        poly = ps.random_polynomial(ps.RandomSpec(4, 12, seed=seed))
+        for mode in ("arbitrary", "commuting-sets"):
+            for perm in (True, False):
+                cfg = ps.SynthConfig(mode=mode, allow_permutation=perm)
+                assert check_result(poly, ps.synthesize(poly, topo, cfg))

@@ -20,13 +20,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Connectivity-aware synthesis of trotterized Pauli polynomials.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--method", choices=list(bench_mod.METHODS), default="proposed")
+    def add_synth_options(p):
         p.add_argument("--mode", choices=["arbitrary", "commuting-sets"],
                        default="arbitrary")
         p.add_argument("--k", type=int, default=10, help="heuristic weighting factor")
         p.add_argument("--no-permutation", action="store_true",
                        help="force an identity output permutation")
+
+    def add_common(p):
+        p.add_argument("--method", choices=list(bench_mod.METHODS), default="proposed")
+        add_synth_options(p)
 
     p_synth = sub.add_parser("synth", help="compile a polynomial file to QASM2")
     p_synth.add_argument("--in", dest="infile", required=True)
@@ -46,9 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", required=True, help="comma-separated gadget counts")
     p_bench.add_argument("--repeats", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("--k", type=int, default=10)
-    p_bench.add_argument("--mode", choices=["arbitrary", "commuting-sets"],
-                         default="arbitrary")
+    add_synth_options(p_bench)
     p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.add_argument("--out", required=True)
 
@@ -64,6 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trot.add_argument("--topology", default=None,
                         help="defaults to complete:<q>")
     p_trot.add_argument("--seed", type=int, default=7)
+    add_synth_options(p_trot)
     p_trot.add_argument("--out", required=True)
 
     p_verify = sub.add_parser("verify", help="synthesize and check equivalence")
@@ -131,9 +133,8 @@ def _cmd_bench(args) -> int:
     methods = _split_csv_list(args.methods)
     topologies = _split_csv_list(args.topologies)
     sizes = [int(s) for s in _split_csv_list(args.sizes)]
-    cfg = SynthConfig(k=args.k, mode=args.mode)
     rows = bench_mod.run_benchmark(methods, topologies, sizes, args.repeats,
-                                   args.out, base_seed=args.seed, cfg=cfg,
+                                   args.out, base_seed=args.seed, cfg=_cfg(args),
                                    jobs=args.jobs)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -154,7 +155,8 @@ def _cmd_trotter(args) -> int:
     topo = Topology.from_spec(args.topology) if args.topology else Topology.complete(q)
     timesteps = bench_mod.default_timesteps(args.timesteps)
     rows = bench_mod.run_trotter_error(polys, topo, methods, timesteps,
-                                       args.out, repetitions=args.repetitions)
+                                       args.out, repetitions=args.repetitions,
+                                       cfg=_cfg(args))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -40,8 +40,8 @@ class SynthConfig:
     allow_permutation: bool = True
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("weighting factor k must be positive")
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
+            raise ValueError(f"weighting factor k must be an integer >= 1, got {self.k!r}")
         object.__setattr__(self, "mode", self.mode.replace("_", "-"))
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
@@ -56,17 +56,30 @@ class SynthesisResult:
     recursion_gate_count: int = 0
 
 
+def column_costs(block: np.ndarray, k: int) -> np.ndarray:
+    """Cost of every column of a gadgets x qubits letter block:
+    k * (#identity letters) + largest - smallest contiguous non-I run."""
+    n, m = block.shape
+    non_i = block != 0
+    costs = k * (n - non_i.sum(axis=0))
+    padded = np.zeros((m, n + 2), dtype=bool)
+    padded[:, 1:-1] = non_i.T
+    # Runs alternate start/end edges and never cross the padding.
+    flat = padded.ravel()
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    if edges.size:
+        starts = edges[0::2]
+        lengths = edges[1::2] - starts
+        cols = starts // (n + 2)
+        first = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
+        costs[cols[first]] += (np.maximum.reduceat(lengths, first)
+                               - np.minimum.reduceat(lengths, first))
+    return costs
+
+
 def column_cost(column: np.ndarray, k: int) -> int:
-    """k * (#identity letters) + largest - smallest contiguous non-I run."""
-    non_i = np.asarray(column) != 0
-    n_identity = int(non_i.size - non_i.sum())
-    if not non_i.any():
-        return k * n_identity
-    padded = np.zeros(non_i.size + 2, dtype=np.int8)
-    padded[1:-1] = non_i
-    steps = np.diff(padded)
-    lengths = np.flatnonzero(steps == -1) - np.flatnonzero(steps == 1)
-    return k * n_identity + int(lengths.max()) - int(lengths.min())
+    """Cost of one letter column; see ``column_costs``."""
+    return int(column_costs(np.asarray(column).reshape(-1, 1), k)[0])
 
 
 class _State:
@@ -139,30 +152,28 @@ def _single_leg_sweep(state: _State, g: list[int]) -> list[int]:
 
 
 def pick_pivot(state: _State, g: list[int], active: frozenset[int]) -> int:
-    """Highest column-cost non-cutting qubit; ties go to the lowest index."""
-    best = None
-    best_cost = -1
-    for qb in sorted(active):
-        if not state.topo.is_non_cutting(qb, active):
-            continue
-        cost = column_cost(state.letters[g, qb], state.k)
-        if cost > best_cost:
-            best, best_cost = qb, cost
-    if best is None:
-        raise AssertionError("connected active set always has a non-cutting qubit")
-    return best
+    """Highest column-cost non-cutting qubit; ties go to the lowest index.
+
+    All active columns are costed at once; the cut-vertex test then runs
+    lazily in cost order and stops at the first non-cutting qubit.
+    """
+    cands = sorted(active)
+    costs = column_costs(state.letters.take(g, axis=0)[:, cands], state.k)
+    for i in np.argsort(-costs, kind="stable"):
+        if state.topo.is_non_cutting(cands[i], active):
+            return cands[i]
+    raise AssertionError("connected active set always has a non-cutting qubit")
 
 
 def pick_neighbor(state: _State, pivot: int, g: list[int], active: frozenset[int]) -> int:
-    best = None
-    best_cost = -1
-    for qb in state.topo.neighbors(pivot, active):
-        cost = column_cost(state.letters[g, qb], state.k)
-        if cost > best_cost:
-            best, best_cost = qb, cost
-    if best is None:
+    """Highest column-cost active neighbor of ``pivot``; ties go to the lowest index."""
+    cands = state.topo.neighbors(pivot, active)
+    if not cands:
         raise AssertionError("pivot with connected gadgets must have an active neighbor")
-    return best
+    if len(cands) == 1:  # nothing to compare, so skip the costs
+        return cands[0]
+    costs = column_costs(state.letters.take(g, axis=0)[:, cands], state.k)
+    return cands[int(np.argmax(costs))]
 
 
 def partition_on_qubit(state: _State, g: list[int], qubit: int) -> dict[int, list[int]]:

@@ -112,6 +112,59 @@ def test_trotter_error_subcommand(tmp_path):
             assert abs(float(ov) - 1.0) < 1e-9
 
 
+def _csv_rows(path):
+    with open(path) as f:
+        return list(csv.DictReader(line for line in f if not line.startswith("#")))
+
+
+def test_bench_no_permutation_matches_library(tmp_path):
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--methods", "proposed", "--topologies", "grid:2x3",
+                 "--sizes", "12,30", "--repeats", "3", "--no-permutation",
+                 "--out", str(out)])
+    assert code == 0
+    rows = _csv_rows(out)
+    assert len(rows) == 2 * 3
+    topo = ps.Topology.from_spec("grid:2x3")
+    differs = False
+    for row in rows:
+        poly = ps.random_polynomial(ps.RandomSpec(6, int(row["n"]), ps.DEFAULT_ANGLE_SET,
+                                                  int(row["seed"])))
+        fixed = ps.synthesize(poly, topo, ps.SynthConfig(allow_permutation=False))
+        assert int(row["cnots"]) == fixed.metrics.cnot_count
+        differs |= ps.synthesize(poly, topo).metrics.cnot_count != fixed.metrics.cnot_count
+    assert differs  # the flag changes the circuits, so the check above means something
+
+
+def test_trotter_error_synthesis_options(tmp_path, monkeypatch):
+    seen = []
+    synthesize = ps.bench.synthesize
+
+    def spy(poly, topo, cfg=None):
+        seen.append(cfg)
+        return synthesize(poly, topo, cfg)
+
+    monkeypatch.setattr(ps.bench, "synthesize", spy)
+    out = tmp_path / "trot.csv"
+    code = main(["trotter-error", "--qubits", "3", "--gadgets", "6", "--instances", "2",
+                 "--timesteps", "3", "--methods", "proposed", "--no-permutation",
+                 "--mode", "commuting-sets", "--k", "3", "--out", str(out)])
+    assert code == 0
+    assert seen == [ps.SynthConfig(k=3, mode="commuting-sets", allow_permutation=False)] * 2
+    rows = _csv_rows(out)
+    assert len(rows) == 2 * 3
+    for row in rows:
+        if float(row["timestep"]) == 0.0:
+            assert abs(float(row["overlap_abs"]) - 1.0) < 1e-9
+
+
+def test_bad_k_exits_2(tmp_path, capsys):
+    code = main(["trotter-error", "--qubits", "2", "--gadgets", "4", "--instances", "1",
+                 "--k", "0", "--out", str(tmp_path / "trot.csv")])
+    assert code == 2
+    assert "k must be" in capsys.readouterr().err
+
+
 def test_trotter_error_from_file(poly_file, tmp_path):
     out = tmp_path / "trot.csv"
     code = main(["trotter-error", "--in", poly_file, "--timesteps", "2",

@@ -4,7 +4,9 @@ Each hash is the sha256 of ``repr((gates, permutation.mapping,
 emitted_order))`` with every gate as ``(kind, qubits, angle)``, for
 ``random_polynomial(RandomSpec(q, 30, seed=seed))`` on the topology.  A
 refactor that changes any of them changes the compiled circuits; a change
-that does so on purpose must say why and re-record the table.
+that does so on purpose must say why and re-record the table.  grid:4x4 and
+cycle:8 are there because pivot selection sees many candidates only at such
+sizes.
 """
 
 import hashlib
@@ -74,6 +76,36 @@ GOLDEN = {
     ("complete:4", 3, "commuting-sets", True): "ff867037c64a6238f41402ec36fa8b4807db4c6d9447e9891e54201e9f73dfdc",
     ("complete:4", 3, "commuting-sets", False): "ff867037c64a6238f41402ec36fa8b4807db4c6d9447e9891e54201e9f73dfdc",
     ("complete:4", 3, "naive", None): "08228137f18b1257758df42182431e00d9ea51385384d7081c6a68db37c684a7",
+    ("grid:4x4", 1, "arbitrary", True): "909ce1ebbf365157724838c58aa95a9d5f01c48e58a842849be3c099cce4e4dd",
+    ("grid:4x4", 1, "arbitrary", False): "4c06ebb12be5ede33b35877c31bff3a9d9678eb7a9e9759bec384bb3a334eb61",
+    ("grid:4x4", 1, "commuting-sets", True): "25c292741a2a6e7bd295a4ca9ee13a623366493f129ae01c082612b1e26fd192",
+    ("grid:4x4", 1, "commuting-sets", False): "d21de88aa0c3197e0184fa054647c256c370db38061c05ea394f9a564269eac8",
+    ("grid:4x4", 1, "naive", None): "59dfb4ea41558030f3c49babffe0876714615a10ff602d80458aaa838fd929cd",
+    ("grid:4x4", 2, "arbitrary", True): "4d35393740b356380573388d0fdbfbe6427bb7181b899c49b903f154a15b95cc",
+    ("grid:4x4", 2, "arbitrary", False): "9e6692999617fb503d9824dba32eb237323b1a259f94f212a74e50de489a370b",
+    ("grid:4x4", 2, "commuting-sets", True): "7aed40866fab861ae55e88911287eee37b351e7987c27abcc1f832790a9e1c7e",
+    ("grid:4x4", 2, "commuting-sets", False): "5ed339a8cb815acc25e7932d31247a01764027096f47c6b359a90843b2efb910",
+    ("grid:4x4", 2, "naive", None): "8c16d418b52e59d09c22d7f30fcd24dc6084c27d3d0d91bc7d74aeefe1ffa8b4",
+    ("grid:4x4", 3, "arbitrary", True): "2b6c282bc559c2835edae6170402356cafd7ea656f6d36f8b7d3b6197798666b",
+    ("grid:4x4", 3, "arbitrary", False): "b1d9040b7f232bfeae8d9cafd9f7de363e663030cd177e8ecd39a5291c182e60",
+    ("grid:4x4", 3, "commuting-sets", True): "40db97fca522d4c5d074307666ec026f836649d7164b98d129a292f5206837ff",
+    ("grid:4x4", 3, "commuting-sets", False): "0214317b344afeba09c49d6beb87f13ae348e6c0ae3392d00d0337973e2b2e33",
+    ("grid:4x4", 3, "naive", None): "426f20acc1bed12fee3db4b5f867f18a4f9e4c78dce90f9ff200092da1d4cc73",
+    ("cycle:8", 1, "arbitrary", True): "258086f594ecc3bd188b2a6ecce4c8776ba34c9f626868248409eaf7e03a1e5e",
+    ("cycle:8", 1, "arbitrary", False): "3a033dec15ae251d58c4db0feaca0cafc15182ab9840ad1af9409653c38e185b",
+    ("cycle:8", 1, "commuting-sets", True): "da6b470a2438ef6e09cb510f23e9fed23ccc1a6f22944fe36245776fb5a67a1c",
+    ("cycle:8", 1, "commuting-sets", False): "1b2628630e14d2a8af8e7fd57dac635dc5fccf2b5399af578684c9f3ac3e7311",
+    ("cycle:8", 1, "naive", None): "b08805bd81d82e7e4b120a22006828920cd92097fae32c2bb4b86b1d9535c7f8",
+    ("cycle:8", 2, "arbitrary", True): "b6cad5f9a738285dd4525d99cb348dec274aa57428a8acb34d1ee03f4c196ab9",
+    ("cycle:8", 2, "arbitrary", False): "cbffc28c992f674ff659da1ef4a18c2cc443a4ac69c3e8719f9252bee8133e8a",
+    ("cycle:8", 2, "commuting-sets", True): "435be1a0b5b4e6c5bb2f831b7de6ac5ba9a5ec1ed3a8f72ec3403feca419628d",
+    ("cycle:8", 2, "commuting-sets", False): "dcb72264ec99fc016cc2efd62845cdd462dc107400aa756a9027e195b2e86e73",
+    ("cycle:8", 2, "naive", None): "af84a4180dd5f5e7f25f85da320da86253efd63d1275392dbe6b29df742da011",
+    ("cycle:8", 3, "arbitrary", True): "bc60af81cd4ff28c021b23d014130dd3dccf7016e22c16ba2b19a1bda4cb22fb",
+    ("cycle:8", 3, "arbitrary", False): "ecac230bc2ff955db5e968206f9e6732edad6013e299ba1309172f3ecd67d5af",
+    ("cycle:8", 3, "commuting-sets", True): "394fc2b04d07f04fe890598c9a02d02b93c43f2f8d83e6e6ae91927fd2db3216",
+    ("cycle:8", 3, "commuting-sets", False): "3137af47b10f9eff635d99993e88180e4ee8b7f23c2373f53b72c63c57af90af",
+    ("cycle:8", 3, "naive", None): "b18bfe7712f1019b2c661b07b1bdad03b18a82f867cb91867556b1c10e1726b6",
 }
 
 
@@ -84,7 +116,8 @@ def digest(result):
     return hashlib.sha256(key.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("spec", ["line:4", "cycle:5", "grid:2x3", "complete:4"])
+@pytest.mark.parametrize("spec", ["line:4", "cycle:5", "grid:2x3", "complete:4",
+                                  "grid:4x4", "cycle:8"])
 def test_circuits_match_golden_hashes(spec):
     topo = ps.Topology.from_spec(spec)
     for seed in (1, 2, 3):

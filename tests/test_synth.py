@@ -4,8 +4,10 @@ import pytest
 import paulisynth as ps
 from paulisynth import verify
 from paulisynth.bench import check_result
-from paulisynth.synth import _State, column_cost
+from paulisynth.synth import _State, column_cost, column_costs
 from paulisynth.topology import tree_postorder
+
+from conftest import random_connected_topology
 
 
 def gadget(angle, text):
@@ -61,6 +63,18 @@ def test_column_cost_matches_oracle_random(rng):
         text = "".join(letters[rng.integers(4)] for _ in range(int(rng.integers(1, 20))))
         k = int(rng.integers(1, 20))
         assert column_cost(_col(text), k) == cost_oracle(text, k)
+    # Whole blocks: one-row blocks, all-identity columns and k in [1, 20].
+    for trial in range(300):
+        n = 1 if trial % 5 == 0 else int(rng.integers(1, 25))
+        m = int(rng.integers(1, 10))
+        block = rng.choice(4, size=(n, m), p=[0.4, 0.2, 0.2, 0.2]).astype(np.uint8)
+        block[:, rng.random(m) < 0.2] = 0
+        k = int(rng.integers(1, 21))
+        costs = column_costs(block, k)
+        assert costs.shape == (m,)
+        for c in range(m):
+            text = "".join(letters[x] for x in block[:, c])
+            assert costs[c] == cost_oracle(text, k), (block, k, c)
 
 
 def _state(poly, topo, cfg=None):
@@ -107,6 +121,74 @@ def test_pick_neighbor_single_candidate_even_all_identity():
     poly = poly_of((0.1, "ZI"),)
     st = _state(poly, ps.Topology.line(2))
     assert ps.pick_neighbor(st, 0, [0], frozenset({0, 1})) == 1
+
+
+def _brute_non_cutting(topo, qb, active):
+    """Independent flood fill over ``topo.edges`` without ``qb``."""
+    rest = set(active) - {qb}
+    if not rest:
+        return True
+    seen, todo = set(), [min(rest)]
+    while todo:
+        u = todo.pop()
+        if u in seen:
+            continue
+        seen.add(u)
+        todo.extend(w for a, b in topo.edges for x, w in ((a, b), (b, a))
+                    if x == u and w in rest)
+    return seen == rest
+
+
+def _brute_best(candidates, column_text, k):
+    """Maximum ``cost_oracle`` over ``candidates``; ties go to the lowest index."""
+    return max(candidates, key=lambda qb: (cost_oracle(column_text(qb), k), -qb))
+
+
+def _random_connected_subset(topo, rng):
+    """A random connected set of qubits, grown from a random start."""
+    size = int(rng.integers(1, topo.num_qubits + 1))
+    chosen = {int(rng.integers(topo.num_qubits))}
+    while len(chosen) < size:
+        frontier = sorted({w for u in chosen for w in topo.neighbors(u)} - chosen)
+        chosen.add(int(rng.choice(frontier)))
+    return frozenset(chosen)
+
+
+def test_pick_pivot_and_neighbor_match_brute_force(rng):
+    letters = "IXYZ"
+    for trial in range(120):
+        kind = trial % 4
+        q = int(rng.integers(2, 10))
+        if kind == 0:
+            topo = ps.Topology.line(q)
+        elif kind == 1:
+            topo = ps.Topology.cycle(q)
+        elif kind == 2:
+            topo = ps.Topology.grid(int(rng.integers(1, 4)), int(rng.integers(2, 4)))
+        else:
+            topo = random_connected_topology(q, rng)
+        q = topo.num_qubits
+        n = int(rng.integers(1, 8))
+        rows = rng.choice(4, size=(n, q), p=[0.5, 0.2, 0.15, 0.15])
+        if trial % 2:
+            # Forced ties: many columns repeat one column.
+            rows[:, rng.random(q) < 0.6] = rows[:, [int(rng.integers(q))]]
+        poly = poly_of(*((0.1, "".join(letters[x] for x in row)) for row in rows))
+        k = int(rng.integers(1, 21))
+        st = _state(poly, topo, ps.SynthConfig(k=k))
+        g = [int(i) for i in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
+
+        def column_text(qb):
+            return "".join(letters[int(st.letters[i, qb])] for i in g)
+
+        active = _random_connected_subset(topo, rng)
+        free = [qb for qb in active if _brute_non_cutting(topo, qb, active)]
+        pivot = ps.pick_pivot(st, g, active)
+        assert pivot == _brute_best(free, column_text, k), (trial, sorted(active))
+        near = [w for w in active if topo.has_edge(pivot, w)]
+        if near:
+            assert ps.pick_neighbor(st, pivot, g, active) == \
+                _brute_best(near, column_text, k), (trial, pivot)
 
 
 def test_partition_on_qubit_worked_strings():
@@ -406,8 +488,10 @@ def test_cnot_budget_moderate_suite(rng):
 
 
 def test_synth_config_validation():
-    with pytest.raises(ValueError):
-        ps.SynthConfig(k=0)
+    for bad_k in (0, -1, "3", 2.5, True, None):
+        with pytest.raises(ValueError):
+            ps.SynthConfig(k=bad_k)
+    assert ps.SynthConfig(k=1).k == 1
     with pytest.raises(ValueError):
         ps.SynthConfig(mode="nope")
     assert ps.SynthConfig(mode="commuting_sets").mode == "commuting-sets"

@@ -16,12 +16,10 @@ from .paulis import PauliPolynomial
 from .randgen import (RandomSpec, RNG_ALGORITHM, DEFAULT_ANGLE_SET,
                       instance_seed, random_polynomial)
 from .synth import SynthConfig, SynthesisResult, naive_synthesize, synthesize
+from .tableau import replay_rotations
 from .topology import Topology
 
 METHODS = ("naive", "proposed")
-
-# Benchmark rows up to this many qubits are also checked against the dense oracle.
-CHECK_MAX_Q = 5
 
 CSV_COLUMNS = ("method", "topology", "q", "n", "seed",
                "cnots", "depth", "cnot_depth", "wall_time_ms")
@@ -51,10 +49,24 @@ def run_method(method: str, poly: PauliPolynomial, topo: Topology,
 
 def check_result(poly: PauliPolynomial, result: SynthesisResult,
                  tol: float = 1e-9) -> bool:
-    """Dense equivalence of the circuit against the emitted gadget product."""
-    u_circ = verify.circuit_unitary(result.circuit)
-    u_poly = verify.polynomial_unitary(poly, result.emitted_order)
-    return verify.equivalent(u_poly, u_circ, result.permutation.mapping, tol)
+    """Exact check that ``P(mapping) @ U_circuit`` is the emitted gadget
+    product up to a global phase, at any qubit count.
+
+    ``emitted_order`` must be a permutation of the gadgets.  The circuit is
+    replayed in Pauli-rotation form (``tableau.replay_rotations``): its rz
+    gates must realize the non-identity gadgets of ``emitted_order`` in that
+    order, angles within ``tol``, and the Clifford left over must be
+    ``P(mapping)^`` with no signs.  The dense functions in ``verify`` are the
+    test oracle for this check.
+    """
+    q = poly.num_qubits
+    if result.circuit.num_qubits != q:
+        raise ValueError("dimension mismatch between polynomial and circuit")
+    order = result.emitted_order
+    if sorted(order) != list(range(len(poly.gadgets))):
+        return False
+    t = replay_rotations(q, result.circuit.gates, [poly.gadgets[i] for i in order], tol)
+    return t is not None and t.residual_permutation() == list(result.permutation.mapping)
 
 
 def _bench_task(args) -> tuple:
@@ -66,7 +78,7 @@ def _bench_task(args) -> tuple:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if not conforms(result.circuit, topo):
         raise AssertionError(f"non-conforming circuit from {method} on {topo_spec}")
-    if topo.num_qubits <= CHECK_MAX_Q and not check_result(poly, result):
+    if not check_result(poly, result):
         raise AssertionError(f"equivalence check failed for {method} on {topo_spec}")
     m = result.metrics
     return (method, topo_spec, topo.num_qubits, n, seed,
@@ -126,6 +138,8 @@ def run_trotter_error(polys: list[PauliPolynomial], topo: Topology,
     """
     if not methods:
         raise ValueError("at least one method is required")
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     rows = []
     for idx, poly in enumerate(polys):
         base = poly.scaled(1.0 / repetitions)

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Metrics, metrics
-from .paulis import (TO_Z, Gate, Pauli, PauliGadget, PauliPolynomial, PauliString,
-                     commutes, conjugation_luts, cx, h, rz, s)
-from .tableau import CliffordTableau, QubitPermutation, synthesize_tableau
+from .paulis import (TO_Z, Gate, Pauli, PauliPolynomial, commutes, conjugation_luts,
+                     cx, h, rz, s)
+from .tableau import (CliffordTableau, QubitPermutation, pauli_bits, replay_rotations,
+                      synthesize_tableau)
 from .topology import Topology, tree_postorder
 
 DEBUG_ENV_VAR = "PAULISYNTH_DEBUG"
@@ -42,9 +43,13 @@ class SynthConfig:
     def __post_init__(self):
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ValueError(f"weighting factor k must be an integer >= 1, got {self.k!r}")
-        object.__setattr__(self, "mode", self.mode.replace("_", "-"))
-        if self.mode not in _MODES:
+        mode = self.mode.replace("_", "-") if isinstance(self.mode, str) else self.mode
+        if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        object.__setattr__(self, "mode", mode)
+        if not isinstance(self.allow_permutation, bool):
+            raise ValueError(
+                f"allow_permutation must be a bool, got {self.allow_permutation!r}")
 
 
 @dataclass
@@ -97,7 +102,7 @@ class _State:
         self.topo = topo
         self.k = cfg.k
         self.poly = poly
-        self.debug = os.environ.get(DEBUG_ENV_VAR) == "1" and q <= 5
+        self.debug = os.environ.get(DEBUG_ENV_VAR) == "1"
 
     def emit_clifford(self, gate: Gate) -> None:
         """Append to the circuit, conjugate all live gadgets, stash the adjoint."""
@@ -367,24 +372,21 @@ def naive_synthesize(poly: PauliPolynomial, topo: Topology) -> SynthesisResult:
 
 
 def _check_invariant(state: _State) -> None:
-    """Dense check of the running decomposition (debug toggle, small q only).
+    """Exact check of the running decomposition (debug toggle, any size).
 
-    With U the product of the Clifford gates emitted so far, ``U^ @ (live
-    gadgets) @ circuit`` must equal the polynomial in emission order.
+    Replaying ``state.gates`` must realize the emitted gadgets and rebuild
+    ``state.tableau`` (``U^`` for the Clifford U emitted so far), and every
+    live gadget mapped back through ``U^`` must be its original gadget.
     """
-    from . import verify
-
-    q = state.poly.num_qubits
-    circ_u = verify.circuit_unitary(Circuit(q, tuple(state.gates)))
-    poly_u = np.eye(2 ** q, dtype=complex)
-    for i in np.flatnonzero(state.alive):
-        letters = tuple(Pauli(int(p)) for p in state.letters[i])
-        poly_u = verify.gadget_unitary(
-            PauliGadget(float(state.angles[i]), PauliString(letters))) @ poly_u
-    cliffords = tuple(g for g in state.gates if g.is_clifford)
-    u_dg = verify.circuit_unitary(Circuit(q, cliffords)).conj().T
-    lhs = u_dg @ poly_u @ circ_u
-    order = state.emitted + [int(i) for i in np.flatnonzero(state.alive)]
-    rhs = verify.polynomial_unitary(state.poly, order)
-    if not verify.equivalent(lhs, rhs, None, 1e-8):
-        raise AssertionError("synthesis invariant violated")
+    gadgets = state.poly.gadgets
+    replayed = replay_rotations(state.poly.num_qubits, state.gates,
+                                [gadgets[i] for i in state.emitted], 1e-9)
+    if replayed is None or replayed != state.tableau:
+        raise AssertionError("synthesis invariant violated: emitted gates")
+    live = np.flatnonzero(state.alive)
+    for i, bits in zip(live, pauli_bits(state.letters[live])):
+        image, sign = replayed.conjugate_vector(bits)
+        angle = -state.angles[i] if sign else state.angles[i]
+        if not (np.array_equal(image, pauli_bits(gadgets[i].string.letters))
+                and abs(angle - gadgets[i].angle) <= 1e-9):
+            raise AssertionError(f"synthesis invariant violated: live gadget {i}")

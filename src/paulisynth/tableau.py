@@ -15,16 +15,21 @@ re-checked against the dense-matrix oracle in the test suite.
 ``synthesize_tableau`` emits an architecture-conforming circuit E and an
 output permutation ``perm`` such that ``W_t = P(perm) * U(E)``; with
 ``allow_permutation=False`` the permutation is the identity.
+
+``replay_rotations`` reads a Clifford+Rz gate list in Pauli-rotation form
+(Clifford times a product of Pauli exponentials) with the same ``prepend``
+path; it is the exact equivalence check at any qubit count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit
-from .paulis import TO_Z, Gate, Pauli, conjugation_luts, cx, h, s, sdg, v
+from .paulis import TO_Z, Gate, Pauli, PauliGadget, conjugation_luts, cx, h, s, sdg, v
 from .topology import Topology, tree_postorder
 
 # Letter codes internal to the tableau: l = x + 2z, so I=0, X=1, Z=2, Y=3.
@@ -244,6 +249,46 @@ class CliffordTableau:
             bits = "".join("1" if b else "0" for b in self.mat[r])
             lines.append(f"{bits} | {int(self.signs[r])}")
         return "\n".join(lines) + "\n"
+
+
+def pauli_bits(codes) -> np.ndarray:
+    """xz bits (X part, then Z part) of Pauli-enum letter codes, along the last axis."""
+    codes = np.asarray(codes)
+    return np.concatenate([(codes == Pauli.X) | (codes == Pauli.Y), codes >= Pauli.Y],
+                          axis=-1)
+
+
+def replay_rotations(num_qubits: int, gates: Iterable[Gate],
+                     gadgets: Sequence[PauliGadget], tol: float) -> CliffordTableau | None:
+    """Match a Clifford+Rz gate list against a gadget product, exactly.
+
+    The gates equal ``C * prod_i exp(-i*a_i/2 * P_i)`` (first rotation acting
+    first): ``prepend(g.adjoint())`` per Clifford gate builds the tableau of
+    ``C^`` so far, and an ``rz(theta)`` on wire j is ``P_i`` = row q+j at that
+    point with ``a_i = theta * (row sign)``.  The rotations must be the
+    non-identity ``gadgets`` one for one and in order, letters exactly and
+    angles within ``tol``.  Returns the tableau of ``C^``, or None on a
+    mismatch.
+    """
+    q = num_qubits
+    targets = [g for g in gadgets if g.string.legs()]
+    bits = pauli_bits(np.array([g.string.letters for g in targets],
+                               dtype=np.uint8).reshape(len(targets), q))
+    t = CliffordTableau(q)
+    k = 0
+    for g in gates:
+        if g.is_clifford:
+            t.prepend(g.adjoint())
+            continue
+        if k == len(targets):
+            return None
+        row = q + g.qubits[0]
+        angle = -g.angle if t.signs[row] else g.angle
+        # Compared with <= so that a NaN angle fails too.
+        if not (np.array_equal(t.mat[row], bits[k]) and abs(angle - targets[k].angle) <= tol):
+            return None
+        k += 1
+    return t if k == len(targets) else None
 
 
 def row_interaction_cost(t: CliffordTableau, r: int) -> int:

@@ -1,9 +1,14 @@
-"""Dense-unitary oracle for small qubit counts.
+"""Dense-unitary oracle for small qubit counts: the test and Trotter oracle.
 
 Builds exact matrices for gadgets, circuits, exact time evolution, and the
-initial-state unitary overlap.  Qubit 0 is the most significant tensor
-factor, matching the Pauli string convention.  Application order: a circuit
-``[g0, g1]`` has unitary ``M(g1) @ M(g0)``.
+initial-state unitary overlap (``overlap``, used by the Trotter-error scan).
+Synthesized circuits are checked exactly at any size by
+``bench.check_result`` (a tableau replay); the dense functions here are the
+oracle its tests compare it with.
+
+Qubit 0 is the most significant tensor factor, matching the Pauli string
+convention.  Application order: a circuit ``[g0, g1]`` has unitary
+``M(g1) @ M(g0)``.
 
 Equivalence up to an output permutation is checked against
 ``u1 = exp(i*gamma) * P(perm) @ u2`` where ``P(perm)`` is the operator with

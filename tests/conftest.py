@@ -37,6 +37,14 @@ def tableau_matches_unitary(t, u):
     return True
 
 
+def dense_check(poly, result, tol=1e-9):
+    """Dense oracle for ``bench.check_result`` (small qubit counts only):
+    ``P(mapping) @ U_circuit`` equals the emitted gadget product up to phase."""
+    u_circ = verify.circuit_unitary(result.circuit)
+    u_poly = verify.polynomial_unitary(poly, result.emitted_order)
+    return verify.equivalent(u_poly, u_circ, result.permutation.mapping, tol)
+
+
 def random_connected_topology(q, rng, extra_edge_prob=0.3):
     """Random spanning tree plus extra edges."""
     edges = []

@@ -13,7 +13,7 @@ from paulisynth import bench, verify
 from paulisynth.bench import check_result
 from paulisynth.tableau import CliffordTableau, synthesize_tableau
 
-from conftest import random_clifford_circuit
+from conftest import dense_check, random_clifford_circuit
 
 
 def _report(name, ok, detail=""):
@@ -62,7 +62,8 @@ def test_criterion_2_end_to_end_equivalence():
         if sorted(result.emitted_order) != list(range(n)):
             failures += 1
             continue
-        if not check_result(poly, result, tol=1e-9):
+        equivalent = dense_check(poly, result, tol=1e-9)
+        if not equivalent or check_result(poly, result, tol=1e-9) != equivalent:
             failures += 1
     elapsed = time.perf_counter() - start
     _report("criterion 2: 200-instance unitary equivalence at 1e-9",
@@ -208,8 +209,9 @@ def test_criterion_8_worked_example():
     result = ps.synthesize(poly, ps.Topology.line(4))
     pos = {g: i for i, g in enumerate(result.emitted_order)}
     grouped = abs(pos[0] - pos[2]) == 1 and abs(pos[1] - pos[3]) == 1
-    equivalent = check_result(poly, result, tol=1e-9)
+    equivalent = dense_check(poly, result, tol=1e-9)
+    agrees = check_result(poly, result, tol=1e-9) == equivalent
     elapsed = time.perf_counter() - start
     _report("criterion 8: worked four-gadget example groups (0,2) and (1,3)",
-            grouped and equivalent and elapsed < 1.0,
+            grouped and equivalent and agrees and elapsed < 1.0,
             f"order={result.emitted_order}, {elapsed:.2f}s")

@@ -1,0 +1,179 @@
+"""``bench.check_result`` (exact tableau replay) against the dense oracle.
+
+The corpus mixes naive and proposed synthesis, both modes and both
+permutation settings, polynomials with all-identity gadgets, and six kinds
+of broken result; the replay must give the dense verdict on every case.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import paulisynth as ps
+from paulisynth.bench import check_result
+from paulisynth.tableau import replay_rotations
+
+from conftest import dense_check
+
+SPECS = ("line:2", "line:3", "cycle:3", "line:4", "cycle:4", "grid:2x2",
+         "complete:4", "line:5", "cycle:5", "complete:5")
+MUTANTS = ("angle", "drop_clifford", "swap_clifford", "inverse_permutation",
+           "swap_gadgets", "truncate_order")
+
+
+def _with_identity_gadgets(poly, rng):
+    """Insert one to three all-identity gadgets at random positions."""
+    gadgets = list(poly.gadgets)
+    ident = ps.PauliString((ps.Pauli.I,) * poly.num_qubits)
+    for _ in range(int(rng.integers(1, 4))):
+        angle = float(rng.choice(ps.DEFAULT_ANGLE_SET))
+        gadgets.insert(int(rng.integers(len(gadgets) + 1)), ps.PauliGadget(angle, ident))
+    return ps.PauliPolynomial(poly.num_qubits, tuple(gadgets))
+
+
+def _with_gates(result, gates):
+    return replace(result, circuit=ps.Circuit(result.circuit.num_qubits, tuple(gates)))
+
+
+def _is_identity(gadget):
+    return not gadget.string.legs()
+
+
+def _pi_multiple(angle):
+    return math.isclose(math.remainder(angle, math.pi), 0.0, abs_tol=1e-12)
+
+
+def mutate(kind, poly, result, rng):
+    """A broken copy of ``result``, or None if ``kind`` does not apply to it."""
+    gates = list(result.circuit.gates)
+    rots = [i for i, g in enumerate(gates) if g.kind == "rz"]
+    cliffords = [i for i, g in enumerate(gates) if g.is_clifford]
+    order = list(result.emitted_order)
+    if kind == "angle":
+        if not rots:
+            return None
+        i = int(rng.choice(rots))
+        gates[i] = ps.rz(gates[i].angle + 1e-3, gates[i].qubits[0])
+        return _with_gates(result, gates)
+    if kind == "drop_clifford":
+        if not cliffords:
+            return None
+        del gates[int(rng.choice(cliffords))]
+        return _with_gates(result, gates)
+    if kind == "swap_clifford":
+        if not cliffords:
+            return None
+        i = int(rng.choice(cliffords))
+        g = gates[i]
+        if g.kind == "cx":
+            gates[i] = ps.cx(g.qubits[1], g.qubits[0])
+        else:
+            other = [k for k in ("h", "s", "sdg", "v", "vdg") if k != g.kind]
+            gates[i] = ps.Gate(str(rng.choice(other)), g.qubits)
+        return _with_gates(result, gates)
+    if kind == "inverse_permutation":
+        return replace(result, permutation=result.permutation.inverse())
+    if kind == "swap_gadgets":
+        # Neighbours in the rotation sequence that anticommute and are not
+        # both angle-pi gadgets (those two orders differ by a global phase).
+        live = [p for p, i in enumerate(order) if not _is_identity(poly.gadgets[i])]
+        pairs = [(a, b) for a, b in zip(live, live[1:])
+                 if not ps.commutes(poly.gadgets[order[a]], poly.gadgets[order[b]])
+                 and not (_pi_multiple(poly.gadgets[order[a]].angle)
+                          and _pi_multiple(poly.gadgets[order[b]].angle))]
+        if not pairs:
+            return None
+        a, b = pairs[int(rng.integers(len(pairs)))]
+        order[a], order[b] = order[b], order[a]
+        return replace(result, emitted_order=order)
+    if kind == "truncate_order":
+        # Cut at the last gadget that is not the identity, so the product changes.
+        last = [p for p, i in enumerate(order) if not _is_identity(poly.gadgets[i])]
+        if not last:
+            return None
+        return replace(result, emitted_order=order[:last[-1]])
+    raise ValueError(kind)
+
+
+def test_check_result_agrees_with_dense_oracle():
+    rng = np.random.default_rng(9001)
+    verdicts = {"correct": [], **{kind: [] for kind in MUTANTS}}
+    for trial in range(64):
+        topo = ps.Topology.from_spec(SPECS[trial % len(SPECS)])
+        q = topo.num_qubits
+        n = int(rng.integers(1, 16))
+        poly = ps.random_polynomial(ps.RandomSpec(q, n, seed=int(rng.integers(1 << 40))))
+        if trial % 3 == 0:
+            poly = _with_identity_gadgets(poly, rng)
+        if trial % 4 == 3:
+            result = ps.naive_synthesize(poly, topo)
+        else:
+            cfg = ps.SynthConfig(mode=("arbitrary", "commuting-sets")[trial % 2],
+                                 allow_permutation=trial % 8 < 4)
+            result = ps.synthesize(poly, topo, cfg)
+        cases = [("correct", result)]
+        cases += [(kind, mutate(kind, poly, result, rng)) for kind in MUTANTS]
+        for kind, case in cases:
+            if case is None:
+                continue
+            dense = dense_check(poly, case)
+            assert check_result(poly, case) == dense, (trial, kind, SPECS[trial % len(SPECS)])
+            verdicts[kind].append(dense)
+    # All-identity polynomials: no rotations at all.  Dropping an identity
+    # gadget from emitted_order only changes a global phase, so the dense
+    # oracle still accepts it; the replay requires a permutation of the gadgets.
+    for q in (2, 4):
+        ident = ps.PauliString((ps.Pauli.I,) * q)
+        poly = ps.PauliPolynomial(q, (ps.PauliGadget(0.5, ident),) * 3)
+        for result in (ps.synthesize(poly, ps.Topology.line(q)),
+                       ps.naive_synthesize(poly, ps.Topology.line(q))):
+            assert check_result(poly, result) and dense_check(poly, result)
+            verdicts["correct"].append(True)
+            truncated = replace(result, emitted_order=result.emitted_order[:-1])
+            assert not check_result(poly, truncated)
+    assert sum(len(v) for v in verdicts.values()) >= 300
+    assert all(verdicts["correct"])
+    for kind in MUTANTS:
+        assert verdicts[kind] and not all(verdicts[kind]), kind
+    for kind in ("angle", "drop_clifford", "swap_clifford", "swap_gadgets",
+                 "truncate_order"):
+        assert not any(verdicts[kind]), kind
+
+
+def test_check_result_rejects_bad_emitted_order():
+    poly = ps.random_polynomial(ps.RandomSpec(3, 6, seed=2))
+    result = ps.synthesize(poly, ps.Topology.line(3))
+    order = result.emitted_order
+    assert check_result(poly, result)
+    assert not check_result(poly, replace(result, emitted_order=order + [order[0]]))
+    assert not check_result(poly, replace(result, emitted_order=order[:-1] + [order[0]]))
+    with pytest.raises(ValueError):
+        check_result(poly, replace(result, circuit=ps.Circuit(4)))
+
+
+def test_check_result_at_64_qubits():
+    topo = ps.Topology.from_spec("grid:8x8")
+    poly = ps.random_polynomial(ps.RandomSpec(64, 300, seed=1))
+    result = ps.synthesize(poly, topo)
+    assert check_result(poly, result)
+    broken = mutate("angle", poly, result, np.random.default_rng(3))
+    assert not check_result(poly, broken)
+
+
+def test_replay_rotations_returns_the_left_over_clifford():
+    # cx(0,1) rz(0.3) on wire 1 cx(0,1): exp(-i*0.3/2 * ZZ), nothing left over.
+    gates = (ps.cx(0, 1), ps.rz(0.3, 1), ps.cx(0, 1))
+    zz = ps.PauliGadget(0.3, ps.PauliString.from_str("ZZ"))
+    t = replay_rotations(2, gates, [zz], 1e-9)
+    assert t is not None and t.is_identity
+    assert replay_rotations(2, gates, [ps.PauliGadget(-0.3, zz.string)], 1e-9) is None
+    assert replay_rotations(2, gates, [], 1e-9) is None
+    assert replay_rotations(2, gates, [zz, zz], 1e-9) is None
+    nan = (ps.cx(0, 1), ps.rz(float("nan"), 1), ps.cx(0, 1))
+    assert replay_rotations(2, nan, [zz], 1e-9) is None
+    # h then rz: the rotation is about X; the h is left over as C.
+    t = replay_rotations(1, (ps.h(0), ps.rz(0.2, 0)),
+                         [ps.PauliGadget(0.2, ps.PauliString.from_str("X"))], 1e-9)
+    assert t == ps.CliffordTableau.from_circuit(ps.Circuit(1, (ps.h(0),)))

@@ -65,6 +65,16 @@ def test_verify_subcommand(poly_file, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_verify_grid_6x6_has_no_qubit_cap(tmp_path, capsys):
+    path = tmp_path / "q36.txt"
+    poly = ps.random_polynomial(ps.RandomSpec(36, 20, seed=5))
+    path.write_text(ps.serialize_polynomial(poly))
+    assert main(["verify", "--in", str(path), "--topology", "grid:6x6"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert main(["synth", "--in", str(path), "--topology", "grid:6x6", "--verify"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_verify_commuting_sets_mode(poly_file, capsys):
     code = main(["verify", "--in", poly_file, "--topology", "line:2",
                  "--mode", "commuting-sets", "--no-permutation"])
@@ -163,6 +173,13 @@ def test_bad_k_exits_2(tmp_path, capsys):
                  "--k", "0", "--out", str(tmp_path / "trot.csv")])
     assert code == 2
     assert "k must be" in capsys.readouterr().err
+
+
+def test_trotter_error_zero_repetitions_exits_2(tmp_path, capsys):
+    code = main(["trotter-error", "--qubits", "2", "--gadgets", "4", "--instances", "1",
+                 "--repetitions", "0", "--out", str(tmp_path / "trot.csv")])
+    assert code == 2
+    assert "repetitions must be >= 1" in capsys.readouterr().err
 
 
 def test_trotter_error_from_file(poly_file, tmp_path):

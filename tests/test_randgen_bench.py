@@ -109,6 +109,19 @@ def test_run_benchmark_input_validation(tmp_path):
         bench.run_benchmark(["naive"], [], [5], 1, None)
 
 
+def test_run_benchmark_checks_every_row(monkeypatch):
+    checked = []
+    check = bench.check_result
+
+    def spy(poly, result, tol=1e-9):
+        checked.append(poly.num_qubits)
+        return check(poly, result, tol)
+
+    monkeypatch.setattr(bench, "check_result", spy)
+    rows = bench.run_benchmark(["naive", "proposed"], ["grid:2x3", "line:8"], [6], 1, None)
+    assert checked == [row.q for row in rows] == [6, 6, 8, 8]
+
+
 def test_run_method_unknown():
     poly = ps.random_polynomial(ps.RandomSpec(2, 2, seed=1))
     with pytest.raises(ValueError, match="unknown method"):

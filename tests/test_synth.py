@@ -4,7 +4,7 @@ import pytest
 import paulisynth as ps
 from paulisynth import verify
 from paulisynth.bench import check_result
-from paulisynth.synth import _State, column_cost, column_costs
+from paulisynth.synth import _State, _check_invariant, column_cost, column_costs
 from paulisynth.topology import tree_postorder
 
 from conftest import random_connected_topology
@@ -492,9 +492,14 @@ def test_synth_config_validation():
         with pytest.raises(ValueError):
             ps.SynthConfig(k=bad_k)
     assert ps.SynthConfig(k=1).k == 1
-    with pytest.raises(ValueError):
-        ps.SynthConfig(mode="nope")
+    for bad_mode in ("nope", 3, None):
+        with pytest.raises(ValueError):
+            ps.SynthConfig(mode=bad_mode)
     assert ps.SynthConfig(mode="commuting_sets").mode == "commuting-sets"
+    for bad_perm in ("no", 0, 1, None):
+        with pytest.raises(ValueError):
+            ps.SynthConfig(allow_permutation=bad_perm)
+    assert ps.SynthConfig(allow_permutation=False).allow_permutation is False
 
 
 def test_debug_invariant_mode(monkeypatch):
@@ -509,3 +514,55 @@ def test_debug_invariant_mode(monkeypatch):
             for perm in (True, False):
                 cfg = ps.SynthConfig(mode=mode, allow_permutation=perm)
                 assert check_result(poly, ps.synthesize(poly, topo, cfg))
+
+
+def test_debug_invariant_grid_3x3(monkeypatch):
+    monkeypatch.setenv("PAULISYNTH_DEBUG", "1")
+    topo = ps.Topology.from_spec("grid:3x3")
+    poly = ps.random_polynomial(ps.RandomSpec(9, 10, seed=4))
+    checked = []
+
+    def counted(state):
+        checked.append(state.poly.num_qubits)
+        _check_invariant(state)
+
+    monkeypatch.setattr(ps.synth, "_check_invariant", counted)
+    for mode in ("arbitrary", "commuting-sets"):
+        assert check_result(poly, ps.synthesize(poly, topo, ps.SynthConfig(mode=mode)))
+    assert checked and set(checked) == {9}
+
+
+def test_debug_invariant_catches_corrupted_letters(monkeypatch):
+    topo = ps.Topology.from_spec("grid:2x3")
+    poly = ps.random_polynomial(ps.RandomSpec(6, 8, seed=3))
+    st = _state(poly, topo)
+    _check_invariant(st)
+    ps.disconnect(st, 0, 1, [i for i in range(8) if st.letters[i, 0] == ps.Pauli.Z])
+    _check_invariant(st)
+    st.gates.append(ps.h(2))  # a gate neither the gadgets nor the tableau saw
+    with pytest.raises(AssertionError, match="emitted gates"):
+        _check_invariant(st)
+    st.gates.pop()
+    st.tableau.prepend(ps.h(2))
+    with pytest.raises(AssertionError, match="emitted gates"):
+        _check_invariant(st)
+    st.tableau.prepend(ps.h(2))
+    _check_invariant(st)
+    st.letters[int(np.flatnonzero(st.alive)[0]), 5] ^= 1
+    with pytest.raises(AssertionError, match="live gadget"):
+        _check_invariant(st)
+
+    # A letter corrupted during a debug run stops synthesize.
+    monkeypatch.setenv("PAULISYNTH_DEBUG", "1")
+    disconnect = ps.synth.disconnect
+    corrupted = []
+
+    def corrupting(state, pivot, neighbor, g):
+        disconnect(state, pivot, neighbor, g)
+        if not corrupted:  # once, so the recursion ends even unchecked
+            corrupted.append(int(np.flatnonzero(state.alive)[-1]))
+            state.letters[corrupted[0], pivot] ^= 2
+
+    monkeypatch.setattr(ps.synth, "disconnect", corrupting)
+    with pytest.raises(AssertionError, match="invariant"):
+        ps.synthesize(poly, topo)

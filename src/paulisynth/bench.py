@@ -59,6 +59,8 @@ def check_result(poly: PauliPolynomial, result: SynthesisResult,
     ``P(mapping)^`` with no signs.  The dense functions in ``verify`` are the
     test oracle for this check.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     q = poly.num_qubits
     if result.circuit.num_qubits != q:
         raise ValueError("dimension mismatch between polynomial and circuit")
@@ -97,6 +99,8 @@ def run_benchmark(methods: list[str], topologies: list[str], sizes: list[int],
             raise ValueError(f"unknown method {m!r} (expected one of {METHODS})")
     if not topologies or not sizes or repeats < 1:
         raise ValueError("topologies, sizes, and repeats must be non-empty/positive")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = []
     for ti, topo_spec in enumerate(topologies):
         for si, n in enumerate(sizes):
@@ -140,6 +144,8 @@ def run_trotter_error(polys: list[PauliPolynomial], topo: Topology,
         raise ValueError("at least one method is required")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if not timesteps:
+        raise ValueError("at least one timestep is required")
     rows = []
     for idx, poly in enumerate(polys):
         base = poly.scaled(1.0 / repetitions)

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-import numpy as np
-
 
 class Pauli(IntEnum):
     I = 0
@@ -33,7 +31,6 @@ _PAULI_CHARS = "IXYZ"
 _CHAR_TO_PAULI = {c: Pauli(i) for i, c in enumerate(_PAULI_CHARS)}
 
 CLIFFORD_KINDS = ("h", "s", "sdg", "v", "vdg", "cx")
-ONE_QUBIT_CLIFFORDS = ("h", "s", "sdg", "v", "vdg")
 
 _ADJOINT_KIND = {"h": "h", "s": "sdg", "sdg": "s", "v": "vdg", "vdg": "v",
                  "cx": "cx", "rz": "rz"}
@@ -153,25 +150,32 @@ def conjugate_by(gate: Gate, letters: tuple[Pauli, ...]) -> tuple[tuple[Pauli, .
     return conjugate_letter(gate.adjoint(), letters)
 
 
-def conjugation_luts(order: tuple[Pauli, ...]):
-    """``conjugate_by`` as lookup arrays over a caller's letter code.
+def conjugate_bits(kind: str, x: int, z: int, xt: int = 0, zt: int = 0):
+    """``conjugate_by`` on x/z bitsets (Aaronson-Gottesman column rules).
 
-    ``order[c]`` is the Pauli with code ``c``.  Returns ``(one, cx_letters,
-    cx_flips)``: ``one[kind] = (letters, flips)`` maps a code to the code of
-    ``g P g^`` and its sign flip; the cx arrays do the same for the pair code
-    ``4 * control + target``.
+    Bit i of ``x``/``z`` is the X/Z part of Pauli i on the gate's wire (the
+    control for ``cx``; ``xt``/``zt`` are the target's), with I=(0,0),
+    X=(1,0), Y=(1,1), Z=(0,1).  Returns ``(x, z, xt, zt, flips)`` for
+    ``g P g^``; bit i of ``flips`` is set where Pauli i gains a minus sign.
+    The same rules serve whole columns of many Paulis and single bits.
     """
-    code = {p: c for c, p in enumerate(order)}
-    one = {}
-    for kind in ONE_QUBIT_CLIFFORDS:
-        images = [conjugate_by(Gate(kind, (0,)), (p,)) for p in order]
-        one[kind] = (np.array([code[res] for (res,), _ in images], dtype=np.uint8),
-                     np.array([flip for _, flip in images], dtype=bool))
-    pairs = [conjugate_by(Gate("cx", (0, 1)), (pc, pt)) for pc in order for pt in order]
-    cx_letters = np.array([4 * code[rc] + code[rt] for (rc, rt), _ in pairs], dtype=np.uint8)
-    cx_flips = np.array([flip for _, flip in pairs], dtype=bool)
-    return one, cx_letters, cx_flips
+    if kind == "cx":
+        return x, z ^ zt, xt ^ x, zt, x & zt & ~(xt ^ z)
+    if kind == "h":
+        return z, x, xt, zt, x & z
+    if kind == "s":
+        return x, z ^ x, xt, zt, x & z
+    if kind == "sdg":
+        return x, z ^ x, xt, zt, x & ~z
+    if kind == "v":
+        return x ^ z, z, xt, zt, z & ~x
+    if kind == "vdg":
+        return x ^ z, z, xt, zt, x & z
+    raise ValueError(f"not a Clifford gate kind: {kind!r}")
 
+
+# XZ_LETTER[x + 2z] is the Pauli with those bits.
+XZ_LETTER = (I, X, Z, Y)
 
 # TO_Z[p](j) is the gate g on wire j that turns letter p into Z: g p g^ = +Z.
 TO_Z = {X: h, Y: v}

@@ -4,9 +4,18 @@ The synthesizer walks the polynomial qubit by qubit: it picks a removable
 (non-cutting) pivot qubit, peels off the gadgets not touching it, and
 disconnects the rest from the pivot with at most one single-qubit Clifford
 plus CNOTs on topology edges.  Every emitted Clifford is propagated through
-all unsynthesized gadgets (conjugating their letters and folding sign flips
-into angles) while its adjoint accumulates in a Clifford tableau that is
+all gadgets while its adjoint accumulates in a Clifford tableau that is
 synthesized at the very end, up to an output permutation.
+
+Gadget store (``_State``): the Aaronson-Gottesman column layout.  For each
+qubit j, ``x[j]`` and ``z[j]`` are Python-int bitsets whose bit i is the X
+and Z part of gadget i's letter on j, and bit i of ``neg`` is gadget i's
+accumulated sign.  An emitted Clifford is a few bitwise operations on whole
+columns (``paulis.conjugate_bits``), with no live-gadget mask: emitted
+gadgets keep being conjugated and are never read again.  The sign is folded
+into the angle when the gadget's ``rz`` is emitted.  The frame readers (the
+single-leg sweep, ``partition_on_qubit``, the column costs and the letter
+checks) read bits in frame order in plain Python, because frames are small.
 
 The recursion is driven by an explicit work stack so deep polynomials do not
 hit the interpreter recursion limit.
@@ -17,19 +26,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuit import Circuit, Metrics, metrics
-from .paulis import (TO_Z, Gate, Pauli, PauliPolynomial, commutes, conjugation_luts,
-                     cx, h, rz, s)
-from .tableau import (CliffordTableau, QubitPermutation, pauli_bits, replay_rotations,
+from .paulis import (TO_Z, XZ_LETTER, Gate, Pauli, PauliPolynomial, commutes,
+                     conjugate_bits, cx, h, rz, s)
+from .tableau import (CliffordTableau, QubitPermutation, pauli_row, replay_rotations,
                       synthesize_tableau)
 from .topology import Topology, tree_postorder
 
 DEBUG_ENV_VAR = "PAULISYNTH_DEBUG"
 
-
-_PROP_1Q, _PROP_CX_L, _PROP_CX_F = conjugation_luts((Pauli.I, Pauli.X, Pauli.Y, Pauli.Z))
+# Letter text to x and z bits.
+_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
 
 _MODES = ("arbitrary", "commuting-sets")
 
@@ -61,41 +68,25 @@ class SynthesisResult:
     recursion_gate_count: int = 0
 
 
-def column_costs(block: np.ndarray, k: int) -> np.ndarray:
-    """Cost of every column of a gadgets x qubits letter block:
+def column_cost(column, k: int) -> int:
+    """Cost of a letter column in frame order (0 = I):
     k * (#identity letters) + largest - smallest contiguous non-I run."""
-    n, m = block.shape
-    non_i = block != 0
-    costs = k * (n - non_i.sum(axis=0))
-    padded = np.zeros((m, n + 2), dtype=bool)
-    padded[:, 1:-1] = non_i.T
-    # Runs alternate start/end edges and never cross the padding.
-    flat = padded.ravel()
-    edges = np.flatnonzero(flat[1:] != flat[:-1])
-    if edges.size:
-        starts = edges[0::2]
-        lengths = edges[1::2] - starts
-        cols = starts // (n + 2)
-        first = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
-        costs[cols[first]] += (np.maximum.reduceat(lengths, first)
-                               - np.minimum.reduceat(lengths, first))
-    return costs
-
-
-def column_cost(column: np.ndarray, k: int) -> int:
-    """Cost of one letter column; see ``column_costs``."""
-    return int(column_costs(np.asarray(column).reshape(-1, 1), k)[0])
+    legs = bytes(map(bool, column))
+    runs = [len(run) for run in legs.split(b"\0") if run]
+    cost = k * (len(legs) - sum(runs))
+    return cost + max(runs) - min(runs) if runs else cost
 
 
 class _State:
     def __init__(self, poly: PauliPolynomial, topo: Topology, cfg: SynthConfig):
-        n = len(poly.gadgets)
         q = poly.num_qubits
-        self.letters = np.zeros((n, q), dtype=np.uint8)
-        for i, g in enumerate(poly.gadgets):
-            self.letters[i] = [int(p) for p in g.string.letters]
-        self.angles = np.array([g.angle for g in poly.gadgets], dtype=float)
-        self.alive = np.ones(n, dtype=bool)
+        # Column j as text, gadget 0 last so that it lands on bit 0.
+        cols = ["".join(c)[::-1] for c in zip(*(str(g.string) for g in poly.gadgets))]
+        self.x = [int("0" + c.translate(_X_BITS), 2) for c in cols or [""] * q]
+        self.z = [int("0" + c.translate(_Z_BITS), 2) for c in cols or [""] * q]
+        self.neg = 0
+        self.angles = [float(g.angle) for g in poly.gadgets]
+        self.alive = [True] * len(poly.gadgets)
         self.gates: list[Gate] = []
         self.tableau = CliffordTableau(q)
         self.emitted: list[int] = []
@@ -104,56 +95,75 @@ class _State:
         self.poly = poly
         self.debug = os.environ.get(DEBUG_ENV_VAR) == "1"
 
+    def letter(self, i: int, qubit: int) -> Pauli:
+        """Current letter of gadget i on ``qubit``."""
+        return XZ_LETTER[(self.x[qubit] >> i & 1) | (self.z[qubit] >> i & 1) << 1]
+
+    def angle(self, i: int) -> float:
+        """Current angle of gadget i, its accumulated sign folded in."""
+        return -self.angles[i] if self.neg >> i & 1 else self.angles[i]
+
+    def flip_bit(self, i: int, part: str, qubit: int = 0) -> None:
+        """Corrupt gadget i's ``"x"`` or ``"z"`` bit on ``qubit``, or its ``"sign"``."""
+        if part == "sign":
+            self.neg ^= 1 << i
+        else:
+            getattr(self, part)[qubit] ^= 1 << i
+
     def emit_clifford(self, gate: Gate) -> None:
-        """Append to the circuit, conjugate all live gadgets, stash the adjoint."""
+        """Append to the circuit, conjugate all gadgets, stash the adjoint."""
         self.gates.append(gate)
-        idx = np.flatnonzero(self.alive)
-        if idx.size:
-            if gate.kind == "cx":
-                c, t = gate.qubits
-                codes = 4 * self.letters[idx, c] + self.letters[idx, t]
-                new = _PROP_CX_L[codes]
-                self.letters[idx, c] = new >> 2
-                self.letters[idx, t] = new & 3
-                flips = _PROP_CX_F[codes]
-            else:
-                j = gate.qubits[0]
-                lut, flut = _PROP_1Q[gate.kind]
-                codes = self.letters[idx, j]
-                self.letters[idx, j] = lut[codes]
-                flips = flut[codes]
-            if flips.any():
-                self.angles[idx[flips]] *= -1.0
+        x, z = self.x, self.z
+        a = gate.qubits[0]
+        if gate.kind == "cx":
+            t = gate.qubits[1]
+            x[a], z[a], x[t], z[t], flips = conjugate_bits("cx", x[a], z[a], x[t], z[t])
+        else:
+            x[a], z[a], _, _, flips = conjugate_bits(gate.kind, x[a], z[a])
+        self.neg ^= flips
         self.tableau.prepend(gate.adjoint())
 
     def emit_rotation(self, i: int) -> None:
-        legs = np.flatnonzero(self.letters[i])
+        legs = [j for j, (x, z) in enumerate(zip(self.x, self.z)) if (x | z) >> i & 1]
         if len(legs) != 1:
             raise AssertionError("rotation emission needs exactly one leg")
-        qb = int(legs[0])
-        letter = int(self.letters[i, qb])
+        qb = legs[0]
+        letter = self.letter(i, qb)
         if letter in TO_Z:
             self.emit_clifford(TO_Z[letter](qb))
-        self.gates.append(rz(float(self.angles[i]), qb))
+        self.gates.append(rz(self.angle(i), qb))
         self.alive[i] = False
         self.emitted.append(i)
 
 
 def _single_leg_sweep(state: _State, g: list[int]) -> list[int]:
+    # Weight classes as bitsets: some leg, and two or more legs.  The sweep
+    # emits only single-qubit Cliffords, which keep every gadget's legs.
+    some = many = 0
+    for x, z in zip(state.x, state.z):
+        legs = x | z
+        many |= some & legs
+        some |= legs
     remaining = []
     for i in g:
         if not state.alive[i]:
             continue
-        leg_count = int((state.letters[i] != 0).sum())
-        if leg_count == 0:
+        if not some >> i & 1:
             # All-identity gadget: a global phase, dropped.
             state.alive[i] = False
             state.emitted.append(i)
-        elif leg_count == 1:
+        elif not many >> i & 1:
             state.emit_rotation(i)
         else:
             remaining.append(i)
     return remaining
+
+
+def _costs(state: _State, g: list[int], cands: list[int]) -> list[int]:
+    """Column cost of each candidate over ``g``; each distinct column is costed once."""
+    columns = [bytes([(state.x[j] | state.z[j]) >> i & 1 for i in g]) for j in cands]
+    cost = {column: column_cost(column, state.k) for column in set(columns)}
+    return [cost[column] for column in columns]
 
 
 def pick_pivot(state: _State, g: list[int], active: frozenset[int]) -> int:
@@ -163,8 +173,8 @@ def pick_pivot(state: _State, g: list[int], active: frozenset[int]) -> int:
     lazily in cost order and stops at the first non-cutting qubit.
     """
     cands = sorted(active)
-    costs = column_costs(state.letters.take(g, axis=0)[:, cands], state.k)
-    for i in np.argsort(-costs, kind="stable"):
+    costs = _costs(state, g, cands)
+    for i in sorted(range(len(cands)), key=lambda i: -costs[i]):
         if state.topo.is_non_cutting(cands[i], active):
             return cands[i]
     raise AssertionError("connected active set always has a non-cutting qubit")
@@ -177,14 +187,15 @@ def pick_neighbor(state: _State, pivot: int, g: list[int], active: frozenset[int
         raise AssertionError("pivot with connected gadgets must have an active neighbor")
     if len(cands) == 1:  # nothing to compare, so skip the costs
         return cands[0]
-    costs = column_costs(state.letters.take(g, axis=0)[:, cands], state.k)
-    return cands[int(np.argmax(costs))]
+    costs = _costs(state, g, cands)
+    return cands[costs.index(max(costs))]
 
 
 def partition_on_qubit(state: _State, g: list[int], qubit: int) -> dict[int, list[int]]:
     groups: dict[int, list[int]] = {0: [], 1: [], 2: [], 3: []}
+    x, z = state.x[qubit], state.z[qubit]
     for i in g:
-        groups[int(state.letters[i, qubit])].append(i)
+        groups[XZ_LETTER[(x >> i & 1) | (z >> i & 1) << 1]].append(i)
     return groups
 
 
@@ -205,13 +216,13 @@ def diagonalize_qubit(state: _State, g: list[int], qubit: int) -> None:
     """Emit at most one single-qubit Clifford turning the legs of ``g`` at
     ``qubit`` into Z.  The gadgets must share one letter there (call per
     letter group otherwise); the gate propagates through all live gadgets."""
-    letters = {int(state.letters[i, qubit]) for i in g} - {int(Pauli.I)}
+    letters = {state.letter(i, qubit) for i in g} - {Pauli.I}
     if len(letters) > 1:
         raise ValueError("mixed letters at qubit; diagonalize per letter group")
-    if not letters or letters == {int(Pauli.Z)}:
+    if not letters or letters == {Pauli.Z}:
         return
     state.emit_clifford(TO_Z[letters.pop()](qubit))
-    if any(int(state.letters[i, qubit]) != Pauli.Z for i in g):
+    if any(state.letter(i, qubit) != Pauli.Z for i in g):
         raise AssertionError("diagonalization left a non-Z leg")
 
 
@@ -223,7 +234,7 @@ def disconnect(state: _State, pivot: int, neighbor: int, g: list[int]) -> None:
     over; otherwise the pair rule matching the most gadgets is used (one
     CNOT plus at most one single-qubit Clifford on the neighbor).
     """
-    if any(int(state.letters[i, pivot]) != Pauli.Z for i in g):
+    if any(state.letter(i, pivot) != Pauli.Z for i in g):
         raise ValueError("disconnect requires diagonalized pivot legs")
     if not state.topo.has_edge(pivot, neighbor):
         raise ValueError(f"({pivot},{neighbor}) is not a topology edge")
@@ -246,7 +257,7 @@ def disconnect(state: _State, pivot: int, neighbor: int, g: list[int]) -> None:
         elif rule == "xy":
             state.emit_clifford(h(neighbor))
         state.emit_clifford(cx(pivot, neighbor))
-    if any(int(state.letters[i, pivot]) != Pauli.I for i in matched):
+    if any(state.letter(i, pivot) != Pauli.I for i in matched):
         raise AssertionError("disconnect left a matched gadget on the pivot")
 
 
@@ -323,7 +334,7 @@ def synthesize(poly: PauliPolynomial, topo: Topology,
         gadget_sets = [list(range(len(poly.gadgets)))]
     for gset in gadget_sets:
         _run_recursion(state, gset)
-    if state.alive.any():
+    if any(state.alive):
         raise AssertionError("synthesis left live gadgets")
     recursion_gates = len(state.gates)
     tab_circuit, perm = synthesize_tableau(state.tableau, topo, cfg.allow_permutation)
@@ -383,10 +394,10 @@ def _check_invariant(state: _State) -> None:
                                 [gadgets[i] for i in state.emitted], 1e-9)
     if replayed is None or replayed != state.tableau:
         raise AssertionError("synthesis invariant violated: emitted gates")
-    live = np.flatnonzero(state.alive)
-    for i, bits in zip(live, pauli_bits(state.letters[live])):
-        image, sign = replayed.conjugate_vector(bits)
-        angle = -state.angles[i] if sign else state.angles[i]
-        if not (np.array_equal(image, pauli_bits(gadgets[i].string.letters))
+    for i in [i for i, live in enumerate(state.alive) if live]:
+        letters = [state.letter(i, j) for j in range(state.poly.num_qubits)]
+        image, sign = replayed.conjugate_vector(pauli_row(letters))
+        angle = -state.angle(i) if sign else state.angle(i)
+        if not (image == pauli_row(gadgets[i].string.letters)
                 and abs(angle - gadgets[i].angle) <= 1e-9):
             raise AssertionError(f"synthesis invariant violated: live gadget {i}")

@@ -1,16 +1,19 @@
 """Clifford tableaus over GF(2) and their architecture-aware synthesis.
 
-Representation: a 2q x 2q bit matrix plus 2q sign bits for a Clifford W.
+Representation: 2q rows as Python ints plus 2q sign bits for a Clifford W.
 Row r < q stores the image ``W X_r W^`` and row q+r stores ``W Z_r W^`` as a
-signed Pauli; column j < q is the X component on wire j, column q+j the Z
-component.
+signed Pauli; bit j < q of a row is the X component on wire j, bit q+j the Z
+component (I=(0,0), X=(1,0), Z=(0,1), Y=(1,1)).
 
 ``prepend(g)`` realizes ``W -> W * W_g`` (gate applied before the tableau)
-as row operations; ``append(g)`` realizes ``W -> W_g * W`` by conjugating
-every stored image.  ``append`` takes its letter and sign rules from
-``paulis.CONJ_1Q``/``CONJ_CNOT`` through ``paulis.conjugation_luts``;
-``prepend``'s row rules and their sign updates are derived by hand and
-re-checked against the dense-matrix oracle in the test suite.
+as row products.  With ``P(x, z) = i^|x&z| X^x Z^z`` (Hermitian, Y = iXZ),
+
+    P(x1, z1) * P(x2, z2) = i^(|x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3|) * P(x3, z3)
+
+for ``(x3, z3) = (x1^x2, z1^z2)``, so a row product costs four popcounts
+(``_product_phase``).  ``append(g)`` realizes ``W -> W_g * W`` by
+conjugating every stored image with ``paulis.conjugate_bits``, the column
+rules the synthesizer's gadget store uses too; it costs O(q) per gate.
 
 ``synthesize_tableau`` emits an architecture-conforming circuit E and an
 output permutation ``perm`` such that ``W_t = P(perm) * U(E)``; with
@@ -26,25 +29,25 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuit import Circuit
-from .paulis import TO_Z, Gate, Pauli, PauliGadget, conjugation_luts, cx, h, s, sdg, v
+from .paulis import (TO_Z, XZ_LETTER, Gate, Pauli, PauliGadget, conjugate_bits, cx, h, s,
+                     sdg, v)
 from .topology import Topology, tree_postorder
 
-# Letter codes internal to the tableau: l = x + 2z, so I=0, X=1, Z=2, Y=3.
-# _PHASE[a][b] is the power of i in L(a) * L(b) = i^p * L(a xor b).
-_PHASE = np.array([
-    [0, 0, 0, 0],
-    [0, 0, 3, 1],
-    [0, 1, 0, 3],
-    [0, 3, 1, 0],
-], dtype=np.int64)
 
-# _XZ_ORDER[l] is the Pauli with xz code l.
-_XZ_ORDER = (Pauli.I, Pauli.X, Pauli.Z, Pauli.Y)
+def _product_phase(r1: int, r2: int, q: int) -> int:
+    """Power of i in P(r1) * P(r2) = i^p * P(r1 ^ r2), for rows of q wires."""
+    m = (1 << q) - 1
+    r3 = r1 ^ r2
+    return ((r1 & m & (r1 >> q)).bit_count() + (r2 & m & (r2 >> q)).bit_count()
+            + 2 * ((r1 >> q) & r2 & m).bit_count() - (r3 & m & (r3 >> q)).bit_count())
 
-_APPEND_1Q, _APPEND_CX_L, _APPEND_CX_F = conjugation_luts(_XZ_ORDER)
+
+def pauli_row(letters: Sequence[Pauli]) -> int:
+    """Row int of a Pauli word: X bit j, then Z bit q+j."""
+    q = len(letters)
+    return sum((p in (Pauli.X, Pauli.Y)) << j | (p in (Pauli.Y, Pauli.Z)) << (q + j)
+               for j, p in enumerate(letters))
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,8 @@ class CliffordTableau:
         if num_qubits <= 0:
             raise ValueError("num_qubits must be positive")
         self.num_qubits = num_qubits
-        self.mat = np.eye(2 * num_qubits, dtype=bool)
-        self.signs = np.zeros(2 * num_qubits, dtype=bool)
+        self.rows = [1 << r for r in range(2 * num_qubits)]
+        self.signs = [0] * (2 * num_qubits)
 
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "CliffordTableau":
@@ -100,30 +103,24 @@ class CliffordTableau:
 
     def copy(self) -> "CliffordTableau":
         t = CliffordTableau(self.num_qubits)
-        t.mat = self.mat.copy()
-        t.signs = self.signs.copy()
+        t.rows = list(self.rows)
+        t.signs = list(self.signs)
         return t
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CliffordTableau)
                 and self.num_qubits == other.num_qubits
-                and bool(np.array_equal(self.mat, other.mat))
-                and bool(np.array_equal(self.signs, other.signs)))
+                and self.rows == other.rows and self.signs == other.signs)
 
-    # -- internals ---------------------------------------------------------
-
-    def _codes(self, row: np.ndarray) -> np.ndarray:
-        q = self.num_qubits
-        return row[:q].astype(np.int8) + 2 * row[q:].astype(np.int8)
-
-    def _row_combine(self, dest: int, a: int, b: int, extra: int) -> None:
+    def _row_product(self, dest: int, a: int, b: int, extra: int) -> None:
         """dest := i^extra * image(a) * image(b); extra makes the result Hermitian."""
-        pa = int(_PHASE[self._codes(self.mat[a]), self._codes(self.mat[b])].sum())
-        total = (extra + pa + 2 * (int(self.signs[a]) + int(self.signs[b]))) % 4
-        if total % 2:
+        rows, signs = self.rows, self.signs
+        p = (extra + _product_phase(rows[a], rows[b], self.num_qubits)
+             + 2 * (signs[a] + signs[b]))
+        if p & 1:
             raise AssertionError("non-Hermitian image in tableau row update")
-        self.mat[dest] = self.mat[a] ^ self.mat[b]
-        self.signs[dest] = bool(total // 2)
+        rows[dest] = rows[a] ^ rows[b]
+        signs[dest] = (p >> 1) & 1
 
     # -- gate actions --------------------------------------------------------
 
@@ -135,109 +132,96 @@ class CliffordTableau:
         k = gate.kind
         if k == "h":
             i = gate.qubits[0]
-            self.mat[[i, q + i]] = self.mat[[q + i, i]]
-            self.signs[[i, q + i]] = self.signs[[q + i, i]]
+            rows, signs = self.rows, self.signs
+            rows[i], rows[q + i] = rows[q + i], rows[i]
+            signs[i], signs[q + i] = signs[q + i], signs[i]
         elif k in ("s", "sdg"):
             i = gate.qubits[0]
-            self._row_combine(i, i, q + i, extra=1 if k == "s" else 3)
+            self._row_product(i, i, q + i, extra=1 if k == "s" else 3)
         elif k in ("v", "vdg"):
             i = gate.qubits[0]
-            self._row_combine(q + i, i, q + i, extra=3 if k == "v" else 1)
+            self._row_product(q + i, i, q + i, extra=3 if k == "v" else 1)
         else:  # cx
             c, t = gate.qubits
-            self._row_combine(c, c, t, extra=0)
-            self._row_combine(q + t, q + c, q + t, extra=0)
+            self._row_product(c, c, t, extra=0)
+            self._row_product(q + t, q + c, q + t, extra=0)
 
     def append(self, gate: Gate) -> None:
         """Column action of applying ``gate`` after this Clifford."""
         if not gate.is_clifford:
             raise ValueError("tableaus track Clifford gates only")
         q = self.num_qubits
-        if gate.kind == "cx":
-            c, t = gate.qubits
-            codes = (self.mat[:, c].astype(np.int8) + 2 * self.mat[:, q + c]) * 4 \
-                + (self.mat[:, t].astype(np.int8) + 2 * self.mat[:, q + t])
-            new = _APPEND_CX_L[codes]
-            self.signs ^= _APPEND_CX_F[codes]
-            lc, lt = new >> 2, new & 3
-            self.mat[:, c] = (lc & 1).astype(bool)
-            self.mat[:, q + c] = (lc >> 1).astype(bool)
-            self.mat[:, t] = (lt & 1).astype(bool)
-            self.mat[:, q + t] = (lt >> 1).astype(bool)
-        else:
-            j = gate.qubits[0]
-            letters, flips = _APPEND_1Q[gate.kind]
-            codes = self.mat[:, j].astype(np.int8) + 2 * self.mat[:, q + j]
-            new = letters[codes]
-            self.signs ^= flips[codes]
-            self.mat[:, j] = (new & 1).astype(bool)
-            self.mat[:, q + j] = (new >> 1).astype(bool)
+        k = gate.kind
+        a, b = gate.qubits[0], gate.qubits[-1]
+        ma, mb = 1 << a | 1 << (q + a), 1 << b | 1 << (q + b)
+        rows, signs = self.rows, self.signs
+        for r, row in enumerate(rows):
+            if not row & (ma | mb):
+                continue
+            xa, za, xb, zb, flip = conjugate_bits(
+                k, row >> a & 1, row >> (q + a) & 1, row >> b & 1, row >> (q + b) & 1)
+            row = row & ~ma | xa << a | za << (q + a)
+            if b != a:
+                row = row & ~mb | xb << b | zb << (q + b)
+            rows[r] = row
+            signs[r] ^= flip
 
     # -- queries -------------------------------------------------------------
 
     def row_letter(self, r: int, wire: int) -> Pauli:
-        q = self.num_qubits
-        code = int(self.mat[r, wire]) + 2 * int(self.mat[r, q + wire])
-        return _XZ_ORDER[code]
+        row = self.rows[r]
+        return XZ_LETTER[(row >> wire & 1) | (row >> (self.num_qubits + wire) & 1) << 1]
 
     def is_symplectic(self) -> bool:
+        """Rows r and q+r anticommute; every other pair commutes."""
         q = self.num_qubits
-        lam = np.zeros((2 * q, 2 * q), dtype=np.int64)
-        lam[:q, q:] = np.eye(q)
-        lam[q:, :q] = np.eye(q)
-        m = self.mat.astype(np.int64)
-        return bool(np.array_equal((m @ lam @ m.T) % 2, lam))
+        m = (1 << q) - 1
+        rows = self.rows
+        for a, ra in enumerate(rows):
+            for b in range(a + 1, 2 * q):
+                form = (((ra & (rows[b] >> q)) ^ ((ra >> q) & rows[b])) & m).bit_count() & 1
+                if form != (b == a + q):
+                    return False
+        return True
 
-    def conjugate_vector(self, vec: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Image of the signed-free Pauli L(vec) under this Clifford: (bits, sign)."""
+    def conjugate_vector(self, row: int) -> tuple[int, bool]:
+        """Image of the sign-free Pauli with row int ``row``: (row, sign)."""
         q = self.num_qubits
-        vec = vec.astype(bool)
-        y_count = int(np.sum(vec[:q] & vec[q:]))
-        acc = np.zeros(2 * q, dtype=bool)
-        phase = y_count
-        gens = list(np.flatnonzero(vec[:q])) + [q + int(j) for j in np.flatnonzero(vec[q:])]
-        for b in gens:
-            phase += int(_PHASE[self._codes(acc), self._codes(self.mat[b])].sum())
-            phase += 2 * int(self.signs[b])
-            acc ^= self.mat[b]
-        phase %= 4
-        if phase % 2:
+        m = (1 << q) - 1
+        phase = (row & m & (row >> q)).bit_count()
+        acc = 0
+        for b in [b for b in range(2 * q) if row >> b & 1]:  # X^x first, then Z^z
+            phase += _product_phase(acc, self.rows[b], q) + 2 * self.signs[b]
+            acc ^= self.rows[b]
+        if phase & 1:
             raise AssertionError("non-Hermitian conjugation result")
-        return acc, bool(phase // 2)
+        return acc, bool(phase & 2)
 
     def inverse(self) -> "CliffordTableau":
-        """Tableau of the adjoint Clifford."""
+        """Tableau of the adjoint Clifford: the symplectic transpose, with
+        signs from conjugating each new row back."""
         q = self.num_qubits
-        idx = np.concatenate([np.arange(q, 2 * q), np.arange(0, q)])
+        swap = [r + q if r < q else r - q for r in range(2 * q)]
         inv = CliffordTableau(q)
-        inv.mat = self.mat.T[np.ix_(idx, idx)].copy()
         for r in range(2 * q):
-            img, sign = self.conjugate_vector(inv.mat[r])
-            expect = np.zeros(2 * q, dtype=bool)
-            expect[r] = True
-            if not np.array_equal(img, expect):
+            bit = swap[r]
+            inv.rows[r] = sum((self.rows[swap[c]] >> bit & 1) << c for c in range(2 * q))
+            img, sign = self.conjugate_vector(inv.rows[r])
+            if img != 1 << r:
                 raise AssertionError("tableau inverse is inconsistent")
-            inv.signs[r] = sign
+            inv.signs[r] = int(sign)
         return inv
 
     def residual_permutation(self) -> list[int] | None:
         """If this tableau is a permutation with zero signs, return row->wire."""
         q = self.num_qubits
-        if self.signs.any():
+        if any(self.signs):
             return None
-        perm = []
-        for r in range(q):
-            xrow = self.mat[r]
-            zrow = self.mat[q + r]
-            if int(xrow.sum()) != 1 or int(zrow.sum()) != 1:
-                return None
-            c = int(np.flatnonzero(xrow)[0])
-            if c >= q or not zrow[q + c]:
-                return None
-            perm.append(c)
-        if sorted(perm) != list(range(q)):
+        perm = [max(self.rows[r].bit_length() - 1, 0) for r in range(q)]
+        if any(self.rows[r] != 1 << c or self.rows[q + r] != 1 << (q + c)
+               for r, c in enumerate(perm)):
             return None
-        return perm
+        return perm if sorted(perm) == list(range(q)) else None
 
     @property
     def is_identity(self) -> bool:
@@ -245,17 +229,10 @@ class CliffordTableau:
 
     def dump(self) -> str:
         lines = []
-        for r in range(2 * self.num_qubits):
-            bits = "".join("1" if b else "0" for b in self.mat[r])
-            lines.append(f"{bits} | {int(self.signs[r])}")
+        for row, sign in zip(self.rows, self.signs):
+            bits = "".join("1" if row >> c & 1 else "0" for c in range(2 * self.num_qubits))
+            lines.append(f"{bits} | {int(sign)}")
         return "\n".join(lines) + "\n"
-
-
-def pauli_bits(codes) -> np.ndarray:
-    """xz bits (X part, then Z part) of Pauli-enum letter codes, along the last axis."""
-    codes = np.asarray(codes)
-    return np.concatenate([(codes == Pauli.X) | (codes == Pauli.Y), codes >= Pauli.Y],
-                          axis=-1)
 
 
 def replay_rotations(num_qubits: int, gates: Iterable[Gate],
@@ -272,8 +249,7 @@ def replay_rotations(num_qubits: int, gates: Iterable[Gate],
     """
     q = num_qubits
     targets = [g for g in gadgets if g.string.legs()]
-    bits = pauli_bits(np.array([g.string.letters for g in targets],
-                               dtype=np.uint8).reshape(len(targets), q))
+    rows = [pauli_row(g.string.letters) for g in targets]
     t = CliffordTableau(q)
     k = 0
     for g in gates:
@@ -285,25 +261,29 @@ def replay_rotations(num_qubits: int, gates: Iterable[Gate],
         row = q + g.qubits[0]
         angle = -g.angle if t.signs[row] else g.angle
         # Compared with <= so that a NaN angle fails too.
-        if not (np.array_equal(t.mat[row], bits[k]) and abs(angle - targets[k].angle) <= tol):
+        if not (t.rows[row] == rows[k] and abs(angle - targets[k].angle) <= tol):
             return None
         k += 1
     return t if k == len(targets) else None
 
 
+def _support(row: int, q: int) -> int:
+    """Wires where a row's Pauli is not I, as a bitset."""
+    return (row | row >> q) & ((1 << q) - 1)
+
+
 def row_interaction_cost(t: CliffordTableau, r: int) -> int:
     """Number of wires touched by the X and Z images of logical qubit r."""
     q = t.num_qubits
-    m = t.mat
-    return int((m[r, :q] | m[r, q:]).sum() + (m[q + r, :q] | m[q + r, q:]).sum())
+    return _support(t.rows[r], q).bit_count() + _support(t.rows[q + r], q).bit_count()
 
 
 def column_distance_cost(t: CliffordTableau, c: int, topo: Topology) -> int:
     """Distance-weighted spread of the row pair at index c."""
     q = t.num_qubits
-    m = t.mat
-    d = topo.dist[c, :q]
-    return int(((m[c, :q] | m[c, q:]) * d).sum() + ((m[q + c, :q] | m[q + c, q:]) * d).sum())
+    d = topo.dist[c].tolist()
+    spread = [_support(t.rows[r], q) for r in (c, q + c)]
+    return sum(d[j] for supp in spread for j in range(q) if supp >> j & 1)
 
 
 def _reduce_pair(work: CliffordTableau, r: int, c: int, active: set[int],

@@ -114,18 +114,16 @@ class Topology:
         kind, sep, arg = spec.partition(":")
         if not sep:
             raise ValueError(f"invalid topology spec {spec!r} (expected kind:arg)")
-        if kind == "complete":
-            return cls.complete(int(arg))
-        if kind == "line":
-            return cls.line(int(arg))
-        if kind == "cycle":
-            return cls.cycle(int(arg))
-        if kind == "grid":
-            rows, _, cols = arg.partition("x")
-            return cls.grid(int(rows), int(cols))
         if kind == "file":
             return cls.from_file(arg)
-        raise ValueError(f"unknown topology kind {kind!r}")
+        presets = {"complete": cls.complete, "line": cls.line, "cycle": cls.cycle,
+                   "grid": cls.grid}
+        if kind not in presets:
+            raise ValueError(f"unknown topology kind {kind!r}")
+        sizes = arg.split("x")
+        if len(sizes) != (2 if kind == "grid" else 1) or not all(x.isdigit() for x in sizes):
+            raise ValueError(f"invalid topology spec {spec!r}")
+        return presets[kind](*map(int, sizes))
 
     def serialize(self) -> str:
         lines = [f"qubits {self.num_qubits}"]

@@ -194,3 +194,37 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     code = main(["synth", "--in", str(tmp_path / "nope.txt"),
                  "--topology", "line:2"])
     assert code == 2
+
+
+def test_bench_zero_jobs_exits_2(tmp_path, capsys):
+    code = main(["bench", "--topologies", "line:3", "--sizes", "4", "--repeats", "1",
+                 "--jobs", "0", "--out", str(tmp_path / "bench.csv")])
+    assert code == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "bench.csv").exists()
+
+
+def test_trotter_error_zero_timesteps_exits_2(tmp_path, capsys):
+    code = main(["trotter-error", "--qubits", "2", "--gadgets", "4", "--instances", "1",
+                 "--timesteps", "0", "--out", str(tmp_path / "trot.csv")])
+    assert code == 2
+    assert "timestep" in capsys.readouterr().err
+    assert not (tmp_path / "trot.csv").exists()
+
+
+@pytest.mark.parametrize("command,tol", [("synth", "-1"), ("verify", "nan"),
+                                         ("verify", "inf")])
+def test_bad_tolerance_exits_2(poly_file, command, tol, capsys):
+    argv = [command, "--in", poly_file, "--topology", "complete:2", "--tol", tol]
+    code = main(argv + (["--verify"] if command == "synth" else []))
+    assert code == 2
+    err = capsys.readouterr()
+    assert "tolerance must be finite and >= 0" in err.err
+    assert "FAIL" not in err.out
+
+
+def test_bad_topology_spec_is_named(poly_file, capsys):
+    for spec in ("grid:3", "grid:ax2", "line:two"):
+        code = main(["synth", "--in", poly_file, "--topology", spec])
+        assert code == 2
+        assert f"invalid topology spec {spec!r}" in capsys.readouterr().err

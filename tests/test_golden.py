@@ -108,6 +108,31 @@ GOLDEN = {
     ("cycle:8", 3, "naive", None): "b18bfe7712f1019b2c661b07b1bdad03b18a82f867cb91867556b1c10e1726b6",
 }
 
+# Past one machine word: more than 64 gadgets, and 36 qubits (72 tableau
+# columns) on grid:6x6; recorded before the stores became Python-int bitsets.
+GOLDEN_LARGE = {
+    ("line:8", 300, 1, "arbitrary", True): "f3b998dbfce5dce3c4e9e7560c48cbe9a137d3dd58fd7de2961166e50952dc6e",
+    ("line:8", 300, 1, "arbitrary", False): "1aea9a3622b97016d8bf88dded79a92a6d3382da1a511615090ae61a06188fa0",
+    ("line:8", 300, 1, "commuting-sets", True): "44491f7a9b433b93bbc8c44465cfd8d28bde21edbce5f41888275659f5b622d0",
+    ("line:8", 300, 1, "commuting-sets", False): "255850b996acd04abd4e4179d3a77fdea97b164987b93cdd886bc1dae6c7a63e",
+    ("line:8", 300, 1, "naive", None): "81ea82d7b4f58692cbee2d6302743d784b975025b1c52569505a3fbba629664d",
+    ("line:8", 300, 2, "arbitrary", True): "06376a38fde0b0701bef24e7fad90a55a7a39e8f88aa56bb2242396a59216655",
+    ("line:8", 300, 2, "arbitrary", False): "7604e6eb9a734d5a3afda73e9ea15b9deb1ca501b6179ff820f6c09b320aee38",
+    ("line:8", 300, 2, "commuting-sets", True): "dde65e7555f8b030abe4a0691b532d6951df54a555663bcf882fdad3e1c9b1a2",
+    ("line:8", 300, 2, "commuting-sets", False): "8f6ab32b0e564024a6dda21399652bd9aeb7eb2e73163341c658e625b6f23675",
+    ("line:8", 300, 2, "naive", None): "a9a144da7ffede49c10a0f13552e5bec7c99b57f3c69588db38697f0d02ad670",
+    ("grid:6x6", 120, 1, "arbitrary", True): "b5cdf9ad89a0d8ad5bbbcd625412b15f40dd678831490334442f9b519a6d1701",
+    ("grid:6x6", 120, 1, "arbitrary", False): "3ac8d1329ae8eaa8f674cde94f599c024b7f61957a6e42e49c06914774c7c4b9",
+    ("grid:6x6", 120, 1, "commuting-sets", True): "c407fd1b394390ee287f550b1af6c0fc43d4d39a33ed5db97929431055adf7e0",
+    ("grid:6x6", 120, 1, "commuting-sets", False): "1c2396033a3a604e466a1d08c15c5656b8f28eee55bb8815864fa3952ca860d7",
+    ("grid:6x6", 120, 1, "naive", None): "f26172f4dd9b1451b7a425ec078bb268c871a6f27999de273b3f54eb87512559",
+    ("complete:8", 200, 1, "arbitrary", True): "e0e0fc8b6fde5367f0004157aa62e56aa57cc36a016fad0f02eff36e772fc40e",
+    ("complete:8", 200, 1, "arbitrary", False): "fc8bea73eee91ca05d44ec4e64fc4f838da2aa58c47568fd7ed0f628da4daa2b",
+    ("complete:8", 200, 1, "commuting-sets", True): "12461ddec14dd0300650cbecd0763aa795f0bef3a0c83452e0ae1f18d88a9f60",
+    ("complete:8", 200, 1, "commuting-sets", False): "adb7d19324916e482b6f7131a2e17d17700c3c59e232238eafee6bb1386c3dba",
+    ("complete:8", 200, 1, "naive", None): "fafcd739359267752669c3f6bc4fcdc8289bdf52c0fe340938a0672afb2c4c3e",
+}
+
 
 def digest(result):
     gates = tuple((g.kind, g.qubits, g.angle) for g in result.circuit.gates)
@@ -129,3 +154,17 @@ def test_circuits_match_golden_hashes(spec):
                 assert got == GOLDEN[(spec, seed, mode, perm)], (spec, seed, mode, perm)
         got = digest(ps.naive_synthesize(poly, topo))
         assert got == GOLDEN[(spec, seed, "naive", None)], (spec, seed, "naive")
+
+
+@pytest.mark.parametrize("spec,n,seed", [("line:8", 300, 1), ("line:8", 300, 2),
+                                         ("grid:6x6", 120, 1), ("complete:8", 200, 1)])
+def test_large_circuits_match_golden_hashes(spec, n, seed):
+    topo = ps.Topology.from_spec(spec)
+    poly = ps.random_polynomial(ps.RandomSpec(topo.num_qubits, n, seed=seed))
+    for mode in ("arbitrary", "commuting-sets"):
+        for perm in (True, False):
+            cfg = ps.SynthConfig(mode=mode, allow_permutation=perm)
+            got = digest(ps.synthesize(poly, topo, cfg))
+            assert got == GOLDEN_LARGE[(spec, n, seed, mode, perm)], (spec, n, seed, mode, perm)
+    got = digest(ps.naive_synthesize(poly, topo))
+    assert got == GOLDEN_LARGE[(spec, n, seed, "naive", None)], (spec, n, seed, "naive")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import paulisynth as ps
 from paulisynth import verify
-from paulisynth.paulis import CONJ_1Q, CONJ_CNOT, TO_Z, Pauli, conjugation_luts
+from paulisynth.paulis import CONJ_1Q, CONJ_CNOT, TO_Z, Pauli, conjugate_bits
 
 ALL_1Q_KINDS = ("h", "s", "sdg", "v", "vdg")
 
@@ -67,23 +67,45 @@ def test_conjugate_by_is_the_reverse_direction():
             assert back == p and flip1 == flip2
 
 
-@pytest.mark.parametrize("order", [(Pauli.I, Pauli.X, Pauli.Y, Pauli.Z),
-                                   (Pauli.I, Pauli.X, Pauli.Z, Pauli.Y)],
-                         ids=["pauli-enum", "xz"])
-def test_conjugation_luts_match_conjugate_by(order):
-    one, cx_letters, cx_flips = conjugation_luts(order)
-    assert sorted(one) == sorted(ALL_1Q_KINDS)
+# x/z bits of each letter: I=(0,0), X=(1,0), Y=(1,1), Z=(0,1).
+XZ_BITS = {Pauli.I: (0, 0), Pauli.X: (1, 0), Pauli.Y: (1, 1), Pauli.Z: (0, 1)}
+
+
+def _pack(letters):
+    """x and z bitsets with bit i holding letters[i]."""
+    return (sum(XZ_BITS[p][0] << i for i, p in enumerate(letters)),
+            sum(XZ_BITS[p][1] << i for i, p in enumerate(letters)))
+
+
+def _letter(x, z, i):
+    return {v: p for p, v in XZ_BITS.items()}[(x >> i & 1, z >> i & 1)]
+
+
+def test_conjugate_bits_match_conjugate_by():
+    # Whole columns at once: bit i is letter i (1q) or letter pair i (cx).
+    letters = list(Pauli)
     for kind in ALL_1Q_KINDS:
-        letters, flips = one[kind]
-        for c, p in enumerate(order):
+        x, z = _pack(letters)
+        nx, nz, xt, zt, flips = conjugate_bits(kind, x, z, 5, 6)
+        assert (xt, zt) == (5, 6)  # a 1q gate leaves the second column alone
+        for i, p in enumerate(letters):
             (res,), flip = ps.conjugate_by(ps.Gate(kind, (0,)), (p,))
-            assert (order[letters[c]], bool(flips[c])) == (res, flip), (kind, p.name)
-    for cc, pc in enumerate(order):
-        for ct, pt in enumerate(order):
-            (rc, rt), flip = ps.conjugate_by(ps.cx(0, 1), (pc, pt))
-            code = int(cx_letters[4 * cc + ct])
-            assert (order[code >> 2], order[code & 3]) == (rc, rt), (pc.name, pt.name)
-            assert bool(cx_flips[4 * cc + ct]) == flip, (pc.name, pt.name)
+            assert (_letter(nx, nz, i), bool(flips >> i & 1)) == (res, flip), (kind, p.name)
+        # ... and one Pauli at a time, as the tableau's append uses them.
+        for p in letters:
+            nx, nz, _, _, flip = conjugate_bits(kind, *XZ_BITS[p])
+            assert (nx, nz) == XZ_BITS[ps.conjugate_by(ps.Gate(kind, (0,)), (p,))[0][0]]
+            assert flip in (0, 1)
+    pairs = [(pc, pt) for pc in letters for pt in letters]
+    xc, zc = _pack([pc for pc, _ in pairs])
+    xt, zt = _pack([pt for _, pt in pairs])
+    nxc, nzc, nxt, nzt, flips = conjugate_bits("cx", xc, zc, xt, zt)
+    for i, (pc, pt) in enumerate(pairs):
+        (rc, rt), flip = ps.conjugate_by(ps.cx(0, 1), (pc, pt))
+        assert (_letter(nxc, nzc, i), _letter(nxt, nzt, i)) == (rc, rt), (pc.name, pt.name)
+        assert bool(flips >> i & 1) == flip, (pc.name, pt.name)
+    with pytest.raises(ValueError):
+        conjugate_bits("rz", 1, 0)
 
 
 def test_to_z_turns_each_letter_into_plus_z():

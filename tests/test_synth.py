@@ -4,7 +4,7 @@ import pytest
 import paulisynth as ps
 from paulisynth import verify
 from paulisynth.bench import check_result
-from paulisynth.synth import _State, _check_invariant, column_cost, column_costs
+from paulisynth.synth import _State, _check_invariant, column_cost
 from paulisynth.topology import tree_postorder
 
 from conftest import random_connected_topology
@@ -70,8 +70,8 @@ def test_column_cost_matches_oracle_random(rng):
         block = rng.choice(4, size=(n, m), p=[0.4, 0.2, 0.2, 0.2]).astype(np.uint8)
         block[:, rng.random(m) < 0.2] = 0
         k = int(rng.integers(1, 21))
-        costs = column_costs(block, k)
-        assert costs.shape == (m,)
+        costs = [column_cost(block[:, c], k) for c in range(m)]
+        assert len(costs) == m
         for c in range(m):
             text = "".join(letters[x] for x in block[:, c])
             assert costs[c] == cost_oracle(text, k), (block, k, c)
@@ -79,6 +79,26 @@ def test_column_cost_matches_oracle_random(rng):
 
 def _state(poly, topo, cfg=None):
     return _State(poly, topo, cfg or ps.SynthConfig())
+
+
+def test_emit_clifford_matches_conjugate_by():
+    # The gadget store against the documented tables: one gadget per letter
+    # (1q kinds) or per letter pair (cx), signs folded into the angles.
+    for kind in ("h", "s", "sdg", "v", "vdg"):
+        st = _state(poly_of(*((0.25, p.name) for p in ps.Pauli)), ps.Topology.line(1))
+        st.emit_clifford(ps.Gate(kind, (0,)))
+        for i, p in enumerate(ps.Pauli):
+            (res,), flip = ps.conjugate_by(ps.Gate(kind, (0,)), (p,))
+            assert (st.letter(i, 0), st.angle(i)) == (res, -0.25 if flip else 0.25)
+    pairs = [(pc, pt) for pc in ps.Pauli for pt in ps.Pauli]
+    # Control on qubit 1, so the pair is written target first.
+    st = _state(poly_of(*((0.25, pt.name + pc.name) for pc, pt in pairs)),
+                ps.Topology.line(2))
+    st.emit_clifford(ps.cx(1, 0))
+    for i, (pc, pt) in enumerate(pairs):
+        (rc, rt), flip = ps.conjugate_by(ps.cx(0, 1), (pc, pt))
+        assert (st.letter(i, 1), st.letter(i, 0)) == (rc, rt), (pc.name, pt.name)
+        assert st.angle(i) == (-0.25 if flip else 0.25), (pc.name, pt.name)
 
 
 def test_pick_pivot_prefers_all_identity_column():
@@ -179,7 +199,7 @@ def test_pick_pivot_and_neighbor_match_brute_force(rng):
         g = [int(i) for i in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
 
         def column_text(qb):
-            return "".join(letters[int(st.letters[i, qb])] for i in g)
+            return "".join(letters[st.letter(i, qb)] for i in g)
 
         active = _random_connected_subset(topo, rng)
         free = [qb for qb in active if _brute_non_cutting(topo, qb, active)]
@@ -214,7 +234,7 @@ def test_diagonalize_qubit_per_letter():
     st = _state(poly, ps.Topology.line(2))
     ps.diagonalize_qubit(st, [0, 1], 0)
     assert [g.kind for g in st.gates] == ["h"]
-    assert st.letters[0, 0] == ps.Pauli.Z and st.letters[1, 0] == ps.Pauli.Z
+    assert st.letter(0, 0) == ps.Pauli.Z and st.letter(1, 0) == ps.Pauli.Z
     # Z group needs no gate
     st2 = _state(poly_of((0.1, "ZZ"),), ps.Topology.line(2))
     ps.diagonalize_qubit(st2, [0], 0)
@@ -229,28 +249,28 @@ def test_diagonalize_y_records_flips_via_oracle():
     st = _state(poly_of((0.5, "YZ"), (0.3, "ZZ")), ps.Topology.line(2))
     ps.diagonalize_qubit(st, [0], 0)
     assert [g.kind for g in st.gates] == ["v"]
-    assert st.letters[0, 0] == ps.Pauli.Z
+    assert st.letter(0, 0) == ps.Pauli.Z
     # the Z-letter gadget turned into -Y under v conjugation
-    assert st.letters[1, 0] == ps.Pauli.Y and st.angles[1] == -0.3
+    assert st.letter(1, 0) == ps.Pauli.Y and st.angle(1) == -0.3
 
 
 def test_disconnect_zz_zy_single_cnot():
     st = _state(poly_of((0.1, "ZZ"), (0.2, "ZY")), ps.Topology.line(2))
     ps.disconnect(st, 0, 1, [0, 1])
     assert [g.kind for g in st.gates] == ["cx"]
-    assert st.letters[0, 0] == ps.Pauli.I and st.letters[1, 0] == ps.Pauli.I
+    assert st.letter(0, 0) == ps.Pauli.I and st.letter(1, 0) == ps.Pauli.I
 
 
 def test_disconnect_zi_uses_two_cnots():
     st = _state(poly_of((0.7, "ZI"),), ps.Topology.line(2))
     ps.disconnect(st, 0, 1, [0])
     assert [g.kind for g in st.gates] == ["cx", "cx"]
-    assert st.letters[0, 0] == ps.Pauli.I and st.letters[0, 1] == ps.Pauli.Z
+    assert st.letter(0, 0) == ps.Pauli.I and st.letter(0, 1) == ps.Pauli.Z
     # unitary check on 2 qubits: circuit + conjugated gadget + undo == original
     u = np.eye(4, dtype=complex)
     for g in st.gates:
         u = verify.gate_matrix(g, 2) @ u
-    conj = verify.gadget_unitary(gadget(float(st.angles[0]), "IZ"))
+    conj = verify.gadget_unitary(gadget(st.angle(0), "IZ"))
     orig = verify.gadget_unitary(gadget(0.7, "ZI"))
     assert np.allclose(u.conj().T @ conj @ u, orig, atol=1e-12)
 
@@ -260,15 +280,15 @@ def test_disconnect_zx_rule_handles_both():
     ps.disconnect(st, 0, 1, [0, 1])
     # Z/X matches both gadgets: one Clifford on the neighbor plus one CNOT
     assert [g.kind for g in st.gates] == ["s", "cx"]
-    assert st.letters[0, 0] == ps.Pauli.I and st.letters[1, 0] == ps.Pauli.I
+    assert st.letter(0, 0) == ps.Pauli.I and st.letter(1, 0) == ps.Pauli.I
     # unitary check: undoing the emitted gates around the conjugated gadgets
     # reproduces the originals
     u = np.eye(4, dtype=complex)
     for g in st.gates:
         u = verify.gate_matrix(g, 2) @ u
     for idx, orig_text in ((0, "ZX"), (1, "ZZ")):
-        letters = "".join("IXYZ"[int(p)] for p in st.letters[idx])
-        conj = verify.gadget_unitary(gadget(float(st.angles[idx]), letters))
+        letters = "".join("IXYZ"[st.letter(idx, j)] for j in range(2))
+        conj = verify.gadget_unitary(gadget(st.angle(idx), letters))
         orig = verify.gadget_unitary(gadget([0.1, 0.2][idx], orig_text))
         assert np.allclose(u.conj().T @ conj @ u, orig, atol=1e-12)
 
@@ -537,7 +557,7 @@ def test_debug_invariant_catches_corrupted_letters(monkeypatch):
     poly = ps.random_polynomial(ps.RandomSpec(6, 8, seed=3))
     st = _state(poly, topo)
     _check_invariant(st)
-    ps.disconnect(st, 0, 1, [i for i in range(8) if st.letters[i, 0] == ps.Pauli.Z])
+    ps.disconnect(st, 0, 1, [i for i in range(8) if st.letter(i, 0) == ps.Pauli.Z])
     _check_invariant(st)
     st.gates.append(ps.h(2))  # a gate neither the gadgets nor the tableau saw
     with pytest.raises(AssertionError, match="emitted gates"):
@@ -548,7 +568,16 @@ def test_debug_invariant_catches_corrupted_letters(monkeypatch):
         _check_invariant(st)
     st.tableau.prepend(ps.h(2))
     _check_invariant(st)
-    st.letters[int(np.flatnonzero(st.alive)[0]), 5] ^= 1
+    live = [i for i, alive in enumerate(st.alive) if alive]
+    # One flipped bit anywhere in a live gadget is caught: its x bit, its z
+    # bit, or its sign.
+    for part in ("x", "z", "sign"):
+        st.flip_bit(live[0], part, 5)
+        with pytest.raises(AssertionError, match="live gadget"):
+            _check_invariant(st)
+        st.flip_bit(live[0], part, 5)
+        _check_invariant(st)
+    st.flip_bit(live[0], "x", 5)
     with pytest.raises(AssertionError, match="live gadget"):
         _check_invariant(st)
 
@@ -560,8 +589,8 @@ def test_debug_invariant_catches_corrupted_letters(monkeypatch):
     def corrupting(state, pivot, neighbor, g):
         disconnect(state, pivot, neighbor, g)
         if not corrupted:  # once, so the recursion ends even unchecked
-            corrupted.append(int(np.flatnonzero(state.alive)[-1]))
-            state.letters[corrupted[0], pivot] ^= 2
+            corrupted.append(max(i for i, alive in enumerate(state.alive) if alive))
+            state.flip_bit(corrupted[0], "z", pivot)
 
     monkeypatch.setattr(ps.synth, "disconnect", corrupting)
     with pytest.raises(AssertionError, match="invariant"):

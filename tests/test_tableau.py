@@ -56,6 +56,25 @@ def test_prepends_match_dense_conjugation(rng):
         assert tableau_matches_unitary(t, verify.circuit_unitary(circ))
 
 
+def test_int_row_prepends_match_dense_oracle_up_to_8_qubits(rng):
+    # Rows wider than a few bits, and every gate kind, against dense
+    # conjugation; the adjoint-prepend replay of a circuit is its inverse.
+    for q in (6, 7, 8):
+        for _ in range(4):
+            circ = random_clifford_circuit(q, int(rng.integers(20, 60)), rng)
+            t = CliffordTableau(q)
+            for g in reversed(circ.gates):
+                t.prepend(g)
+            u = verify.circuit_unitary(circ)
+            assert tableau_matches_unitary(t, u)
+            assert t.is_symplectic()
+            back = CliffordTableau(q)
+            for g in circ.gates:
+                back.prepend(g.adjoint())
+            assert back == t.inverse()
+            assert tableau_matches_unitary(back, u.conj().T)
+
+
 def test_prepend_append_preserve_symplecticity(rng):
     t = CliffordTableau(4)
     for _ in range(200):
@@ -117,8 +136,8 @@ def test_column_distance_cost_examples():
     t.prepend(ps.s(2))
     t.prepend(ps.h(1))
     for c in range(3):
-        self_terms = int(t.mat[c, c] or t.mat[c, 3 + c]) \
-            + int(t.mat[3 + c, c] or t.mat[3 + c, 3 + c])
+        self_terms = int(t.row_letter(c, c) != ps.Pauli.I) \
+            + int(t.row_letter(3 + c, c) != ps.Pauli.I)
         assert column_distance_cost(t, c, complete) == \
             row_interaction_cost(t, c) - self_terms
     # line penalizes far columns more on equally spread rows: row pair 0

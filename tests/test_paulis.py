@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import paulisynth as ps
 from paulisynth import verify
-from paulisynth.paulis import CONJ_1Q, CONJ_CNOT, TO_Z, Pauli, conjugate_bits
+from paulisynth.paulis import CONJ_1Q, CONJ_CNOT, TO_Z, XZ_LETTER, Pauli, conjugate_bits
 
 ALL_1Q_KINDS = ("h", "s", "sdg", "v", "vdg")
 
@@ -81,9 +81,11 @@ def _letter(x, z, i):
     return {v: p for p, v in XZ_BITS.items()}[(x >> i & 1, z >> i & 1)]
 
 
-def test_conjugate_bits_match_conjugate_by():
+@pytest.mark.parametrize("letters", [tuple(Pauli), XZ_LETTER], ids=["pauli-enum", "xz"])
+def test_conjugation_luts_match_conjugate_by(letters):
+    # The bit rules of conjugate_bits agree with the CONJ_1Q / CONJ_CNOT lookup
+    # tables behind conjugate_by, whichever order the letters sit in a column.
     # Whole columns at once: bit i is letter i (1q) or letter pair i (cx).
-    letters = list(Pauli)
     for kind in ALL_1Q_KINDS:
         x, z = _pack(letters)
         nx, nz, xt, zt, flips = conjugate_bits(kind, x, z, 5, 6)

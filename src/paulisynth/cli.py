@@ -127,7 +127,10 @@ def _split_csv_list(text: str) -> list[str]:
 def _cmd_bench(args) -> int:
     methods = _split_csv_list(args.methods)
     topologies = _split_csv_list(args.topologies)
-    sizes = [int(s) for s in _split_csv_list(args.sizes)]
+    try:
+        sizes = [int(s) for s in _split_csv_list(args.sizes)]
+    except ValueError:
+        raise ValueError(f"--sizes must be integers, got {args.sizes!r}") from None
     rows = bench_mod.run_benchmark(methods, topologies, sizes, args.repeats,
                                    args.out, base_seed=args.seed, cfg=_cfg(args),
                                    jobs=args.jobs)

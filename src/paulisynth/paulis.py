@@ -255,6 +255,14 @@ def commutes(a: PauliGadget, b: PauliGadget) -> bool:
     return strings_commute(a.string, b.string)
 
 
+def parse_token(convert, token: str, lineno: int, what: str):
+    """``convert(token)``, or a ``ValueError`` naming the line, ``what`` and the token."""
+    try:
+        return convert(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: invalid {what} {token!r}") from None
+
+
 def parse_polynomial(text: str) -> PauliPolynomial:
     """Parse the polynomial file format.
 
@@ -272,20 +280,14 @@ def parse_polynomial(text: str) -> PauliPolynomial:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "qubits":
                 raise ValueError(f"line {lineno}: expected 'qubits <q>' header, got {raw!r}")
-            try:
-                num_qubits = int(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: invalid qubit count {parts[1]!r}") from None
+            num_qubits = parse_token(int, parts[1], lineno, "qubit count")
             if num_qubits <= 0:
                 raise ValueError(f"line {lineno}: qubit count must be positive")
             continue
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected '<angle> <string>', got {raw!r}")
-        try:
-            angle = float(parts[0])
-        except ValueError:
-            raise ValueError(f"line {lineno}: invalid angle {parts[0]!r}") from None
+        angle = parse_token(float, parts[0], lineno, "angle")
         if not math.isfinite(angle):
             raise ValueError(f"line {lineno}: angle must be finite, got {parts[0]!r}")
         if len(parts[1]) != num_qubits:

@@ -17,8 +17,12 @@ into the angle when the gadget's ``rz`` is emitted.  The frame readers (the
 single-leg sweep, ``partition_on_qubit``, the column costs and the letter
 checks) read bits in frame order in plain Python, because frames are small.
 
-The recursion is driven by an explicit work stack so deep polynomials do not
-hit the interpreter recursion limit.
+The recursion runs on an explicit stack of non-empty frames, so deep
+polynomials do not hit the interpreter recursion limit.  An ``id`` frame
+sweeps, then peels pivots in a loop, pushing a ``p`` frame per pivot; a ``p``
+frame sweeps, disconnects one letter group and pushes itself and an ``id``
+frame again.  A frame's gadgets have legs only on its active qubits, which
+are all the sweep reads.
 """
 
 from __future__ import annotations
@@ -136,12 +140,13 @@ class _State:
         self.emitted.append(i)
 
 
-def _single_leg_sweep(state: _State, g: list[int]) -> list[int]:
-    # Weight classes as bitsets: some leg, and two or more legs.  The sweep
-    # emits only single-qubit Cliffords, which keep every gadget's legs.
+def _single_leg_sweep(state: _State, g: list[int], active: frozenset[int]) -> list[int]:
+    # Weight classes as bitsets over the active columns: some leg, and two or
+    # more legs.  The sweep emits only single-qubit Cliffords, which keep legs.
     some = many = 0
-    for x, z in zip(state.x, state.z):
-        legs = x | z
+    x, z = state.x, state.z
+    for j in active:
+        legs = x[j] | z[j]
         many |= some & legs
         some |= legs
     remaining = []
@@ -161,9 +166,10 @@ def _single_leg_sweep(state: _State, g: list[int]) -> list[int]:
 
 def _costs(state: _State, g: list[int], cands: list[int]) -> list[int]:
     """Column cost of each candidate over ``g``; each distinct column is costed once."""
-    columns = [bytes([(state.x[j] | state.z[j]) >> i & 1 for i in g]) for j in cands]
-    cost = {column: column_cost(column, state.k) for column in set(columns)}
-    return [cost[column] for column in columns]
+    mask = sum(1 << i for i in g)
+    keys = [(state.x[j] | state.z[j]) & mask for j in cands]
+    cost = {key: column_cost(bytes([key >> i & 1 for i in g]), state.k) for key in set(keys)}
+    return [cost[key] for key in keys]
 
 
 def pick_pivot(state: _State, g: list[int], active: frozenset[int]) -> int:
@@ -174,7 +180,7 @@ def pick_pivot(state: _State, g: list[int], active: frozenset[int]) -> int:
     """
     cands = sorted(active)
     costs = _costs(state, g, cands)
-    for i in sorted(range(len(cands)), key=lambda i: -costs[i]):
+    for i in sorted(range(len(cands)), key=costs.__getitem__, reverse=True):  # stable
         if state.topo.is_non_cutting(cands[i], active):
             return cands[i]
     raise AssertionError("connected active set always has a non-cutting qubit")
@@ -200,16 +206,15 @@ def partition_on_qubit(state: _State, g: list[int], qubit: int) -> dict[int, lis
 
 
 def _id_step(state: _State, g: list[int], active: frozenset[int], stack: list) -> None:
-    remaining = _single_leg_sweep(state, g)
-    if not remaining:
-        return
-    if not active:
-        raise AssertionError("live gadgets without active qubits")
-    pivot = pick_pivot(state, remaining, active)
-    parts = partition_on_qubit(state, remaining, pivot)
-    rest = parts[Pauli.X] + parts[Pauli.Y] + parts[Pauli.Z]
-    stack.append(("p", rest, pivot, active))
-    stack.append(("id", parts[Pauli.I], active - {pivot}))
+    g = _single_leg_sweep(state, g, active)
+    # Peel the id child in place: it is popped next and its sweep emits nothing.
+    while g:
+        pivot = pick_pivot(state, g, active)
+        parts = partition_on_qubit(state, g, pivot)
+        rest = parts[Pauli.X] + parts[Pauli.Y] + parts[Pauli.Z]
+        if rest:
+            stack.append(("p", rest, pivot, active))
+        g, active = parts[Pauli.I], active - {pivot}
 
 
 def diagonalize_qubit(state: _State, g: list[int], qubit: int) -> None:
@@ -263,7 +268,7 @@ def disconnect(state: _State, pivot: int, neighbor: int, g: list[int]) -> None:
 
 def _p_step(state: _State, g: list[int], pivot: int, active: frozenset[int],
             stack: list) -> None:
-    remaining = _single_leg_sweep(state, [i for i in g if state.alive[i]])
+    remaining = _single_leg_sweep(state, g, active)
     if not remaining:
         return
     parts = partition_on_qubit(state, remaining, pivot)
@@ -279,10 +284,12 @@ def _p_step(state: _State, g: list[int], pivot: int, active: frozenset[int],
     neighbor = pick_neighbor(state, pivot, gpiv, active)
     disconnect(state, pivot, neighbor, gpiv)
 
-    parts2 = partition_on_qubit(state, [i for i in remaining if state.alive[i]], pivot)
+    parts2 = partition_on_qubit(state, remaining, pivot)  # the steps above emit no rz
     rest = parts2[Pauli.X] + parts2[Pauli.Y] + parts2[Pauli.Z]
-    stack.append(("p", rest, pivot, active))
-    stack.append(("id", parts2[Pauli.I], active - {pivot}))
+    if rest:
+        stack.append(("p", rest, pivot, active))
+    if parts2[Pauli.I]:
+        stack.append(("id", parts2[Pauli.I], active - {pivot}))
 
 
 def _run_recursion(state: _State, indices: list[int]) -> None:

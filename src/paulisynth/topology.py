@@ -11,6 +11,8 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from .paulis import parse_token
+
 Edge = tuple[int, int]
 
 
@@ -39,6 +41,8 @@ class Topology:
             self._adj[v].append(u)
         for lst in self._adj:
             lst.sort()
+        self._bit = {j: 1 << j for j in range(num_qubits)}
+        self._nbr_mask = [sum(1 << w for w in lst) for lst in self._adj]
         self.dist = self._floyd_warshall()
         if num_qubits > 1 and int(self.dist.max()) >= _UNREACHABLE:
             raise ValueError("topology graph must be connected")
@@ -99,11 +103,11 @@ class Topology:
             if num_qubits is None:
                 if len(parts) != 2 or parts[0] != "qubits":
                     raise ValueError(f"line {lineno}: expected 'qubits <q>' header")
-                num_qubits = int(parts[1])
+                num_qubits = parse_token(int, parts[1], lineno, "qubit count")
                 continue
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'u v' edge, got {raw!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append(tuple(parse_token(int, t, lineno, "edge endpoint") for t in parts))
         if num_qubits is None:
             raise ValueError("missing 'qubits <q>' header")
         return cls(num_qubits, edges)
@@ -141,27 +145,28 @@ class Topology:
         active_set = set(active)
         return [n for n in self._adj[q] if n in active_set]
 
-    def _component(self, start: int, allowed: set[int]) -> set[int]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w in allowed and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
-
     def is_non_cutting(self, q: int, active: Iterable[int]) -> bool:
         """Whether removing ``q`` keeps the induced subgraph on ``active`` connected."""
-        active_set = set(active)
-        if q not in active_set:
+        active = frozenset(active)  # no copy for a frozenset
+        try:
+            mask = sum(map(self._bit.__getitem__, active))
+        except KeyError:
+            bad = sorted(j for j in active if j not in self._bit)
+            raise ValueError(f"active qubits {bad} not in 0..{self.num_qubits - 1}") from None
+        if q not in active:
             raise ValueError(f"qubit {q} is not in the active set")
-        rest = active_set - {q}
-        if not rest:
-            return True
-        start = next(iter(rest))
-        return self._component(start, rest) == rest
+        rest = mask & ~(1 << q)
+        frontier = rest & -rest
+        unseen, nbr = rest ^ frontier, self._nbr_mask
+        while frontier and unseen:  # BFS over bitmasks, one level per round
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= nbr[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reached & unseen
+            unseen ^= frontier
+        return not unseen
 
     def shortest_path(self, source: int, targets: set[int], active: set[int]) -> list[int]:
         """BFS path inside ``active`` from ``source`` to the nearest of ``targets``.

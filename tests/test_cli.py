@@ -228,3 +228,24 @@ def test_bad_topology_spec_is_named(poly_file, capsys):
         code = main(["synth", "--in", poly_file, "--topology", spec])
         assert code == 2
         assert f"invalid topology spec {spec!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("qubits abc\n0 1\n", "line 1: invalid qubit count 'abc'"),
+    ("qubits 2\n0 x\n", "line 2: invalid edge endpoint 'x'"),
+], ids=["qubit-count", "edge-endpoint"])
+def test_bad_topology_file_names_line_and_token(poly_file, tmp_path, capsys, text, message):
+    path = tmp_path / "topo.txt"
+    path.write_text(text)
+    code = main(["synth", "--in", poly_file, "--topology", f"file:{path}"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bench_bad_sizes_names_the_option(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--topologies", "line:3", "--sizes", "4,x", "--repeats", "1",
+                 "--out", str(out)])
+    assert code == 2
+    assert "--sizes must be integers, got '4,x'" in capsys.readouterr().err
+    assert not out.exists()

@@ -133,6 +133,10 @@ GOLDEN_LARGE = {
     ("complete:8", 200, 1, "naive", None): "fafcd739359267752669c3f6bc4fcdc8289bdf52c0fe340938a0672afb2c4c3e",
 }
 
+# 64 qubits, default configuration: the size of the grid:8x8 timing target,
+# recorded before the recursion peeled pivots in place.
+GOLDEN_GRID64 = "9e5002079e6339c5674d8a0359e1cd4644282bbd9f74877a5a49136ac4cd6d47"
+
 
 def digest(result):
     gates = tuple((g.kind, g.qubits, g.angle) for g in result.circuit.gates)
@@ -168,3 +172,9 @@ def test_large_circuits_match_golden_hashes(spec, n, seed):
             assert got == GOLDEN_LARGE[(spec, n, seed, mode, perm)], (spec, n, seed, mode, perm)
     got = digest(ps.naive_synthesize(poly, topo))
     assert got == GOLDEN_LARGE[(spec, n, seed, "naive", None)], (spec, n, seed, "naive")
+
+
+def test_grid_8x8_circuit_matches_golden_hash():
+    topo = ps.Topology.from_spec("grid:8x8")
+    poly = ps.random_polynomial(ps.RandomSpec(64, 300, seed=1))
+    assert digest(ps.synthesize(poly, topo)) == GOLDEN_GRID64

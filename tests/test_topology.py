@@ -1,3 +1,4 @@
+import re
 from collections import deque
 from itertools import combinations
 
@@ -95,17 +96,42 @@ def test_non_cutting_examples():
 
 
 def test_non_cutting_matches_brute_force_on_random_graphs(rng):
+    kinds = {"full": 0, "connected": 0, "disconnected": 0, "single": 0}
     for _ in range(25):
         q = int(rng.integers(2, 10))
         t = random_connected_topology(q, rng, extra_edge_prob=0.2)
-        active = set(range(q))
-        for v in range(q):
-            assert t.is_non_cutting(v, active) == brute_force_connected(t, active - {v})
+        subsets = [set(range(q)), {int(rng.integers(q))}]
+        subsets += [{v for v in range(q) if rng.random() < 0.6} for _ in range(6)]
+        for active in [a for a in subsets if a]:
+            kind = ("full" if len(active) == q else "single" if len(active) == 1
+                    else "connected" if brute_force_connected(t, active) else "disconnected")
+            kinds[kind] += 1
+            for v in active:
+                assert t.is_non_cutting(v, active) == \
+                    brute_force_connected(t, active - {v}), (t.edges, active, v)
+                # Any iterable is accepted, with the same answer.
+                assert t.is_non_cutting(v, frozenset(active)) == t.is_non_cutting(v, list(active))
+    assert min(kinds.values()) >= 5, kinds
+
+
+def test_non_cutting_on_disconnected_active_set():
+    line5 = Topology.line(5)
+    # A degree-1 qubit cuts nothing only if the rest is connected.
+    assert not line5.is_non_cutting(0, {0, 1, 3, 4})
+    assert line5.is_non_cutting(0, {0, 3, 4})
+    assert not line5.is_non_cutting(4, {0, 1, 3, 4})
 
 
 def test_non_cutting_requires_active_vertex():
     with pytest.raises(ValueError):
         Topology.line(3).is_non_cutting(2, {0, 1})
+
+
+@pytest.mark.parametrize("active,bad", [({0, 5}, "[5]"), ({0, 1, 5}, "[5]"),
+                                        ({0, 1, -1}, "[-1]"), ({-2, 0, 3}, "[-2, 3]")])
+def test_non_cutting_rejects_active_qubits_out_of_range(active, bad):
+    with pytest.raises(ValueError, match=re.escape(f"active qubits {bad} not in 0..2")):
+        Topology.line(3).is_non_cutting(0, active)
 
 
 def test_neighbors():
@@ -249,3 +275,9 @@ def test_parse_errors():
         Topology.parse("0 1\n")
     with pytest.raises(ValueError, match="edge"):
         Topology.parse("qubits 3\n0 1 2\n")
+    with pytest.raises(ValueError, match="line 1: invalid qubit count 'abc'"):
+        Topology.parse("qubits abc\n0 1\n")
+    with pytest.raises(ValueError, match="line 3: invalid edge endpoint 'x'"):
+        Topology.parse("qubits 3\n# comment\n0 x\n")
+    with pytest.raises(ValueError, match="line 2: invalid edge endpoint '1.5'"):
+        Topology.parse("qubits 3\n1.5 2\n")

@@ -181,6 +181,29 @@ XZ_LETTER = (I, X, Z, Y)
 TO_Z = {X: h, Y: v}
 
 
+class PauliColumns:
+    """Signed Paulis in bit columns: bit i of ``x[j]``/``z[j]`` is Pauli i's
+    X/Z part on wire j and bit i of ``signs`` its sign, so a gate is one
+    ``conjugate_bits`` call on whole columns."""
+
+    def __init__(self, x: list[int], z: list[int], signs: int = 0):
+        self.x, self.z, self.signs = x, z, signs
+
+    def conjugate(self, gate: Gate) -> None:
+        """Every Pauli P becomes ``g P g^``."""
+        x, z, a = self.x, self.z, gate.qubits[0]
+        if gate.kind == "cx":
+            b = gate.qubits[1]
+            x[a], z[a], x[b], z[b], flips = conjugate_bits("cx", x[a], z[a], x[b], z[b])
+        else:
+            x[a], z[a], _, _, flips = conjugate_bits(gate.kind, x[a], z[a])
+        self.signs ^= flips
+
+    def letter(self, i: int, wire: int) -> Pauli:
+        """Letter of Pauli i on ``wire``."""
+        return XZ_LETTER[(self.x[wire] >> i & 1) | (self.z[wire] >> i & 1) << 1]
+
+
 @dataclass(frozen=True)
 class PauliString:
     """A word over {I, X, Y, Z}; one letter per qubit."""

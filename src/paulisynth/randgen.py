@@ -23,8 +23,10 @@ class RandomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_qubits < 1 or self.num_gadgets < 1:
-            raise ValueError("num_qubits and num_gadgets must be >= 1")
+        for name in ("num_qubits", "num_gadgets"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not self.angle_set:
             raise ValueError("angle_set must be non-empty")
 

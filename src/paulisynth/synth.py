@@ -7,11 +7,11 @@ plus CNOTs on topology edges.  Every emitted Clifford is propagated through
 all gadgets while its adjoint accumulates in a Clifford tableau that is
 synthesized at the very end, up to an output permutation.
 
-Gadget store (``_State``): the Aaronson-Gottesman column layout.  For each
-qubit j, ``x[j]`` and ``z[j]`` are Python-int bitsets whose bit i is the X
-and Z part of gadget i's letter on j, and bit i of ``neg`` is gadget i's
-accumulated sign.  An emitted Clifford is a few bitwise operations on whole
-columns (``paulis.conjugate_bits``), with no live-gadget mask: emitted
+Gadget store (``_State``, a ``paulis.PauliColumns``): the Aaronson-Gottesman
+column layout.  For each qubit j, ``x[j]`` and ``z[j]`` are Python-int
+bitsets whose bit i is the X and Z part of gadget i's letter on j, and bit i
+of ``signs`` is gadget i's accumulated sign.  An emitted Clifford is a few
+bitwise operations on whole columns, with no live-gadget mask: emitted
 gadgets keep being conjugated and are never read again.  The sign is folded
 into the angle when the gadget's ``rz`` is emitted.  The frame readers (the
 single-leg sweep, ``partition_on_qubit``, the column costs and the letter
@@ -31,8 +31,8 @@ import os
 from dataclasses import dataclass
 
 from .circuit import Circuit, Metrics, metrics
-from .paulis import (TO_Z, XZ_LETTER, Gate, Pauli, PauliPolynomial, commutes,
-                     conjugate_bits, cx, h, rz, s)
+from .paulis import (TO_Z, XZ_LETTER, Gate, Pauli, PauliColumns, PauliPolynomial,
+                     commutes, cx, h, rz, s)
 from .tableau import (CliffordTableau, QubitPermutation, pauli_row, replay_rotations,
                       synthesize_tableau)
 from .topology import Topology, tree_postorder
@@ -81,14 +81,13 @@ def column_cost(column, k: int) -> int:
     return cost + max(runs) - min(runs) if runs else cost
 
 
-class _State:
+class _State(PauliColumns):
     def __init__(self, poly: PauliPolynomial, topo: Topology, cfg: SynthConfig):
         q = poly.num_qubits
         # Column j as text, gadget 0 last so that it lands on bit 0.
         cols = ["".join(c)[::-1] for c in zip(*(str(g.string) for g in poly.gadgets))]
-        self.x = [int("0" + c.translate(_X_BITS), 2) for c in cols or [""] * q]
-        self.z = [int("0" + c.translate(_Z_BITS), 2) for c in cols or [""] * q]
-        self.neg = 0
+        super().__init__([int("0" + c.translate(_X_BITS), 2) for c in cols or [""] * q],
+                         [int("0" + c.translate(_Z_BITS), 2) for c in cols or [""] * q])
         self.angles = [float(g.angle) for g in poly.gadgets]
         self.alive = [True] * len(poly.gadgets)
         self.gates: list[Gate] = []
@@ -99,32 +98,21 @@ class _State:
         self.poly = poly
         self.debug = os.environ.get(DEBUG_ENV_VAR) == "1"
 
-    def letter(self, i: int, qubit: int) -> Pauli:
-        """Current letter of gadget i on ``qubit``."""
-        return XZ_LETTER[(self.x[qubit] >> i & 1) | (self.z[qubit] >> i & 1) << 1]
-
     def angle(self, i: int) -> float:
         """Current angle of gadget i, its accumulated sign folded in."""
-        return -self.angles[i] if self.neg >> i & 1 else self.angles[i]
+        return -self.angles[i] if self.signs >> i & 1 else self.angles[i]
 
     def flip_bit(self, i: int, part: str, qubit: int = 0) -> None:
         """Corrupt gadget i's ``"x"`` or ``"z"`` bit on ``qubit``, or its ``"sign"``."""
         if part == "sign":
-            self.neg ^= 1 << i
+            self.signs ^= 1 << i
         else:
             getattr(self, part)[qubit] ^= 1 << i
 
     def emit_clifford(self, gate: Gate) -> None:
         """Append to the circuit, conjugate all gadgets, stash the adjoint."""
         self.gates.append(gate)
-        x, z = self.x, self.z
-        a = gate.qubits[0]
-        if gate.kind == "cx":
-            t = gate.qubits[1]
-            x[a], z[a], x[t], z[t], flips = conjugate_bits("cx", x[a], z[a], x[t], z[t])
-        else:
-            x[a], z[a], _, _, flips = conjugate_bits(gate.kind, x[a], z[a])
-        self.neg ^= flips
+        self.conjugate(gate)
         self.tableau.prepend(gate.adjoint())
 
     def emit_rotation(self, i: int) -> None:
@@ -175,14 +163,26 @@ def _costs(state: _State, g: list[int], cands: list[int]) -> list[int]:
 def pick_pivot(state: _State, g: list[int], active: frozenset[int]) -> int:
     """Highest column-cost non-cutting qubit; ties go to the lowest index.
 
-    All active columns are costed at once; the cut-vertex test then runs
-    lazily in cost order and stops at the first non-cutting qubit.
+    Over the n gadgets of ``g`` a leg-free column costs k*n, and a column
+    with m >= 1 legs at most k*(n - m) + (m - 1) < k*n.  So the leg-free
+    columns come first, in index order, without being costed; only if all
+    of them are cut vertices are the touched columns costed and tested in
+    cost order (index order for one gadget, where each costs 0).  The
+    cut-vertex test stops at the first non-cutting qubit.
     """
-    cands = sorted(active)
-    costs = _costs(state, g, cands)
-    for i in sorted(range(len(cands)), key=costs.__getitem__, reverse=True):  # stable
-        if state.topo.is_non_cutting(cands[i], active):
-            return cands[i]
+    mask = sum(1 << i for i in g)
+    touched = []
+    for j in sorted(active):
+        if (state.x[j] | state.z[j]) & mask:
+            touched.append(j)
+        elif state.topo.is_non_cutting(j, active):
+            return j
+    if len(g) > 1:  # with one gadget every touched column costs 0
+        cost = dict(zip(touched, _costs(state, g, touched)))
+        touched.sort(key=cost.__getitem__, reverse=True)  # stable
+    for j in touched:
+        if state.topo.is_non_cutting(j, active):
+            return j
     raise AssertionError("connected active set always has a non-cutting qubit")
 
 

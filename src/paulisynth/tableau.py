@@ -11,9 +11,11 @@ as row products.  With ``P(x, z) = i^|x&z| X^x Z^z`` (Hermitian, Y = iXZ),
     P(x1, z1) * P(x2, z2) = i^(|x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3|) * P(x3, z3)
 
 for ``(x3, z3) = (x1^x2, z1^z2)``, so a row product costs four popcounts
-(``_product_phase``).  ``append(g)`` realizes ``W -> W_g * W`` by
-conjugating every stored image with ``paulis.conjugate_bits``, the column
-rules the synthesizer's gadget store uses too; it costs O(q) per gate.
+(``_product_phase``).
+
+``append(g)`` realizes ``W -> W_g * W`` in the gadget store's bit columns
+(``_ColumnTableau``), one ``PauliColumns.conjugate`` call per gate;
+``from_circuit`` and ``synthesize_tableau`` stay in columns throughout.
 
 ``synthesize_tableau`` emits an architecture-conforming circuit E and an
 output permutation ``perm`` such that ``W_t = P(perm) * U(E)``; with
@@ -30,7 +32,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .paulis import (TO_Z, XZ_LETTER, Gate, Pauli, PauliGadget, conjugate_bits, cx, h, s,
+from .paulis import (TO_Z, XZ_LETTER, Gate, Pauli, PauliColumns, PauliGadget, cx, h, s,
                      sdg, v)
 from .topology import Topology, tree_postorder
 
@@ -96,10 +98,10 @@ class CliffordTableau:
 
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "CliffordTableau":
-        t = cls(circuit.num_qubits)
+        work = _ColumnTableau(cls(circuit.num_qubits))
         for g in circuit.gates:
-            t.append(g)
-        return t
+            work.conjugate(g)
+        return work.to_rows()
 
     def copy(self) -> "CliffordTableau":
         t = CliffordTableau(self.num_qubits)
@@ -147,24 +149,11 @@ class CliffordTableau:
             self._row_product(q + t, q + c, q + t, extra=0)
 
     def append(self, gate: Gate) -> None:
-        """Column action of applying ``gate`` after this Clifford."""
-        if not gate.is_clifford:
-            raise ValueError("tableaus track Clifford gates only")
-        q = self.num_qubits
-        k = gate.kind
-        a, b = gate.qubits[0], gate.qubits[-1]
-        ma, mb = 1 << a | 1 << (q + a), 1 << b | 1 << (q + b)
-        rows, signs = self.rows, self.signs
-        for r, row in enumerate(rows):
-            if not row & (ma | mb):
-                continue
-            xa, za, xb, zb, flip = conjugate_bits(
-                k, row >> a & 1, row >> (q + a) & 1, row >> b & 1, row >> (q + b) & 1)
-            row = row & ~ma | xa << a | za << (q + a)
-            if b != a:
-                row = row & ~mb | xb << b | zb << (q + b)
-            rows[r] = row
-            signs[r] ^= flip
+        """Column action of applying ``gate`` after this Clifford (two transposes)."""
+        work = _ColumnTableau(self)
+        work.conjugate(gate)
+        done = work.to_rows()
+        self.rows, self.signs = done.rows, done.signs
 
     # -- queries -------------------------------------------------------------
 
@@ -235,6 +224,32 @@ class CliffordTableau:
         return "\n".join(lines) + "\n"
 
 
+def _transpose(cols: Sequence[int], n: int) -> list[int]:
+    """Bit-matrix transpose: bit j of ``result[r]`` is bit r of ``cols[j]``, r < n."""
+    text = [format(col, f"0{n}b") for col in cols]
+    return [int("".join(bits)[::-1], 2) for bits in zip(*text)][::-1]
+
+
+class _ColumnTableau(PauliColumns):
+    """A tableau in the gadget store's layout: Pauli r of the columns is row r,
+    so a gate is one ``conjugate`` call on whole columns."""
+
+    def __init__(self, t: CliffordTableau):
+        q = self.num_qubits = t.num_qubits
+        cols = _transpose(t.rows, 2 * q)
+        super().__init__(cols[:q], cols[q:], sum(sign << r for r, sign in enumerate(t.signs)))
+
+    def supports(self) -> list[int]:
+        """Per row, the wires where its Pauli is not I, as a bitset."""
+        return _transpose([x | z for x, z in zip(self.x, self.z)], 2 * self.num_qubits)
+
+    def to_rows(self) -> CliffordTableau:
+        t = CliffordTableau(self.num_qubits)
+        t.rows = _transpose(self.x + self.z, len(t.rows))
+        t.signs = [self.signs >> r & 1 for r in range(len(t.rows))]
+        return t
+
+
 def replay_rotations(num_qubits: int, gates: Iterable[Gate],
                      gadgets: Sequence[PauliGadget], tol: float) -> CliffordTableau | None:
     """Match a Clifford+Rz gate list against a gadget product, exactly.
@@ -267,71 +282,72 @@ def replay_rotations(num_qubits: int, gates: Iterable[Gate],
     return t if k == len(targets) else None
 
 
-def _support(row: int, q: int) -> int:
-    """Wires where a row's Pauli is not I, as a bitset."""
-    return (row | row >> q) & ((1 << q) - 1)
+def _interaction_cost(supp: list[int], r: int) -> int:
+    return supp[r].bit_count() + supp[len(supp) // 2 + r].bit_count()
+
+
+def _distance_cost(supp: list[int], c: int, topo: Topology) -> int:
+    d = topo.dist[c].tolist()
+    return sum(d[j] for row in (supp[c], supp[len(supp) // 2 + c]) for j in range(len(d))
+               if row >> j & 1)
 
 
 def row_interaction_cost(t: CliffordTableau, r: int) -> int:
     """Number of wires touched by the X and Z images of logical qubit r."""
-    q = t.num_qubits
-    return _support(t.rows[r], q).bit_count() + _support(t.rows[q + r], q).bit_count()
+    return _interaction_cost(_ColumnTableau(t).supports(), r)
 
 
 def column_distance_cost(t: CliffordTableau, c: int, topo: Topology) -> int:
     """Distance-weighted spread of the row pair at index c."""
-    q = t.num_qubits
-    d = topo.dist[c].tolist()
-    spread = [_support(t.rows[r], q) for r in (c, q + c)]
-    return sum(d[j] for supp in spread for j in range(q) if supp >> j & 1)
+    return _distance_cost(_ColumnTableau(t).supports(), c, topo)
 
 
-def _reduce_pair(work: CliffordTableau, r: int, c: int, active: set[int],
+def _reduce_pair(work: _ColumnTableau, r: int, c: int, active: set[int],
                  topo: Topology, emit) -> None:
     """Conjugate until image(X_r) = X_c and image(Z_r) = Z_c with + signs."""
     q = work.num_qubits
 
     # X image -> single X on wire c.
-    supp = [j for j in sorted(active) if work.row_letter(r, j) != Pauli.I]
+    supp = [j for j in sorted(active) if work.letter(r, j) != Pauli.I]
     for j in supp:
-        letter = work.row_letter(r, j)
+        letter = work.letter(r, j)
         if letter == Pauli.Z:
             emit(h(j))
         elif letter == Pauli.Y:
             emit(sdg(j))
     tree = topo.steiner_tree(set(supp) | {c}, active)
     for child, parent in tree_postorder(tree, c):
-        if work.row_letter(r, child) != Pauli.X:
+        if work.letter(r, child) != Pauli.X:
             continue
-        if work.row_letter(r, parent) != Pauli.X:
+        if work.letter(r, parent) != Pauli.X:
             emit(cx(child, parent))
         emit(cx(parent, child))
 
     # Z image -> single Z on wire c, leaving X_c intact (gates with c as CNOT
     # target or diagonal-preserving on c only).
-    root_letter = work.row_letter(q + r, c)
+    root_letter = work.letter(q + r, c)
     if root_letter == Pauli.Y:
         emit(v(c))
     elif root_letter != Pauli.Z:
         raise AssertionError("anticommutation forces Z or Y on the target wire")
     for j in sorted(active - {c}):
-        letter = work.row_letter(q + r, j)
+        letter = work.letter(q + r, j)
         if letter in TO_Z:
             emit(TO_Z[letter](j))
-    supp_z = [j for j in sorted(active) if work.row_letter(q + r, j) != Pauli.I]
+    supp_z = [j for j in sorted(active) if work.letter(q + r, j) != Pauli.I]
     tree = topo.steiner_tree(set(supp_z) | {c}, active)
     for child, parent in tree_postorder(tree, c):
-        if work.row_letter(q + r, child) != Pauli.Z:
+        if work.letter(q + r, child) != Pauli.Z:
             continue
-        if work.row_letter(q + r, parent) != Pauli.Z:
+        if work.letter(q + r, parent) != Pauli.Z:
             emit(cx(parent, child))
         emit(cx(child, parent))
 
     # Clear residual signs on the finished pair, acting on the new register.
-    if work.signs[r]:
+    if work.signs >> r & 1:
         emit(s(c))
         emit(s(c))
-    if work.signs[q + r]:
+    if work.signs >> (q + r) & 1:
         emit(v(c))
         emit(v(c))
 
@@ -349,31 +365,34 @@ def synthesize_tableau(t: CliffordTableau, topo: Topology,
     q = t.num_qubits
     if topo.num_qubits != q:
         raise ValueError("topology size does not match tableau")
+    if not isinstance(allow_permutation, bool):
+        raise ValueError(f"allow_permutation must be a bool, got {allow_permutation!r}")
     if not t.is_symplectic():
         raise ValueError("tableau matrix is not symplectic")
-    work = t.inverse()
+    work = _ColumnTableau(t.inverse())
     gates: list[Gate] = []
 
     def emit(gate: Gate) -> None:
         gates.append(gate)
-        work.append(gate)
+        work.conjugate(gate)
 
     active = set(range(q))
     rows_left = set(range(q))
     while rows_left:
+        supp = work.supports()
         if allow_permutation:
-            r = min(rows_left, key=lambda rr: (row_interaction_cost(work, rr), rr))
+            r = min(rows_left, key=lambda rr: (_interaction_cost(supp, rr), rr))
             candidates = [cc for cc in sorted(active) if topo.is_non_cutting(cc, active)]
-            c = min(candidates, key=lambda cc: (column_distance_cost(work, cc, topo), cc))
+            c = min(candidates, key=lambda cc: (_distance_cost(supp, cc, topo), cc))
         else:
             candidates = [rr for rr in sorted(rows_left) if topo.is_non_cutting(rr, active)]
-            r = min(candidates, key=lambda rr: (row_interaction_cost(work, rr), rr))
+            r = min(candidates, key=lambda rr: (_interaction_cost(supp, rr), rr))
             c = r
         _reduce_pair(work, r, c, active, topo, emit)
         active.discard(c)
         rows_left.discard(r)
 
-    residual = work.residual_permutation()
+    residual = work.to_rows().residual_permutation()
     if residual is None:
         raise AssertionError("tableau reduction did not reach a clean permutation")
     perm_out = [0] * q

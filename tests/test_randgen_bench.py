@@ -62,6 +62,12 @@ def test_random_spec_validation():
         ps.RandomSpec(0, 5)
     with pytest.raises(ValueError):
         ps.RandomSpec(3, 5, angle_set=())
+    for bad in (2.5, True, False, "3", None, 3.0):
+        with pytest.raises(ValueError, match="num_qubits"):
+            ps.RandomSpec(bad, 3)
+        with pytest.raises(ValueError, match="num_gadgets"):
+            ps.RandomSpec(2, bad)
+    assert len(ps.random_polynomial(ps.RandomSpec(2, 1))) == 1
 
 
 def test_instance_seed_deterministic():

@@ -176,39 +176,74 @@ def _random_connected_subset(topo, rng):
 
 def test_pick_pivot_and_neighbor_match_brute_force(rng):
     letters = "IXYZ"
-    for trial in range(120):
-        kind = trial % 4
-        q = int(rng.integers(2, 10))
+
+    def check(topo, rows, g, active, k, tag):
+        poly = poly_of(*((0.1, "".join(letters[x] for x in row)) for row in rows))
+        st = _state(poly, topo, ps.SynthConfig(k=k))
+
+        def column_text(qb):
+            return "".join(letters[st.letter(i, qb)] for i in g)
+
+        free = [qb for qb in active if _brute_non_cutting(topo, qb, active)]
+        pivot = ps.pick_pivot(st, g, active)
+        assert pivot == _brute_best(free, column_text, k), (tag, sorted(active))
+        near = [w for w in active if topo.has_edge(pivot, w)]
+        if near:
+            assert ps.pick_neighbor(st, pivot, g, active) == \
+                _brute_best(near, column_text, k), (tag, pivot)
+        return pivot
+
+    def random_topology(kind, q):
         if kind == 0:
-            topo = ps.Topology.line(q)
-        elif kind == 1:
-            topo = ps.Topology.cycle(q)
-        elif kind == 2:
-            topo = ps.Topology.grid(int(rng.integers(1, 4)), int(rng.integers(2, 4)))
-        else:
-            topo = random_connected_topology(q, rng)
+            return ps.Topology.line(q)
+        if kind == 1:
+            return ps.Topology.cycle(q)
+        if kind == 2:
+            return ps.Topology.grid(int(rng.integers(1, 4)), int(rng.integers(2, 4)))
+        return random_connected_topology(q, rng)
+
+    for trial in range(120):
+        topo = random_topology(trial % 4, int(rng.integers(2, 10)))
         q = topo.num_qubits
         n = int(rng.integers(1, 8))
         rows = rng.choice(4, size=(n, q), p=[0.5, 0.2, 0.15, 0.15])
         if trial % 2:
             # Forced ties: many columns repeat one column.
             rows[:, rng.random(q) < 0.6] = rows[:, [int(rng.integers(q))]]
-        poly = poly_of(*((0.1, "".join(letters[x] for x in row)) for row in rows))
         k = int(rng.integers(1, 21))
-        st = _state(poly, topo, ps.SynthConfig(k=k))
         g = [int(i) for i in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
+        check(topo, rows, g, _random_connected_subset(topo, rng), k, trial)
 
-        def column_text(qb):
-            return "".join(letters[st.letter(i, qb)] for i in g)
-
+    # One-gadget frames: every leg-free column costs k, every touched one 0.
+    for trial in range(80):
+        topo = random_topology(trial % 4, int(rng.integers(2, 10)))
+        q = topo.num_qubits
+        rows = rng.choice(4, size=(3, q), p=[0.4, 0.2, 0.2, 0.2])
         active = _random_connected_subset(topo, rng)
-        free = [qb for qb in active if _brute_non_cutting(topo, qb, active)]
-        pivot = ps.pick_pivot(st, g, active)
-        assert pivot == _brute_best(free, column_text, k), (trial, sorted(active))
-        near = [w for w in active if topo.has_edge(pivot, w)]
-        if near:
-            assert ps.pick_neighbor(st, pivot, g, active) == \
-                _brute_best(near, column_text, k), (trial, pivot)
+        if trial % 2:  # the gadget touches every active qubit
+            rows[1, sorted(active)] = rng.choice([1, 2, 3], size=len(active))
+        check(topo, rows, [1], active, int(rng.integers(1, 21)), ("one", trial))
+
+    # Every leg-free column is a cut vertex: a path of free qubits between
+    # two legs, as the whole line or as an induced path of a grid.
+    paths = [(ps.Topology.line(q), list(range(q))) for q in range(3, 9)]
+    grid = ps.Topology.grid(3, 4)
+    paths += [(grid, [0, 1, 2, 3, 7, 11]), (grid, [8, 4, 0, 1, 2, 6, 10]),
+              (grid, [11, 7, 3, 2, 1, 0])]
+    for trial in range(60):
+        topo, path = paths[trial % len(paths)]
+        n = int(rng.integers(1, 5))
+        rows = np.zeros((n, topo.num_qubits), dtype=int)
+        for end in (path[0], path[-1]):
+            rows[:, end] = rng.choice(4, size=n, p=[0.4, 0.2, 0.2, 0.2])
+            rows[int(rng.integers(n)), end] = int(rng.integers(1, 4))
+        if trial % 3 == 2:  # some legs on the inner qubits too
+            inner = rng.choice(path[1:-1], size=int(rng.integers(1, len(path) - 1)))
+            rows[int(rng.integers(n)), inner] = int(rng.integers(1, 4))
+        g = [int(i) for i in rng.permutation(n)]
+        pivot = check(topo, rows, g, frozenset(path), int(rng.integers(1, 21)),
+                      ("path", trial))
+        assert pivot in (path[0], path[-1])
 
 
 def test_partition_on_qubit_worked_strings():

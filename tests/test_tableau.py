@@ -4,7 +4,7 @@ import pytest
 import paulisynth as ps
 from paulisynth import verify
 from paulisynth.circuit import Circuit
-from paulisynth.tableau import (CliffordTableau, QubitPermutation,
+from paulisynth.tableau import (CliffordTableau, QubitPermutation, _ColumnTableau,
                                 column_distance_cost, row_interaction_cost,
                                 synthesize_tableau)
 
@@ -84,6 +84,42 @@ def test_prepend_append_preserve_symplecticity(rng):
         else:
             t.append(g)
         assert t.is_symplectic()
+
+
+def _row_layout_append(t, gate):
+    """Reference ``append`` on the row ints: each row's letters on the gate's
+    wires go through the documented ``conjugate_by`` tables."""
+    q = t.num_qubits
+    for r in range(2 * q):
+        new, flip = ps.conjugate_by(gate, tuple(t.row_letter(r, w) for w in gate.qubits))
+        for w, p in zip(gate.qubits, new):
+            t.rows[r] &= ~(1 << w | 1 << (q + w))
+            t.rows[r] |= (p in (ps.Pauli.X, ps.Pauli.Y)) << w
+            t.rows[r] |= (p in (ps.Pauli.Y, ps.Pauli.Z)) << (q + w)
+        t.signs[r] ^= flip
+
+
+def test_column_layout_matches_row_layout_append(rng):
+    for q in range(1, 11):
+        for _ in range(3):
+            # A random start built by prepends, a path independent of the columns.
+            start = CliffordTableau(q)
+            for g in random_clifford_circuit(q, 4 * q, rng).gates:
+                start.prepend(g)
+            work, ref, public = _ColumnTableau(start), start.copy(), start.copy()
+            assert work.to_rows() == start
+            for g in random_clifford_circuit(q, int(rng.integers(1, 12 * q)), rng).gates:
+                work.conjugate(g)
+                _row_layout_append(ref, g)
+                public.append(g)
+            back = work.to_rows()
+            assert back.rows == ref.rows and back.signs == ref.signs
+            assert public == ref
+            assert all(work.letter(r, j) == ref.row_letter(r, j)
+                       for r in range(2 * q) for j in range(q))
+            assert all(bool(work.signs >> r & 1) == bool(ref.signs[r]) for r in range(2 * q))
+            m = (1 << q) - 1
+            assert work.supports() == [(row | row >> q) & m for row in ref.rows]
 
 
 def test_rejects_rotations():
@@ -196,6 +232,17 @@ def test_synthesize_roundtrip_small_suite(rng):
 def test_synthesize_rejects_mismatched_topology():
     with pytest.raises(ValueError):
         synthesize_tableau(CliffordTableau(3), ps.Topology.line(4))
+
+
+def test_synthesize_rejects_non_bool_allow_permutation():
+    for bad in ("no", 0, 1, None):
+        with pytest.raises(ValueError) as got:
+            synthesize_tableau(CliffordTableau(3), ps.Topology.line(3), bad)
+        with pytest.raises(ValueError) as want:
+            ps.SynthConfig(allow_permutation=bad)
+        assert str(got.value) == str(want.value)
+    for ok in (True, False):
+        assert synthesize_tableau(CliffordTableau(3), ps.Topology.line(3), ok)[1].is_identity
 
 
 def test_synthesize_cnot_bound_empirical(rng):

@@ -1,31 +1,22 @@
 """Connectivity-aware synthesis of trotterized Pauli polynomials."""
 
-from .paulis import (CLIFFORD_KINDS, Gate, Pauli, PauliGadget, PauliPolynomial,
-                     PauliString, commutes, conjugate_by, conjugate_letter, cx,
-                     h, parse_polynomial, rz, s, sdg, serialize_polynomial,
-                     strings_commute, v, vdg)
+from .paulis import (Gate, Pauli, PauliGadget, PauliPolynomial, PauliString, commutes,
+                     cx, h, parse_polynomial, rz, s, sdg, serialize_polynomial, v, vdg)
 from .topology import Topology
 from .circuit import Circuit, Metrics, conforms, metrics, to_qasm2
-from .tableau import (CliffordTableau, QubitPermutation, column_distance_cost,
-                      row_interaction_cost, synthesize_tableau)
-from .synth import (SynthConfig, SynthesisResult, column_cost, diagonalize_qubit,
-                    disconnect, naive_synthesize, partition_commuting_sets,
-                    partition_on_qubit, pick_neighbor, pick_pivot, synthesize)
+from .tableau import CliffordTableau, QubitPermutation, synthesize_tableau
+from .synth import (SynthConfig, SynthesisResult, naive_synthesize,
+                    partition_commuting_sets, synthesize)
 from .randgen import (DEFAULT_ANGLE_SET, SMALL_ANGLE_SET, RandomSpec,
                       instance_seed, random_polynomial)
 from . import bench, verify
 
 __all__ = [
-    "CLIFFORD_KINDS", "Circuit", "CliffordTableau", "DEFAULT_ANGLE_SET", "Gate",
-    "Metrics", "Pauli", "PauliGadget", "PauliPolynomial", "PauliString",
-    "QubitPermutation", "RandomSpec", "SMALL_ANGLE_SET", "SynthConfig",
-    "SynthesisResult", "Topology", "bench", "column_cost",
-    "column_distance_cost", "commutes", "conforms", "conjugate_by",
-    "conjugate_letter", "cx", "diagonalize_qubit", "disconnect", "h",
-    "instance_seed", "metrics",
-    "naive_synthesize", "parse_polynomial", "partition_commuting_sets",
-    "partition_on_qubit", "pick_neighbor", "pick_pivot", "random_polynomial",
-    "row_interaction_cost", "rz", "s", "sdg", "serialize_polynomial",
-    "strings_commute", "synthesize", "synthesize_tableau", "to_qasm2", "v",
+    "Circuit", "CliffordTableau", "DEFAULT_ANGLE_SET", "Gate", "Metrics", "Pauli",
+    "PauliGadget", "PauliPolynomial", "PauliString", "QubitPermutation", "RandomSpec",
+    "SMALL_ANGLE_SET", "SynthConfig", "SynthesisResult", "Topology", "bench",
+    "commutes", "conforms", "cx", "h", "instance_seed", "metrics", "naive_synthesize",
+    "parse_polynomial", "partition_commuting_sets", "random_polynomial", "rz", "s",
+    "sdg", "serialize_polynomial", "synthesize", "synthesize_tableau", "to_qasm2", "v",
     "vdg", "verify",
 ]

@@ -19,6 +19,8 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if self.num_qubits <= 0:
+            raise ValueError("num_qubits must be positive")
         for g in self.gates:
             if any(q < 0 or q >= self.num_qubits for q in g.qubits):
                 raise ValueError(f"gate {g} out of range for {self.num_qubits} qubits")

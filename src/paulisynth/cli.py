@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from . import bench as bench_mod
-from .circuit import metrics, to_qasm2
+from .circuit import to_qasm2
 from .paulis import parse_polynomial
 from .randgen import RandomSpec, SMALL_ANGLE_SET, instance_seed, random_polynomial
 from .synth import SynthConfig
@@ -98,7 +98,7 @@ def _cmd_synth(args) -> int:
     if args.out_qasm:
         with open(args.out_qasm, "w", encoding="utf-8") as f:
             f.write(to_qasm2(result.circuit))
-    m = metrics(result.circuit)
+    m = result.metrics
     metrics_line = f"{m.cnot_count},{m.depth},{m.two_qubit_depth}"
     if args.out_metrics:
         with open(args.out_metrics, "w", encoding="utf-8") as f:

@@ -265,17 +265,13 @@ class PauliPolynomial:
             tuple(PauliGadget(g.angle * factor, g.string) for g in self.gadgets))
 
 
-def strings_commute(a: PauliString, b: PauliString) -> bool:
-    if len(a) != len(b):
-        raise ValueError("Pauli strings must have equal length")
-    clashes = sum(1 for pa, pb in zip(a.letters, b.letters)
-                  if pa != Pauli.I and pb != Pauli.I and pa != pb)
-    return clashes % 2 == 0
-
-
 def commutes(a: PauliGadget, b: PauliGadget) -> bool:
     """Whether two gadgets commute (even number of anticommuting positions)."""
-    return strings_commute(a.string, b.string)
+    if len(a.string) != len(b.string):
+        raise ValueError("Pauli strings must have equal length")
+    clashes = sum(1 for pa, pb in zip(a.string.letters, b.string.letters)
+                  if pa != Pauli.I and pb != Pauli.I and pa != pb)
+    return clashes % 2 == 0
 
 
 def parse_token(convert, token: str, lineno: int, what: str):

@@ -17,12 +17,14 @@ into the angle when the gadget's ``rz`` is emitted.  The frame readers (the
 single-leg sweep, ``partition_on_qubit``, the column costs and the letter
 checks) read bits in frame order in plain Python, because frames are small.
 
-The recursion runs on an explicit stack of non-empty frames, so deep
-polynomials do not hit the interpreter recursion limit.  An ``id`` frame
-sweeps, then peels pivots in a loop, pushing a ``p`` frame per pivot; a ``p``
-frame sweeps, disconnects one letter group and pushes itself and an ``id``
-frame again.  A frame's gadgets have legs only on its active qubits, which
-are all the sweep reads.
+The recursion runs on an explicit stack of non-empty pivot frames, so deep
+polynomials do not hit the interpreter recursion limit.  The id step
+(``_id_step``) sweeps, then peels pivots in a loop, pushing a pivot frame
+per pivot.  A pivot frame (``_p_step``) sweeps, disconnects one letter
+group, pushes itself again and runs the id step on the gadgets it freed
+from the pivot at once, since that step would be popped next anyway.  A
+frame's gadgets have legs only on its active qubits, which are all the
+sweep reads.
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ def _id_step(state: _State, g: list[int], active: frozenset[int], stack: list) -
         parts = partition_on_qubit(state, g, pivot)
         rest = parts[Pauli.X] + parts[Pauli.Y] + parts[Pauli.Z]
         if rest:
-            stack.append(("p", rest, pivot, active))
+            stack.append((rest, pivot, active))
         g, active = parts[Pauli.I], active - {pivot}
 
 
@@ -287,20 +289,18 @@ def _p_step(state: _State, g: list[int], pivot: int, active: frozenset[int],
     parts2 = partition_on_qubit(state, remaining, pivot)  # the steps above emit no rz
     rest = parts2[Pauli.X] + parts2[Pauli.Y] + parts2[Pauli.Z]
     if rest:
-        stack.append(("p", rest, pivot, active))
-    if parts2[Pauli.I]:
-        stack.append(("id", parts2[Pauli.I], active - {pivot}))
+        stack.append((rest, pivot, active))
+    if parts2[Pauli.I]:  # the id child would be popped next, so run it now
+        _id_step(state, parts2[Pauli.I], active - {pivot}, stack)
 
 
 def _run_recursion(state: _State, indices: list[int]) -> None:
-    active = frozenset(range(state.poly.num_qubits))
-    stack: list = [("id", indices, active)]
+    stack: list = []
+    _id_step(state, indices, frozenset(range(state.poly.num_qubits)), stack)
+    if state.debug:
+        _check_invariant(state)
     while stack:
-        frame = stack.pop()
-        if frame[0] == "id":
-            _id_step(state, frame[1], frame[2], stack)
-        else:
-            _p_step(state, frame[1], frame[2], frame[3], stack)
+        _p_step(state, *stack.pop(), stack)
         if state.debug:
             _check_invariant(state)
 

@@ -13,9 +13,10 @@ as row products.  With ``P(x, z) = i^|x&z| X^x Z^z`` (Hermitian, Y = iXZ),
 for ``(x3, z3) = (x1^x2, z1^z2)``, so a row product costs four popcounts
 (``_product_phase``).
 
-``append(g)`` realizes ``W -> W_g * W`` in the gadget store's bit columns
-(``_ColumnTableau``), one ``PauliColumns.conjugate`` call per gate;
-``from_circuit`` and ``synthesize_tableau`` stay in columns throughout.
+Applying a gate after the Clifford (``W -> W_g * W``) happens only in the
+gadget store's bit columns (``_ColumnTableau``), one
+``PauliColumns.conjugate`` call per gate: ``from_circuit`` and
+``synthesize_tableau`` work there and transpose back to rows at the end.
 
 ``synthesize_tableau`` emits an architecture-conforming circuit E and an
 output permutation ``perm`` such that ``W_t = P(perm) * U(E)``; with
@@ -147,13 +148,6 @@ class CliffordTableau:
             c, t = gate.qubits
             self._row_product(c, c, t, extra=0)
             self._row_product(q + t, q + c, q + t, extra=0)
-
-    def append(self, gate: Gate) -> None:
-        """Column action of applying ``gate`` after this Clifford (two transposes)."""
-        work = _ColumnTableau(self)
-        work.conjugate(gate)
-        done = work.to_rows()
-        self.rows, self.signs = done.rows, done.signs
 
     # -- queries -------------------------------------------------------------
 

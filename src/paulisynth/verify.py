@@ -8,7 +8,10 @@ oracle its tests compare it with.
 
 Qubit 0 is the most significant tensor factor, matching the Pauli string
 convention.  Application order: a circuit ``[g0, g1]`` has unitary
-``M(g1) @ M(g0)``.
+``M(g1) @ M(g0)``.  Gates act through one axis kernel
+(``_apply_gate_state``): on a state vector in ``overlap``, and on the
+columns of the identity in ``circuit_unitary``, so no gate matrix is built
+or cached.
 
 Equivalence up to an output permutation is checked against
 ``u1 = exp(i*gamma) * P(perm) @ u2`` where ``P(perm)`` is the operator with
@@ -47,9 +50,6 @@ GATE_MATRICES_1Q = {
     "vdg": _V.conj().T,
 }
 
-_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
-
 
 def _check_dim(num_qubits: int) -> None:
     if num_qubits > MAX_DENSE_QUBITS:
@@ -66,31 +66,6 @@ def pauli_matrix(string: PauliString) -> np.ndarray:
     return _kron_all([PAULI_MATRICES[p] for p in string.letters])
 
 
-@lru_cache(maxsize=4096)
-def _gate_matrix_cached(kind: str, qubits: tuple[int, ...], angle: float,
-                        num_qubits: int) -> np.ndarray:
-    if kind == "cx":
-        c, t = qubits
-        on0 = [_I2] * num_qubits
-        on1 = [_I2] * num_qubits
-        on0[c] = _P0
-        on1[c] = _P1
-        on1[t] = _X
-        return _kron_all(on0) + _kron_all(on1)
-    if kind == "rz":
-        m = np.diag([np.exp(-1j * angle / 2), np.exp(1j * angle / 2)])
-    else:
-        m = GATE_MATRICES_1Q[kind]
-    factors = [_I2] * num_qubits
-    factors[qubits[0]] = m
-    return _kron_all(factors)
-
-
-def gate_matrix(gate: Gate, num_qubits: int) -> np.ndarray:
-    _check_dim(num_qubits)
-    return _gate_matrix_cached(gate.kind, gate.qubits, gate.angle, num_qubits)
-
-
 def gadget_unitary(gadget: PauliGadget) -> np.ndarray:
     """``exp(-i*angle/2 * P)`` via cos/sin closed form (P is an involution)."""
     p = pauli_matrix(gadget.string)
@@ -99,11 +74,9 @@ def gadget_unitary(gadget: PauliGadget) -> np.ndarray:
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
+    """The circuit applied to every column of the identity."""
     _check_dim(c.num_qubits)
-    u = np.eye(2 ** c.num_qubits, dtype=complex)
-    for g in c.gates:
-        u = gate_matrix(g, c.num_qubits) @ u
-    return u
+    return apply_circuit_to_state(c, np.eye(2 ** c.num_qubits, dtype=complex))
 
 
 def polynomial_unitary(poly: PauliPolynomial, order: Sequence[int] | None = None) -> np.ndarray:
@@ -169,29 +142,30 @@ def equivalent(u1: np.ndarray, u2: np.ndarray,
 
 
 def _apply_gate_state(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """Apply one gate to a state vector of 2**n amplitudes."""
+    """Apply one gate to 2**n amplitudes, or to every column of a matrix
+    with 2**n rows (a trailing column axis)."""
+    shaped = psi.reshape([2] * n + [-1])
     if gate.kind == "cx":
         c, t = gate.qubits
-        shaped = psi.reshape([2] * n)
         sel = [slice(None)] * n
         sel[c] = 1
         sub = shaped[tuple(sel)]
         t_axis = t if t < c else t - 1
         shaped[tuple(sel)] = np.flip(sub, axis=t_axis).copy()
-        return shaped.reshape(-1)
+        return shaped.reshape(psi.shape)
     if gate.kind == "rz":
         m = np.diag([np.exp(-1j * gate.angle / 2), np.exp(1j * gate.angle / 2)])
     else:
         m = GATE_MATRICES_1Q[gate.kind]
     j = gate.qubits[0]
-    shaped = np.moveaxis(psi.reshape([2] * n), j, 0).reshape(2, -1)
-    shaped = m @ shaped
-    return np.moveaxis(shaped.reshape([2] * n), 0, j).reshape(-1).copy()
+    moved = m @ np.moveaxis(shaped, j, 0).reshape(2, -1)
+    return np.moveaxis(moved.reshape(shaped.shape), 0, j).reshape(psi.shape)
 
 
 def apply_circuit_to_state(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
-    """State-vector application of a circuit (gates[0] first)."""
-    out = psi.astype(complex).copy()
+    """State-vector application of a circuit (gates[0] first); a matrix
+    with 2**n rows is transformed column by column."""
+    out = psi.astype(complex)
     for g in circuit.gates:
         out = _apply_gate_state(out, g, circuit.num_qubits)
     return out

@@ -11,6 +11,7 @@ import numpy as np
 import paulisynth as ps
 from paulisynth import bench, verify
 from paulisynth.bench import check_result
+from paulisynth.paulis import conjugate_letter
 from paulisynth.tableau import CliffordTableau, synthesize_tableau
 
 from conftest import dense_check, random_clifford_circuit
@@ -28,17 +29,17 @@ def test_criterion_1_conjugation_table_oracle():
     ok = True
     for kind in ("h", "s", "sdg", "v", "vdg"):
         g = ps.Gate(kind, (0,))
-        gm = verify.gate_matrix(g, 1)
+        gm = verify.circuit_unitary(ps.Circuit(1, (g,)))
         for p in ps.Pauli:
-            (res,), flip = ps.conjugate_letter(g, (p,))
+            (res,), flip = conjugate_letter(g, (p,))
             lhs = gm.conj().T @ verify.PAULI_MATRICES[p] @ gm
             rhs = (-1 if flip else 1) * verify.PAULI_MATRICES[res]
             ok &= bool(np.allclose(lhs, rhs, atol=1e-12))
             cases += 1
-    gm = verify.gate_matrix(ps.cx(0, 1), 2)
+    gm = verify.circuit_unitary(ps.Circuit(2, (ps.cx(0, 1),)))
     for pc in ps.Pauli:
         for pt in ps.Pauli:
-            (rc, rt), flip = ps.conjugate_letter(ps.cx(0, 1), (pc, pt))
+            (rc, rt), flip = conjugate_letter(ps.cx(0, 1), (pc, pt))
             lhs = gm @ np.kron(verify.PAULI_MATRICES[pc], verify.PAULI_MATRICES[pt]) @ gm
             rhs = (-1 if flip else 1) * np.kron(verify.PAULI_MATRICES[rc],
                                                 verify.PAULI_MATRICES[rt])

@@ -33,6 +33,12 @@ def test_index_bounds_checked():
         Circuit(1, (ps.cx(0, 1),))
 
 
+def test_rejects_non_positive_qubit_count():
+    for q in (0, -1):
+        with pytest.raises(ValueError, match="num_qubits must be positive"):
+            Circuit(q)
+
+
 def test_metrics_empty():
     assert ps.metrics(Circuit(3)) == Metrics(0, 0, 0)
 
@@ -133,7 +139,7 @@ def test_five_gate_circuit_unitary_round_trip():
     u = verify.circuit_unitary(c)
     ref = np.eye(4, dtype=complex)
     for g in c.gates:
-        ref = verify.gate_matrix(g, 2) @ ref
+        ref = verify.circuit_unitary(Circuit(2, (g,))) @ ref
     assert np.allclose(u, ref, atol=1e-12)
     assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-10)
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import paulisynth as ps
 from paulisynth import verify
-from paulisynth.paulis import CONJ_1Q, CONJ_CNOT, TO_Z, XZ_LETTER, Pauli, conjugate_bits
+from paulisynth.paulis import (CONJ_1Q, CONJ_CNOT, TO_Z, XZ_LETTER, Pauli, conjugate_bits,
+                               conjugate_by, conjugate_letter)
 
 ALL_1Q_KINDS = ("h", "s", "sdg", "v", "vdg")
 
@@ -23,7 +24,7 @@ def dense_conjugation_1q(kind, p):
 
 
 def dense_conjugation_cx(pc, pt):
-    g = verify.gate_matrix(ps.cx(0, 1), 2)
+    g = verify.circuit_unitary(ps.Circuit(2, (ps.cx(0, 1),)))
     target = g @ np.kron(verify.PAULI_MATRICES[pc], verify.PAULI_MATRICES[pt]) @ g
     for cc in Pauli:
         for ct in Pauli:
@@ -38,32 +39,32 @@ def test_conjugation_table_matches_matrix_oracle_exhaustively():
     for kind in ALL_1Q_KINDS:
         for p in Pauli:
             expected = dense_conjugation_1q(kind, p)
-            got = ps.conjugate_letter(ps.Gate(kind, (0,)), (p,))
+            got = conjugate_letter(ps.Gate(kind, (0,)), (p,))
             assert (got[0][0], got[1]) == expected, (kind, p.name)
     for pc in Pauli:
         for pt in Pauli:
             expected = dense_conjugation_cx(pc, pt)
-            got = ps.conjugate_letter(ps.cx(0, 1), (pc, pt))
+            got = conjugate_letter(ps.cx(0, 1), (pc, pt))
             assert (got[0], got[1]) == expected, (pc.name, pt.name)
 
 
 def test_frozen_conjugation_examples():
     # CNOT removes the control leg from ZZ, no sign.
-    assert ps.conjugate_letter(ps.cx(0, 1), (Pauli.Z, Pauli.Z)) == ((Pauli.I, Pauli.Z), False)
+    assert conjugate_letter(ps.cx(0, 1), (Pauli.Z, Pauli.Z)) == ((Pauli.I, Pauli.Z), False)
     # Identity commutes with everything.
-    assert ps.conjugate_letter(ps.h(0), (Pauli.I,)) == ((Pauli.I,), False)
+    assert conjugate_letter(ps.h(0), (Pauli.I,)) == ((Pauli.I,), False)
     # S^ X S = -Y with our phase convention.
-    assert ps.conjugate_letter(ps.s(0), (Pauli.X,)) == ((Pauli.Y,), True)
+    assert conjugate_letter(ps.s(0), (Pauli.X,)) == ((Pauli.Y,), True)
     # V^ Y V = -Z fixes the square-root-of-X phase convention.
-    assert ps.conjugate_letter(ps.v(0), (Pauli.Y,)) == ((Pauli.Z,), True)
+    assert conjugate_letter(ps.v(0), (Pauli.Y,)) == ((Pauli.Z,), True)
 
 
 def test_conjugate_by_is_the_reverse_direction():
     for kind in ALL_1Q_KINDS:
         g = ps.Gate(kind, (0,))
         for p in Pauli:
-            (mid,), flip1 = ps.conjugate_letter(g, (p,))
-            (back,), flip2 = ps.conjugate_by(g, (mid,))
+            (mid,), flip1 = conjugate_letter(g, (p,))
+            (back,), flip2 = conjugate_by(g, (mid,))
             assert back == p and flip1 == flip2
 
 
@@ -91,19 +92,19 @@ def test_conjugation_luts_match_conjugate_by(letters):
         nx, nz, xt, zt, flips = conjugate_bits(kind, x, z, 5, 6)
         assert (xt, zt) == (5, 6)  # a 1q gate leaves the second column alone
         for i, p in enumerate(letters):
-            (res,), flip = ps.conjugate_by(ps.Gate(kind, (0,)), (p,))
+            (res,), flip = conjugate_by(ps.Gate(kind, (0,)), (p,))
             assert (_letter(nx, nz, i), bool(flips >> i & 1)) == (res, flip), (kind, p.name)
         # ... and one Pauli at a time, as the tableau's append uses them.
         for p in letters:
             nx, nz, _, _, flip = conjugate_bits(kind, *XZ_BITS[p])
-            assert (nx, nz) == XZ_BITS[ps.conjugate_by(ps.Gate(kind, (0,)), (p,))[0][0]]
+            assert (nx, nz) == XZ_BITS[conjugate_by(ps.Gate(kind, (0,)), (p,))[0][0]]
             assert flip in (0, 1)
     pairs = [(pc, pt) for pc in letters for pt in letters]
     xc, zc = _pack([pc for pc, _ in pairs])
     xt, zt = _pack([pt for _, pt in pairs])
     nxc, nzc, nxt, nzt, flips = conjugate_bits("cx", xc, zc, xt, zt)
     for i, (pc, pt) in enumerate(pairs):
-        (rc, rt), flip = ps.conjugate_by(ps.cx(0, 1), (pc, pt))
+        (rc, rt), flip = conjugate_by(ps.cx(0, 1), (pc, pt))
         assert (_letter(nxc, nzc, i), _letter(nxt, nzt, i)) == (rc, rt), (pc.name, pt.name)
         assert bool(flips >> i & 1) == flip, (pc.name, pt.name)
     with pytest.raises(ValueError):
@@ -113,7 +114,7 @@ def test_conjugation_luts_match_conjugate_by(letters):
 def test_to_z_turns_each_letter_into_plus_z():
     assert sorted(TO_Z) == [Pauli.X, Pauli.Y]
     for p, make in TO_Z.items():
-        assert ps.conjugate_by(make(0), (p,)) == ((Pauli.Z,), False)
+        assert conjugate_by(make(0), (p,)) == ((Pauli.Z,), False)
 
 
 @given(st.sampled_from(ALL_1Q_KINDS + ("cx",)), st.data())
@@ -122,19 +123,19 @@ def test_conjugation_involution(kind, data):
     gate = ps.cx(0, 1) if kind == "cx" else ps.Gate(kind, (0,))
     arity = 2 if kind == "cx" else 1
     letters = tuple(data.draw(st.sampled_from(list(Pauli))) for _ in range(arity))
-    mid, flip1 = ps.conjugate_letter(gate, letters)
-    back, flip2 = ps.conjugate_letter(gate.adjoint(), mid)
+    mid, flip1 = conjugate_letter(gate, letters)
+    back, flip2 = conjugate_letter(gate.adjoint(), mid)
     assert back == letters
     assert flip1 == flip2
 
 
 def test_conjugate_letter_rejects_rotation_and_bad_arity():
     with pytest.raises(ValueError):
-        ps.conjugate_letter(ps.rz(0.5, 0), (Pauli.X,))
+        conjugate_letter(ps.rz(0.5, 0), (Pauli.X,))
     with pytest.raises(ValueError):
-        ps.conjugate_letter(ps.cx(0, 1), (Pauli.X,))
+        conjugate_letter(ps.cx(0, 1), (Pauli.X,))
     with pytest.raises(ValueError):
-        ps.conjugate_letter(ps.h(0), (Pauli.X, Pauli.Z))
+        conjugate_letter(ps.h(0), (Pauli.X, Pauli.Z))
 
 
 def gadget(angle, text):

@@ -4,7 +4,9 @@ import pytest
 import paulisynth as ps
 from paulisynth import verify
 from paulisynth.bench import check_result
-from paulisynth.synth import _State, _check_invariant, column_cost
+from paulisynth.paulis import conjugate_by
+from paulisynth.synth import (_State, _check_invariant, column_cost, diagonalize_qubit,
+                              disconnect, partition_on_qubit, pick_neighbor, pick_pivot)
 from paulisynth.topology import tree_postorder
 
 from conftest import random_connected_topology
@@ -88,7 +90,7 @@ def test_emit_clifford_matches_conjugate_by():
         st = _state(poly_of(*((0.25, p.name) for p in ps.Pauli)), ps.Topology.line(1))
         st.emit_clifford(ps.Gate(kind, (0,)))
         for i, p in enumerate(ps.Pauli):
-            (res,), flip = ps.conjugate_by(ps.Gate(kind, (0,)), (p,))
+            (res,), flip = conjugate_by(ps.Gate(kind, (0,)), (p,))
             assert (st.letter(i, 0), st.angle(i)) == (res, -0.25 if flip else 0.25)
     pairs = [(pc, pt) for pc in ps.Pauli for pt in ps.Pauli]
     # Control on qubit 1, so the pair is written target first.
@@ -96,7 +98,7 @@ def test_emit_clifford_matches_conjugate_by():
                 ps.Topology.line(2))
     st.emit_clifford(ps.cx(1, 0))
     for i, (pc, pt) in enumerate(pairs):
-        (rc, rt), flip = ps.conjugate_by(ps.cx(0, 1), (pc, pt))
+        (rc, rt), flip = conjugate_by(ps.cx(0, 1), (pc, pt))
         assert (st.letter(i, 1), st.letter(i, 0)) == (rc, rt), (pc.name, pt.name)
         assert st.angle(i) == (-0.25 if flip else 0.25), (pc.name, pt.name)
 
@@ -104,7 +106,7 @@ def test_emit_clifford_matches_conjugate_by():
 def test_pick_pivot_prefers_all_identity_column():
     poly = poly_of((0.1, "XYZI"), (0.2, "ZXYI"), (0.3, "YZXI"))
     st = _state(poly, ps.Topology.complete(4))
-    assert ps.pick_pivot(st, [0, 1, 2], frozenset(range(4))) == 3
+    assert pick_pivot(st, [0, 1, 2], frozenset(range(4))) == 3
 
 
 def test_pick_pivot_excludes_cut_vertices():
@@ -112,21 +114,21 @@ def test_pick_pivot_excludes_cut_vertices():
     # the tie between ends breaks to the lowest index
     poly = poly_of((0.1, "XIX"), (0.2, "ZIZ"))
     st = _state(poly, ps.Topology.line(3))
-    assert ps.pick_pivot(st, [0, 1], frozenset({0, 1, 2})) == 0
+    assert pick_pivot(st, [0, 1], frozenset({0, 1, 2})) == 0
     st2 = _state(poly, ps.Topology.complete(3))
-    assert ps.pick_pivot(st2, [0, 1], frozenset({0, 1, 2})) == 1
+    assert pick_pivot(st2, [0, 1], frozenset({0, 1, 2})) == 1
 
 
 def test_pick_pivot_single_qubit():
     poly = poly_of((0.1, "IZ"),)
     st = _state(poly, ps.Topology.line(2))
-    assert ps.pick_pivot(st, [0], frozenset({1})) == 1
+    assert pick_pivot(st, [0], frozenset({1})) == 1
 
 
 def test_pick_neighbor_forced_on_line():
     poly = poly_of((0.1, "ZXY"),)
     st = _state(poly, ps.Topology.line(3))
-    assert ps.pick_neighbor(st, 0, [0], frozenset({0, 1, 2})) == 1
+    assert pick_neighbor(st, 0, [0], frozenset({0, 1, 2})) == 1
 
 
 def test_pick_neighbor_maximizes_cost():
@@ -134,13 +136,13 @@ def test_pick_neighbor_maximizes_cost():
     # carries the all-I column which scores k=10 higher
     poly = poly_of((0.1, "ZXI"), (0.2, "ZXI"))
     st = _state(poly, ps.Topology.complete(3))
-    assert ps.pick_neighbor(st, 0, [0, 1], frozenset({0, 1, 2})) == 2
+    assert pick_neighbor(st, 0, [0, 1], frozenset({0, 1, 2})) == 2
 
 
 def test_pick_neighbor_single_candidate_even_all_identity():
     poly = poly_of((0.1, "ZI"),)
     st = _state(poly, ps.Topology.line(2))
-    assert ps.pick_neighbor(st, 0, [0], frozenset({0, 1})) == 1
+    assert pick_neighbor(st, 0, [0], frozenset({0, 1})) == 1
 
 
 def _brute_non_cutting(topo, qb, active):
@@ -185,11 +187,11 @@ def test_pick_pivot_and_neighbor_match_brute_force(rng):
             return "".join(letters[st.letter(i, qb)] for i in g)
 
         free = [qb for qb in active if _brute_non_cutting(topo, qb, active)]
-        pivot = ps.pick_pivot(st, g, active)
+        pivot = pick_pivot(st, g, active)
         assert pivot == _brute_best(free, column_text, k), (tag, sorted(active))
         near = [w for w in active if topo.has_edge(pivot, w)]
         if near:
-            assert ps.pick_neighbor(st, pivot, g, active) == \
+            assert pick_neighbor(st, pivot, g, active) == \
                 _brute_best(near, column_text, k), (tag, pivot)
         return pivot
 
@@ -249,7 +251,7 @@ def test_pick_pivot_and_neighbor_match_brute_force(rng):
 def test_partition_on_qubit_worked_strings():
     poly = poly_of((0.1, "IIZZ"), (0.2, "YXZX"), (0.3, "IIYZ"), (0.4, "YXZI"))
     st = _state(poly, ps.Topology.line(4))
-    parts = ps.partition_on_qubit(st, [0, 1, 2, 3], 3)
+    parts = partition_on_qubit(st, [0, 1, 2, 3], 3)
     assert parts[ps.Pauli.I] == [3]
     assert parts[ps.Pauli.X] == [1]
     assert parts[ps.Pauli.Y] == []
@@ -259,30 +261,30 @@ def test_partition_on_qubit_worked_strings():
 def test_partition_all_z_and_empty():
     poly = poly_of((0.1, "ZZ"), (0.2, "ZI"))
     st = _state(poly, ps.Topology.line(2))
-    parts = ps.partition_on_qubit(st, [0, 1], 0)
+    parts = partition_on_qubit(st, [0, 1], 0)
     assert parts[ps.Pauli.Z] == [0, 1]
-    assert ps.partition_on_qubit(st, [], 0) == {0: [], 1: [], 2: [], 3: []}
+    assert partition_on_qubit(st, [], 0) == {0: [], 1: [], 2: [], 3: []}
 
 
 def test_diagonalize_qubit_per_letter():
     poly = poly_of((0.1, "XZ"), (0.2, "XI"))
     st = _state(poly, ps.Topology.line(2))
-    ps.diagonalize_qubit(st, [0, 1], 0)
+    diagonalize_qubit(st, [0, 1], 0)
     assert [g.kind for g in st.gates] == ["h"]
     assert st.letter(0, 0) == ps.Pauli.Z and st.letter(1, 0) == ps.Pauli.Z
     # Z group needs no gate
     st2 = _state(poly_of((0.1, "ZZ"),), ps.Topology.line(2))
-    ps.diagonalize_qubit(st2, [0], 0)
+    diagonalize_qubit(st2, [0], 0)
     assert st2.gates == []
     # mixed letters are rejected
     st3 = _state(poly_of((0.1, "XZ"), (0.2, "YI")), ps.Topology.line(2))
     with pytest.raises(ValueError):
-        ps.diagonalize_qubit(st3, [0, 1], 0)
+        diagonalize_qubit(st3, [0, 1], 0)
 
 
 def test_diagonalize_y_records_flips_via_oracle():
     st = _state(poly_of((0.5, "YZ"), (0.3, "ZZ")), ps.Topology.line(2))
-    ps.diagonalize_qubit(st, [0], 0)
+    diagonalize_qubit(st, [0], 0)
     assert [g.kind for g in st.gates] == ["v"]
     assert st.letter(0, 0) == ps.Pauli.Z
     # the Z-letter gadget turned into -Y under v conjugation
@@ -291,20 +293,20 @@ def test_diagonalize_y_records_flips_via_oracle():
 
 def test_disconnect_zz_zy_single_cnot():
     st = _state(poly_of((0.1, "ZZ"), (0.2, "ZY")), ps.Topology.line(2))
-    ps.disconnect(st, 0, 1, [0, 1])
+    disconnect(st, 0, 1, [0, 1])
     assert [g.kind for g in st.gates] == ["cx"]
     assert st.letter(0, 0) == ps.Pauli.I and st.letter(1, 0) == ps.Pauli.I
 
 
 def test_disconnect_zi_uses_two_cnots():
     st = _state(poly_of((0.7, "ZI"),), ps.Topology.line(2))
-    ps.disconnect(st, 0, 1, [0])
+    disconnect(st, 0, 1, [0])
     assert [g.kind for g in st.gates] == ["cx", "cx"]
     assert st.letter(0, 0) == ps.Pauli.I and st.letter(0, 1) == ps.Pauli.Z
     # unitary check on 2 qubits: circuit + conjugated gadget + undo == original
     u = np.eye(4, dtype=complex)
     for g in st.gates:
-        u = verify.gate_matrix(g, 2) @ u
+        u = verify.circuit_unitary(ps.Circuit(2, (g,))) @ u
     conj = verify.gadget_unitary(gadget(st.angle(0), "IZ"))
     orig = verify.gadget_unitary(gadget(0.7, "ZI"))
     assert np.allclose(u.conj().T @ conj @ u, orig, atol=1e-12)
@@ -312,7 +314,7 @@ def test_disconnect_zi_uses_two_cnots():
 
 def test_disconnect_zx_rule_handles_both():
     st = _state(poly_of((0.1, "ZX"), (0.2, "ZZ")), ps.Topology.line(2))
-    ps.disconnect(st, 0, 1, [0, 1])
+    disconnect(st, 0, 1, [0, 1])
     # Z/X matches both gadgets: one Clifford on the neighbor plus one CNOT
     assert [g.kind for g in st.gates] == ["s", "cx"]
     assert st.letter(0, 0) == ps.Pauli.I and st.letter(1, 0) == ps.Pauli.I
@@ -320,7 +322,7 @@ def test_disconnect_zx_rule_handles_both():
     # reproduces the originals
     u = np.eye(4, dtype=complex)
     for g in st.gates:
-        u = verify.gate_matrix(g, 2) @ u
+        u = verify.circuit_unitary(ps.Circuit(2, (g,))) @ u
     for idx, orig_text in ((0, "ZX"), (1, "ZZ")):
         letters = "".join("IXYZ"[st.letter(idx, j)] for j in range(2))
         conj = verify.gadget_unitary(gadget(st.angle(idx), letters))
@@ -331,18 +333,18 @@ def test_disconnect_zx_rule_handles_both():
 def test_disconnect_rule_tie_priority():
     # single ZX gadget: Z/X and X/Y both match one gadget; priority picks Z/X
     st = _state(poly_of((0.1, "ZX"),), ps.Topology.line(2))
-    ps.disconnect(st, 0, 1, [0])
+    disconnect(st, 0, 1, [0])
     assert [g.kind for g in st.gates] == ["s", "cx"]
     # single ZZ gadget: Z/Y and Z/X tie; priority picks Z/Y (bare CNOT)
     st2 = _state(poly_of((0.1, "ZZ"),), ps.Topology.line(2))
-    ps.disconnect(st2, 0, 1, [0])
+    disconnect(st2, 0, 1, [0])
     assert [g.kind for g in st2.gates] == ["cx"]
 
 
 def test_disconnect_requires_diagonal_pivot():
     st = _state(poly_of((0.1, "XZ"),), ps.Topology.line(2))
     with pytest.raises(ValueError):
-        ps.disconnect(st, 0, 1, [0])
+        disconnect(st, 0, 1, [0])
 
 
 def test_single_gadget_diagonal_single_leg():
@@ -592,7 +594,7 @@ def test_debug_invariant_catches_corrupted_letters(monkeypatch):
     poly = ps.random_polynomial(ps.RandomSpec(6, 8, seed=3))
     st = _state(poly, topo)
     _check_invariant(st)
-    ps.disconnect(st, 0, 1, [i for i in range(8) if st.letter(i, 0) == ps.Pauli.Z])
+    ps.synth.disconnect(st, 0, 1, [i for i in range(8) if st.letter(i, 0) == ps.Pauli.Z])
     _check_invariant(st)
     st.gates.append(ps.h(2))  # a gate neither the gadgets nor the tableau saw
     with pytest.raises(AssertionError, match="emitted gates"):

@@ -45,6 +45,38 @@ def test_circuit_unitary_conventions():
     assert np.allclose(verify.circuit_unitary(hs), ref, atol=1e-12)
 
 
+def _kron_gate(gate, n):
+    """Dense matrix of one gate on n wires from Kronecker products (wire 0 leftmost)."""
+    eye, x = np.eye(2), np.array([[0, 1], [1, 0]])
+    p0, p1 = np.diag([1, 0]), np.diag([0, 1])
+
+    def on_wires(mats):
+        out = np.eye(1)
+        for w in range(n):
+            out = np.kron(out, mats.get(w, eye))
+        return out
+
+    if gate.kind == "cx":
+        c, t = gate.qubits
+        return on_wires({c: p0}) + on_wires({c: p1, t: x})
+    if gate.kind == "rz":
+        m = np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
+    else:
+        m = verify.GATE_MATRICES_1Q[gate.kind]
+    return on_wires({gate.qubits[0]: m})
+
+
+def test_circuit_unitary_matches_kronecker_products_per_gate():
+    # Every 1q kind on every wire, every ordered cx pair (control above and
+    # below the target, adjacent or not) and one rz, on 3 qubits.
+    gates = [ps.Gate(kind, (j,)) for kind in ("h", "s", "sdg", "v", "vdg") for j in range(3)]
+    gates += [ps.cx(c, t) for c in range(3) for t in range(3) if c != t]
+    gates.append(ps.rz(0.37, 1))
+    for g in gates:
+        assert np.allclose(verify.circuit_unitary(Circuit(3, (g,))), _kron_gate(g, 3),
+                           atol=1e-12), g
+
+
 def test_concat_unitary_convention():
     a = Circuit(1, (ps.h(0),))
     b = Circuit(1, (ps.s(0),))

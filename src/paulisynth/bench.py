@@ -38,6 +38,14 @@ class ExperimentRow:
     wall_time_ms: float
 
 
+def _check_methods(methods: list[str]) -> None:
+    if not methods:
+        raise ValueError("at least one method is required")
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r} (expected one of {METHODS})")
+
+
 def run_method(method: str, poly: PauliPolynomial, topo: Topology,
                cfg: SynthConfig | None = None) -> SynthesisResult:
     if method == "naive":
@@ -92,11 +100,7 @@ def run_benchmark(methods: list[str], topologies: list[str], sizes: list[int],
                   cfg: SynthConfig | None = None, jobs: int = 1) -> list[ExperimentRow]:
     """One row per (method, topology, size, repeat); instances are shared
     across methods via deterministic per-instance seeds."""
-    if not methods:
-        raise ValueError("at least one method is required")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r} (expected one of {METHODS})")
+    _check_methods(methods)
     if not topologies or not sizes or repeats < 1:
         raise ValueError("topologies, sizes, and repeats must be non-empty/positive")
     if jobs < 1:
@@ -131,31 +135,36 @@ def run_trotter_error(polys: list[PauliPolynomial], topo: Topology,
                       methods: list[str], timesteps: list[float],
                       out_csv: str | None, repetitions: int = 1,
                       cfg: SynthConfig | None = None) -> list[tuple]:
-    """|<0| U_exact(t) ((P U_circuit)^r)^ |0>| per (method, instance, timestep).
+    """|<0| U_exact(t) (G(t/r)^r)^ |0>| per (method, instance, timestep), where
+    G is the product of the gadgets in the order the method emits them.
 
-    Circuits are synthesized once per instance at unit timestep (angles scaled
-    by 1/repetitions); rotation angles are then rescaled per timestep, which
-    is exact because the Clifford structure does not depend on the angles.
-    Repetitions follow the circuit's output permutation ``P``: each one
-    starts on the wires where the previous one left the logical qubits (see
-    ``verify.overlap``).
+    Each instance is synthesized once with angles scaled by 1/r, and
+    ``check_result`` proves that ``P(mapping) @ U_circuit`` is that product up
+    to a global phase (a failed check raises ``AssertionError``).  So
+    ``(P U_circuit)^r`` is ``G^r`` up to a phase: the order alone gives the
+    magnitude at every timestep, with no circuit simulated or relabelled.
     """
-    if not methods:
-        raise ValueError("at least one method is required")
+    _check_methods(methods)
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if not timesteps:
         raise ValueError("at least one timestep is required")
+    if not all(math.isfinite(t) for t in timesteps):
+        raise ValueError(f"timesteps must be finite, got {list(timesteps)!r}")
+    q = max((poly.num_qubits for poly in polys), default=0)
+    if q > verify.MAX_DENSE_QUBITS:
+        raise ValueError(f"the Trotter scan is capped at {verify.MAX_DENSE_QUBITS} qubits, got {q}")
     rows = []
     for idx, poly in enumerate(polys):
         base = poly.scaled(1.0 / repetitions)
         for method in methods:
             result = run_method(method, base, topo, cfg)
-            for t in timesteps:
-                circ = result.circuit.scale_rotations(t)
-                ov = verify.overlap(poly, circ, t, repetitions,
-                                    result.permutation.mapping)
-                rows.append((method, idx, t, abs(ov)))
+            if not check_result(base, result):
+                raise AssertionError(f"equivalence check failed for {method} on instance {idx}")
+            overlaps = verify.trotter_overlaps(poly, result.emitted_order,
+                                               timesteps, repetitions)
+            rows.extend((method, idx, t, float(abs(ov)))
+                        for t, ov in zip(timesteps, overlaps))
     if out_csv:
         with open(out_csv, "w", newline="", encoding="utf-8") as f:
             f.write(f"# paulisynth trotter-error rng={RNG_ALGORITHM} r={repetitions}\n")

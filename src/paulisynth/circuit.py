@@ -39,12 +39,6 @@ class Circuit:
     def adjoint(self) -> "Circuit":
         return Circuit(self.num_qubits, tuple(g.adjoint() for g in reversed(self.gates)))
 
-    def scale_rotations(self, factor: float) -> "Circuit":
-        """Multiply every rz angle by ``factor`` (Clifford gates untouched)."""
-        return Circuit(self.num_qubits, tuple(
-            Gate("rz", g.qubits, g.angle * factor) if g.kind == "rz" else g
-            for g in self.gates))
-
 
 @dataclass(frozen=True)
 class Metrics:

@@ -15,6 +15,11 @@ SMALL_ANGLE_SET = (math.pi / 32, math.pi / 64, math.pi / 128)
 RNG_ALGORITHM = "numpy-PCG64"
 
 
+def _check_seed(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RandomSpec:
     num_qubits: int
@@ -29,6 +34,7 @@ class RandomSpec:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not self.angle_set:
             raise ValueError("angle_set must be non-empty")
+        _check_seed("seed", self.seed)
 
 
 def random_polynomial(spec: RandomSpec) -> PauliPolynomial:
@@ -50,4 +56,7 @@ def random_polynomial(spec: RandomSpec) -> PauliPolynomial:
 
 def instance_seed(base_seed: int, *indices: int) -> int:
     """Deterministic per-instance seed derived with numpy's SeedSequence."""
+    _check_seed("seed", base_seed)
+    for index in indices:
+        _check_seed("instance index", index)
     return int(np.random.SeedSequence((base_seed,) + indices).generate_state(1)[0])

@@ -1,17 +1,17 @@
 """Dense-unitary oracle for small qubit counts: the test and Trotter oracle.
 
-Builds exact matrices for gadgets, circuits, exact time evolution, and the
-initial-state unitary overlap (``overlap``, used by the Trotter-error scan).
-Synthesized circuits are checked exactly at any size by
-``bench.check_result`` (a tableau replay); the dense functions here are the
-oracle its tests compare it with.
+Builds exact matrices for gadgets, circuits and exact time evolution, and
+the overlap of a product formula with the exact evolution (used by the
+Trotter-error scan).  Synthesized circuits are checked exactly at any size
+by ``bench.check_result`` (a tableau replay); the dense functions here are
+the oracle its tests compare it with.
 
 Qubit 0 is the most significant tensor factor, matching the Pauli string
 convention.  Application order: a circuit ``[g0, g1]`` has unitary
-``M(g1) @ M(g0)``.  Gates act through one axis kernel
-(``_apply_gate_state``): on a state vector in ``overlap``, and on the
-columns of the identity in ``circuit_unitary``, so no gate matrix is built
-or cached.
+``M(g1) @ M(g0)``.  ``circuit_unitary`` applies gates through one axis
+kernel (``_apply_gate_state``) to the columns of the identity, so no gate
+matrix is built or cached.  The Trotter scan needs no circuit: it applies
+the gadgets themselves to state vectors.
 
 Equivalence up to an output permutation is checked against
 ``u1 = exp(i*gamma) * P(perm) @ u2`` where ``P(perm)`` is the operator with
@@ -28,7 +28,6 @@ import numpy as np
 
 from .circuit import Circuit
 from .paulis import Gate, Pauli, PauliGadget, PauliPolynomial, PauliString
-from .tableau import QubitPermutation
 
 MAX_DENSE_QUBITS = 12
 
@@ -57,13 +56,9 @@ def _check_dim(num_qubits: int) -> None:
             f"dense verification is capped at {MAX_DENSE_QUBITS} qubits, got {num_qubits}")
 
 
-def _kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, factors)
-
-
 def pauli_matrix(string: PauliString) -> np.ndarray:
     _check_dim(len(string))
-    return _kron_all([PAULI_MATRICES[p] for p in string.letters])
+    return reduce(np.kron, [PAULI_MATRICES[p] for p in string.letters])
 
 
 def gadget_unitary(gadget: PauliGadget) -> np.ndarray:
@@ -74,9 +69,12 @@ def gadget_unitary(gadget: PauliGadget) -> np.ndarray:
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
-    """The circuit applied to every column of the identity."""
+    """The circuit applied to every column of the identity (gates[0] first)."""
     _check_dim(c.num_qubits)
-    return apply_circuit_to_state(c, np.eye(2 ** c.num_qubits, dtype=complex))
+    u = np.eye(2 ** c.num_qubits, dtype=complex)
+    for g in c.gates:
+        u = _apply_gate_state(u, g, c.num_qubits)
+    return u
 
 
 def polynomial_unitary(poly: PauliPolynomial, order: Sequence[int] | None = None) -> np.ndarray:
@@ -104,6 +102,42 @@ def exact_unitary(poly: PauliPolynomial, t: float) -> np.ndarray:
     _check_dim(poly.num_qubits)
     evals, evecs = _hamiltonian_eig(poly)
     return (evecs * np.exp(-1j * t / 2 * evals)) @ evecs.conj().T
+
+
+def trotter_overlaps(poly: PauliPolynomial, order: Sequence[int],
+                     timesteps: Sequence[float], r: int = 1) -> np.ndarray:
+    """``<0| U_exact(t) (G(t/r)^r)^ |0>`` per timestep t; ``G(s)`` is the product
+    of the gadgets in ``order`` (the first acts first) with angles scaled by s.
+
+    A gadget acts as ``cos(a/2) psi - i sin(a/2) P psi``: ``P psi`` is the index
+    permutation ``k ^ xmask`` times the diagonal of ``P X^xmask``, which is
+    ``(-i)^#Y (-1)^popcount(k & zmask)``.  Both are built once for all
+    gadgets and applied to one state column per timestep."""
+    if r < 1:
+        raise ValueError("repetitions must be >= 1")
+    if sorted(order) != list(range(len(poly.gadgets))):
+        raise ValueError(f"order must be a permutation of the {len(poly.gadgets)} "
+                         f"gadget indices, got {list(order)!r}")
+    n = poly.num_qubits
+    _check_dim(n)
+    ts = np.asarray(timesteps, dtype=float)
+    adjoint = [poly.gadgets[i] for i in reversed(order)]
+    letters = np.array([g.string.letters for g in adjoint], dtype=int).reshape(-1, n)
+    x, z = (letters == Pauli.X) | (letters == Pauli.Y), letters >= Pauli.Y
+    weights = 1 << np.arange(n - 1, -1, -1)
+    k = np.arange(2 ** n)
+    srcs = k ^ (x @ weights)[:, None]
+    signs = (1 - 2 * ((z @ (k[:, None] // weights & 1).T) & 1)).astype(np.int8)
+    half = np.outer([g.angle for g in adjoint], ts) / (2 * r)
+    cos, isin = np.cos(half), 1j * np.sin(half) * (-1j) ** (x & z).sum(axis=1)[:, None]
+    psi = np.zeros((2 ** n, len(ts)), dtype=complex)
+    psi[0] = 1.0
+    for _ in range(r):
+        for j in range(len(adjoint)):
+            psi = cos[j] * psi + isin[j] * (signs[j][:, None] * psi[srcs[j]])
+    evals, evecs = _hamiltonian_eig(poly)
+    exact_row0 = (evecs[0] * np.exp(-0.5j * np.outer(ts, evals))) @ evecs.conj().T
+    return np.sum(exact_row0 * psi.T, axis=1)
 
 
 def permutation_operator(perm: Sequence[int], num_qubits: int | None = None) -> np.ndarray:
@@ -160,52 +194,3 @@ def _apply_gate_state(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     j = gate.qubits[0]
     moved = m @ np.moveaxis(shaped, j, 0).reshape(2, -1)
     return np.moveaxis(moved.reshape(shaped.shape), 0, j).reshape(psi.shape)
-
-
-def apply_circuit_to_state(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
-    """State-vector application of a circuit (gates[0] first); a matrix
-    with 2**n rows is transformed column by column."""
-    out = psi.astype(complex)
-    for g in circuit.gates:
-        out = _apply_gate_state(out, g, circuit.num_qubits)
-    return out
-
-
-def overlap(poly: PauliPolynomial, circuit: Circuit, t: float, r: int = 1,
-            perm: Sequence[int] | None = None) -> complex:
-    """``(U_exact(t) @ ((P(perm) @ U_circuit)^r)^)[0, 0]``; ``perm=None`` is
-    the identity.
-
-    The circuit is expected to realize one repetition of the product formula
-    up to its output permutation (``U_step = P(perm) @ U_circuit``, as
-    ``equivalent`` checks), i.e. to have been synthesized from ``poly`` with
-    angles scaled by t/r.  Evaluated on state vectors with no dense ``P``:
-    ``(P U)^r = P^r U_{r-1} ... U_1 U_0``, where ``U_k`` is the circuit with
-    every wire w moved to ``inv^k[w]`` (``inv`` the inverse of ``perm``), and
-    ``P^r`` fixes ``|0>``.  So repetition k replays the circuit on relabelled
-    wires, with no SWAP gates; the adjoint of the r repetitions is simulated
-    from ``|0>`` and contracted with the top row of the exact evolution.
-    """
-    if r < 1:
-        raise ValueError("repetitions must be >= 1")
-    if circuit.num_qubits != poly.num_qubits:
-        raise ValueError("dimension mismatch between polynomial and circuit")
-    n = poly.num_qubits
-    _check_dim(n)
-    if perm is None:
-        perm = range(n)
-    elif len(perm) != n:
-        raise ValueError(f"permutation of length {len(perm)} for {n} qubits")
-    inv = QubitPermutation(tuple(perm)).inverse().mapping
-    wires = list(range(n))
-    gates = []
-    for _ in range(r):
-        gates.extend(Gate(g.kind, tuple(wires[q] for q in g.qubits), g.angle)
-                     for g in circuit.gates)
-        wires = [inv[w] for w in wires]
-    psi = np.zeros(2 ** n, dtype=complex)
-    psi[0] = 1.0
-    psi = apply_circuit_to_state(Circuit(n, tuple(gates)).adjoint(), psi)
-    evals, evecs = _hamiltonian_eig(poly)
-    exact_row0 = (evecs[0, :] * np.exp(-1j * t / 2 * evals)) @ evecs.conj().T
-    return complex(exact_row0 @ psi)

@@ -149,10 +149,3 @@ def test_adjoint_reverses():
     u = verify.circuit_unitary(c)
     ua = verify.circuit_unitary(c.adjoint())
     assert np.allclose(ua, u.conj().T, atol=1e-12)
-
-
-def test_scale_rotations():
-    c = Circuit(1, (ps.rz(0.5, 0), ps.h(0)))
-    scaled = c.scale_rotations(3.0)
-    assert scaled.gates[0].angle == 1.5
-    assert scaled.gates[1] == ps.h(0)

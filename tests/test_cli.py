@@ -182,6 +182,26 @@ def test_trotter_error_zero_repetitions_exits_2(tmp_path, capsys):
     assert "repetitions must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--topologies", "line:3", "--sizes", "4", "--seed", "-1"],
+    ["trotter-error", "--qubits", "2", "--gadgets", "4", "--seed", "-1"],
+])
+def test_negative_seed_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trotter_error_qubit_cap_exits_2(tmp_path, capsys):
+    out = tmp_path / "trot.csv"
+    code = main(["trotter-error", "--qubits", "13", "--gadgets", "4",
+                 "--instances", "1", "--out", str(out)])
+    assert code == 2
+    assert "capped at 12 qubits, got 13" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trotter_error_from_file(poly_file, tmp_path):
     out = tmp_path / "trot.csv"
     code = main(["trotter-error", "--in", poly_file, "--timesteps", "2",

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,20 @@ def test_random_spec_validation():
 def test_instance_seed_deterministic():
     assert ps.instance_seed(1, 2, 3) == ps.instance_seed(1, 2, 3)
     assert ps.instance_seed(1, 2, 3) != ps.instance_seed(1, 2, 4)
+
+
+def test_seeds_are_checked_by_name():
+    for bad in (-1, 1.5, True, "3", None):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            ps.RandomSpec(2, 3, seed=bad)
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            ps.instance_seed(bad, 0)
+        with pytest.raises(ValueError, match="instance index must be an integer >= 0"):
+            ps.instance_seed(1, 0, bad)
+    # numpy integers and seed 0 keep working, with the same polynomial
+    assert (ps.random_polynomial(ps.RandomSpec(3, 5, seed=np.int64(4)))
+            == ps.random_polynomial(ps.RandomSpec(3, 5, seed=4)))
+    assert ps.instance_seed(np.uint32(0), 0) == ps.instance_seed(0, 0)
 
 
 def test_run_benchmark_row_counts_and_consistency(tmp_path):
@@ -170,8 +185,9 @@ def test_trotter_error_repetitions_reduce_error():
 
 
 def test_trotter_error_repetitions_follow_permutation():
-    # relabelling the repetitions by the output permutation must give the
-    # same overlap as a circuit synthesized without a permutation
+    # the output permutation is handled by the check (P @ U_circuit is the
+    # product in emitted_order), so the overlap must equal that of a circuit
+    # synthesized without a permutation
     no_perm = ps.SynthConfig(allow_permutation=False)
     t = 2.0
     non_involutions = 0
@@ -193,6 +209,58 @@ def test_trotter_error_repetitions_follow_permutation():
                         for cfg in (None, no_perm)]
                 assert abs(rows[0][0][3] - rows[1][0][3]) < 1e-12
     assert non_involutions > 0
+
+
+def test_trotter_error_rejects_bad_timesteps(tmp_path):
+    poly = ps.random_polynomial(ps.RandomSpec(2, 3, seed=1))
+    out = tmp_path / "trot.csv"
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="timesteps must be finite"):
+            bench.run_trotter_error([poly], ps.Topology.line(2), ["naive"],
+                                    [0.0, bad], str(out))
+    assert not out.exists()
+
+
+def test_trotter_error_checks_qubit_cap_before_synthesis(tmp_path, monkeypatch):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesized before the qubit cap was checked")
+
+    monkeypatch.setattr(bench, "run_method", no_synthesis)
+    small = ps.random_polynomial(ps.RandomSpec(2, 3, seed=1))
+    big = ps.random_polynomial(ps.RandomSpec(13, 3, seed=1))
+    out = tmp_path / "trot.csv"
+    with pytest.raises(ValueError, match="capped at 12 qubits, got 13"):
+        bench.run_trotter_error([small, big], ps.Topology.complete(13), ["proposed"],
+                                [1.0], str(out))
+    assert not out.exists()
+
+
+def _corrupt_angle(result):
+    gates = list(result.circuit.gates)
+    j = next(j for j, g in enumerate(gates) if g.kind == "rz")
+    gates[j] = ps.rz(gates[j].angle + 0.1, gates[j].qubits[0])
+    return replace(result, circuit=ps.Circuit(result.circuit.num_qubits, tuple(gates)))
+
+
+def _swap_order(result):
+    order = list(result.emitted_order)
+    order[0], order[1] = order[1], order[0]
+    return replace(result, emitted_order=order)
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_angle, _swap_order])
+def test_trotter_error_raises_on_failed_check(tmp_path, monkeypatch, corrupt):
+    # a circuit that is not the product in emitted_order must not yield rows
+    run = bench.run_method
+    monkeypatch.setattr(bench, "run_method", lambda *args: corrupt(run(*args)))
+    poly = ps.random_polynomial(ps.RandomSpec(4, 12, ps.SMALL_ANGLE_SET, seed=2))
+    # distinct strings, none the identity: every swap changes the checked order
+    assert len({g.string for g in poly.gadgets}) == len(poly.gadgets)
+    out = tmp_path / "trot.csv"
+    with pytest.raises(AssertionError, match="equivalence check failed"):
+        bench.run_trotter_error([poly], ps.Topology.line(4), ["naive", "proposed"],
+                                [1.0], str(out))
+    assert not out.exists()
 
 
 def test_benchmark_jobs_parallel_matches_serial(tmp_path):

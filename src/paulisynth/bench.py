@@ -14,7 +14,7 @@ from . import verify
 from .circuit import conforms
 from .paulis import PauliPolynomial
 from .randgen import (RandomSpec, RNG_ALGORITHM, DEFAULT_ANGLE_SET,
-                      instance_seed, random_polynomial)
+                      _check_int, instance_seed, random_polynomial)
 from .synth import SynthConfig, SynthesisResult, naive_synthesize, synthesize
 from .tableau import replay_rotations
 from .topology import Topology
@@ -101,10 +101,10 @@ def run_benchmark(methods: list[str], topologies: list[str], sizes: list[int],
     """One row per (method, topology, size, repeat); instances are shared
     across methods via deterministic per-instance seeds."""
     _check_methods(methods)
-    if not topologies or not sizes or repeats < 1:
-        raise ValueError("topologies, sizes, and repeats must be non-empty/positive")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not topologies or not sizes:
+        raise ValueError("topologies and sizes must be non-empty")
+    for name, value in [("repeats", repeats), ("jobs", jobs)] + [("size", n) for n in sizes]:
+        _check_int(name, value, 1)
     tasks = []
     for ti, topo_spec in enumerate(topologies):
         for si, n in enumerate(sizes):
@@ -145,8 +145,7 @@ def run_trotter_error(polys: list[PauliPolynomial], topo: Topology,
     magnitude at every timestep, with no circuit simulated or relabelled.
     """
     _check_methods(methods)
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    _check_int("repetitions", repetitions, 1)
     if not timesteps:
         raise ValueError("at least one timestep is required")
     if not all(math.isfinite(t) for t in timesteps):
@@ -176,4 +175,5 @@ def run_trotter_error(polys: list[PauliPolynomial], topo: Topology,
 
 
 def default_timesteps(count: int = 17) -> list[float]:
+    _check_int("timesteps", count, 1)
     return [float(t) for t in np.linspace(0.0, 2 * math.pi, count)]

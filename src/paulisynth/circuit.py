@@ -28,17 +28,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def append(self, gate: Gate) -> "Circuit":
-        return Circuit(self.num_qubits, self.gates + (gate,))
-
-    def concat(self, other: "Circuit") -> "Circuit":
-        if other.num_qubits != self.num_qubits:
-            raise ValueError("qubit count mismatch in concat")
-        return Circuit(self.num_qubits, self.gates + other.gates)
-
-    def adjoint(self) -> "Circuit":
-        return Circuit(self.num_qubits, tuple(g.adjoint() for g in reversed(self.gates)))
-
 
 @dataclass(frozen=True)
 class Metrics:

@@ -1,4 +1,5 @@
-"""Pauli letters, strings, gadgets, polynomials, and Clifford conjugation rules.
+"""Pauli letters, strings, gadgets, polynomials, and the Clifford conjugation
+rules (``conjugate_bits``, applied to bit columns by ``PauliColumns``).
 
 Conventions used throughout the package:
 
@@ -91,72 +92,15 @@ def rz(angle: float, q: int) -> Gate:
     return Gate("rz", (q,), angle)
 
 
-# Conjugation tables: CONJ_1Q[kind][p] = (g^ p g, sign_flip) for gate unitary g.
-# Derived from the 2x2 matrix algebra once; the test suite re-derives every
-# entry from dense matrices.
-I, X, Y, Z = Pauli.I, Pauli.X, Pauli.Y, Pauli.Z
-
-CONJ_1Q: dict[str, dict[Pauli, tuple[Pauli, bool]]] = {
-    "h": {I: (I, False), X: (Z, False), Y: (Y, True), Z: (X, False)},
-    "s": {I: (I, False), X: (Y, True), Y: (X, False), Z: (Z, False)},
-    "sdg": {I: (I, False), X: (Y, False), Y: (X, True), Z: (Z, False)},
-    "v": {I: (I, False), X: (X, False), Y: (Z, True), Z: (Y, False)},
-    "vdg": {I: (I, False), X: (X, False), Y: (Z, False), Z: (Y, True)},
-}
-
-# CONJ_CNOT[(control, target)] = ((control', target'), sign_flip) for g^ P g
-# with g = CNOT (self-adjoint).
-CONJ_CNOT: dict[tuple[Pauli, Pauli], tuple[tuple[Pauli, Pauli], bool]] = {
-    (I, I): ((I, I), False),
-    (I, X): ((I, X), False),
-    (I, Y): ((Z, Y), False),
-    (I, Z): ((Z, Z), False),
-    (X, I): ((X, X), False),
-    (X, X): ((X, I), False),
-    (X, Y): ((Y, Z), False),
-    (X, Z): ((Y, Y), True),
-    (Y, I): ((Y, X), False),
-    (Y, X): ((Y, I), False),
-    (Y, Y): ((X, Z), True),
-    (Y, Z): ((X, Y), False),
-    (Z, I): ((Z, I), False),
-    (Z, X): ((Z, X), False),
-    (Z, Y): ((I, Y), False),
-    (Z, Z): ((I, Z), False),
-}
-
-
-def conjugate_letter(gate: Gate, letters: tuple[Pauli, ...]) -> tuple[tuple[Pauli, ...], bool]:
-    """Conjugate Pauli letters by a Clifford gate: returns ``g^ P g`` and a sign flip.
-
-    ``letters`` must match the gate arity (one letter, or ``(control, target)``
-    for ``cx``).  ``sign_flip=True`` means the conjugated Pauli carries a minus
-    sign, i.e. the gadget's effective angle negates.
-    """
-    if not gate.is_clifford:
-        raise ValueError("conjugation is defined for Clifford gates only")
-    if gate.kind == "cx":
-        if len(letters) != 2:
-            raise ValueError("cx conjugation needs (control, target) letters")
-        return CONJ_CNOT[(letters[0], letters[1])]
-    if len(letters) != 1:
-        raise ValueError("single-qubit conjugation needs one letter")
-    new, flip = CONJ_1Q[gate.kind][letters[0]]
-    return (new,), flip
-
-
-def conjugate_by(gate: Gate, letters: tuple[Pauli, ...]) -> tuple[tuple[Pauli, ...], bool]:
-    """Conjugate the other way around: ``g P g^`` (the action of an emitted gate)."""
-    return conjugate_letter(gate.adjoint(), letters)
-
-
 def conjugate_bits(kind: str, x: int, z: int, xt: int = 0, zt: int = 0):
-    """``conjugate_by`` on x/z bitsets (Aaronson-Gottesman column rules).
+    """``g P g^`` for each Pauli P in x/z bitsets, with g the Clifford gate
+    ``kind``: the action of an emitted gate on the Paulis pushed through it
+    (Aaronson-Gottesman column rules, quant-ph/0406196).
 
     Bit i of ``x``/``z`` is the X/Z part of Pauli i on the gate's wire (the
     control for ``cx``; ``xt``/``zt`` are the target's), with I=(0,0),
-    X=(1,0), Y=(1,1), Z=(0,1).  Returns ``(x, z, xt, zt, flips)`` for
-    ``g P g^``; bit i of ``flips`` is set where Pauli i gains a minus sign.
+    X=(1,0), Y=(1,1), Z=(0,1).  Returns the conjugated ``(x, z, xt, zt,
+    flips)``; bit i of ``flips`` is set where Pauli i gains a minus sign.
     The same rules serve whole columns of many Paulis and single bits.
     """
     if kind == "cx":
@@ -173,6 +117,8 @@ def conjugate_bits(kind: str, x: int, z: int, xt: int = 0, zt: int = 0):
         return x ^ z, z, xt, zt, x & z
     raise ValueError(f"not a Clifford gate kind: {kind!r}")
 
+
+I, X, Y, Z = Pauli.I, Pauli.X, Pauli.Y, Pauli.Z
 
 # XZ_LETTER[x + 2z] is the Pauli with those bits.
 XZ_LETTER = (I, X, Z, Y)

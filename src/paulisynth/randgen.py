@@ -15,9 +15,10 @@ SMALL_ANGLE_SET = (math.pi / 32, math.pi / 64, math.pi / 128)
 RNG_ALGORITHM = "numpy-PCG64"
 
 
-def _check_seed(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+def _check_int(name: str, value, minimum: int) -> None:
+    """Seeds, indices and counts: a named ValueError unless an integer >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -29,12 +30,10 @@ class RandomSpec:
 
     def __post_init__(self):
         for name in ("num_qubits", "num_gadgets"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            _check_int(name, getattr(self, name), 1)
         if not self.angle_set:
             raise ValueError("angle_set must be non-empty")
-        _check_seed("seed", self.seed)
+        _check_int("seed", self.seed, 0)
 
 
 def random_polynomial(spec: RandomSpec) -> PauliPolynomial:
@@ -56,7 +55,7 @@ def random_polynomial(spec: RandomSpec) -> PauliPolynomial:
 
 def instance_seed(base_seed: int, *indices: int) -> int:
     """Deterministic per-instance seed derived with numpy's SeedSequence."""
-    _check_seed("seed", base_seed)
+    _check_int("seed", base_seed, 0)
     for index in indices:
-        _check_seed("instance index", index)
+        _check_int("instance index", index, 0)
     return int(np.random.SeedSequence((base_seed,) + indices).generate_state(1)[0])

@@ -59,7 +59,7 @@ class QubitPermutation:
 
     A circuit with this permutation satisfies ``U_poly = P(mapping) @
     U_circuit`` (``verify.permutation_operator``), so logical qubit i ends on
-    wire ``inverse().mapping[i]``.
+    the wire j with ``mapping[j] == i``.
     """
 
     mapping: tuple[int, ...]
@@ -81,12 +81,6 @@ class QubitPermutation:
     @property
     def is_identity(self) -> bool:
         return all(i == p for i, p in enumerate(self.mapping))
-
-    def inverse(self) -> "QubitPermutation":
-        inv = [0] * len(self.mapping)
-        for i, p in enumerate(self.mapping):
-            inv[p] = i
-        return QubitPermutation(tuple(inv))
 
 
 class CliffordTableau:
@@ -209,13 +203,6 @@ class CliffordTableau:
     @property
     def is_identity(self) -> bool:
         return self.residual_permutation() == list(range(self.num_qubits))
-
-    def dump(self) -> str:
-        lines = []
-        for row, sign in zip(self.rows, self.signs):
-            bits = "".join("1" if row >> c & 1 else "0" for c in range(2 * self.num_qubits))
-            lines.append(f"{bits} | {int(sign)}")
-        return "\n".join(lines) + "\n"
 
 
 def _transpose(cols: Sequence[int], n: int) -> list[int]:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .paulis import Gate, Pauli, PauliGadget, PauliPolynomial, PauliString
+from .randgen import _check_int
 
 MAX_DENSE_QUBITS = 12
 
@@ -113,8 +114,7 @@ def trotter_overlaps(poly: PauliPolynomial, order: Sequence[int],
     permutation ``k ^ xmask`` times the diagonal of ``P X^xmask``, which is
     ``(-i)^#Y (-1)^popcount(k & zmask)``.  Both are built once for all
     gadgets and applied to one state column per timestep."""
-    if r < 1:
-        raise ValueError("repetitions must be >= 1")
+    _check_int("repetitions", r, 1)
     if sorted(order) != list(range(len(poly.gadgets))):
         raise ValueError(f"order must be a permutation of the {len(poly.gadgets)} "
                          f"gadget indices, got {list(order)!r}")

@@ -1,3 +1,6 @@
+import itertools
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,21 @@ def tableau_matches_unitary(t, u):
         if not np.allclose(lhs, rhs, atol=1e-10):
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def dense_conjugate(gate, letters):
+    """``g P g^`` read off the dense matrices, for a Clifford gate g and the
+    letters of P on ``gate.qubits`` (a tuple): returns (letters, sign flip)."""
+    n = len(letters)
+    g = verify.circuit_unitary(ps.Circuit(n, (ps.Gate(gate.kind, tuple(range(n))),)))
+    target = g @ verify.pauli_matrix(ps.PauliString(letters)) @ g.conj().T
+    for cand in itertools.product(ps.Pauli, repeat=n):
+        m = verify.pauli_matrix(ps.PauliString(cand))
+        for sign in (1, -1):
+            if np.allclose(target, sign * m, atol=1e-12):
+                return cand, sign == -1
+    raise AssertionError(f"{gate} does not map {letters} to a signed Pauli")
 
 
 def dense_check(poly, result, tol=1e-9):

@@ -11,7 +11,7 @@ import numpy as np
 import paulisynth as ps
 from paulisynth import bench, verify
 from paulisynth.bench import check_result
-from paulisynth.paulis import conjugate_letter
+from paulisynth.paulis import XZ_LETTER, conjugate_bits
 from paulisynth.tableau import CliffordTableau, synthesize_tableau
 
 from conftest import dense_check, random_clifford_circuit
@@ -24,29 +24,31 @@ def _report(name, ok, detail=""):
 
 
 def test_criterion_1_conjugation_table_oracle():
+    # conjugate_bits (g P g^) on every letter against the dense matrices.
     start = time.perf_counter()
+    bits = {p: (int(p in (ps.Pauli.X, ps.Pauli.Y)), int(p in (ps.Pauli.Y, ps.Pauli.Z)))
+            for p in ps.Pauli}
     cases = 0
     ok = True
     for kind in ("h", "s", "sdg", "v", "vdg"):
-        g = ps.Gate(kind, (0,))
-        gm = verify.circuit_unitary(ps.Circuit(1, (g,)))
+        gm = verify.circuit_unitary(ps.Circuit(1, (ps.Gate(kind, (0,)),)))
         for p in ps.Pauli:
-            (res,), flip = conjugate_letter(g, (p,))
-            lhs = gm.conj().T @ verify.PAULI_MATRICES[p] @ gm
-            rhs = (-1 if flip else 1) * verify.PAULI_MATRICES[res]
+            x, z, _, _, flip = conjugate_bits(kind, *bits[p])
+            lhs = gm @ verify.PAULI_MATRICES[p] @ gm.conj().T
+            rhs = (-1 if flip else 1) * verify.PAULI_MATRICES[XZ_LETTER[x + 2 * z]]
             ok &= bool(np.allclose(lhs, rhs, atol=1e-12))
             cases += 1
     gm = verify.circuit_unitary(ps.Circuit(2, (ps.cx(0, 1),)))
     for pc in ps.Pauli:
         for pt in ps.Pauli:
-            (rc, rt), flip = conjugate_letter(ps.cx(0, 1), (pc, pt))
+            xc, zc, xt, zt, flip = conjugate_bits("cx", *bits[pc], *bits[pt])
             lhs = gm @ np.kron(verify.PAULI_MATRICES[pc], verify.PAULI_MATRICES[pt]) @ gm
-            rhs = (-1 if flip else 1) * np.kron(verify.PAULI_MATRICES[rc],
-                                                verify.PAULI_MATRICES[rt])
+            rhs = (-1 if flip else 1) * np.kron(verify.PAULI_MATRICES[XZ_LETTER[xc + 2 * zc]],
+                                                verify.PAULI_MATRICES[XZ_LETTER[xt + 2 * zt]])
             ok &= bool(np.allclose(lhs, rhs, atol=1e-12))
             cases += 1
     elapsed = time.perf_counter() - start
-    _report("criterion 1: conjugation table vs matrix oracle", ok and elapsed < 1.0,
+    _report("criterion 1: conjugation rules vs matrix oracle", ok and elapsed < 1.0,
             f"{cases} cases in {elapsed:.2f}s")
 
 

@@ -74,7 +74,9 @@ def mutate(kind, poly, result, rng):
             gates[i] = ps.Gate(str(rng.choice(other)), g.qubits)
         return _with_gates(result, gates)
     if kind == "inverse_permutation":
-        return replace(result, permutation=result.permutation.inverse())
+        mapping = result.permutation.mapping
+        inverse = tuple(mapping.index(i) for i in range(len(mapping)))
+        return replace(result, permutation=ps.QubitPermutation(inverse))
     if kind == "swap_gadgets":
         # Neighbours in the rotation sequence that anticommute and are not
         # both angle-pi gadgets (those two orders differ by a global phase).

@@ -179,7 +179,7 @@ def test_trotter_error_zero_repetitions_exits_2(tmp_path, capsys):
     code = main(["trotter-error", "--qubits", "2", "--gadgets", "4", "--instances", "1",
                  "--repetitions", "0", "--out", str(tmp_path / "trot.csv")])
     assert code == 2
-    assert "repetitions must be >= 1" in capsys.readouterr().err
+    assert "repetitions must be an integer >= 1, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -217,19 +217,28 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
 
 
 def test_bench_zero_jobs_exits_2(tmp_path, capsys):
-    code = main(["bench", "--topologies", "line:3", "--sizes", "4", "--repeats", "1",
-                 "--jobs", "0", "--out", str(tmp_path / "bench.csv")])
-    assert code == 2
-    assert "jobs must be >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "bench.csv").exists()
+    for name, sizes, repeats, jobs in (("jobs", "4", "1", "0"), ("repeats", "4", "0", "1"),
+                                       ("size", "4,0", "1", "1")):
+        code = main(["bench", "--topologies", "line:3", "--sizes", sizes, "--repeats", repeats,
+                     "--jobs", jobs, "--out", str(tmp_path / "bench.csv")])
+        assert code == 2
+        assert f"{name} must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
+    # Non-integer counts from the library are named too, before any synthesis.
+    for name, repeats, jobs in (("repeats", 2.5, 1), ("jobs", 1, 1.5)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got"):
+            ps.bench.run_benchmark(["naive"], ["line:3"], [4], repeats,
+                                   str(tmp_path / "bench.csv"), jobs=jobs)
+        assert not (tmp_path / "bench.csv").exists()
 
 
 def test_trotter_error_zero_timesteps_exits_2(tmp_path, capsys):
-    code = main(["trotter-error", "--qubits", "2", "--gadgets", "4", "--instances", "1",
-                 "--timesteps", "0", "--out", str(tmp_path / "trot.csv")])
-    assert code == 2
-    assert "timestep" in capsys.readouterr().err
-    assert not (tmp_path / "trot.csv").exists()
+    for count in ("0", "-1"):
+        code = main(["trotter-error", "--qubits", "2", "--gadgets", "4", "--instances", "1",
+                     "--timesteps", count, "--out", str(tmp_path / "trot.csv")])
+        assert code == 2
+        assert f"timesteps must be an integer >= 1, got {count}" in capsys.readouterr().err
+        assert not (tmp_path / "trot.csv").exists()
 
 
 @pytest.mark.parametrize("command,tol", [("synth", "-1"), ("verify", "nan"),

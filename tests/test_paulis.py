@@ -7,66 +7,11 @@ from hypothesis import strategies as st
 
 import paulisynth as ps
 from paulisynth import verify
-from paulisynth.paulis import (CONJ_1Q, CONJ_CNOT, TO_Z, XZ_LETTER, Pauli, conjugate_bits,
-                               conjugate_by, conjugate_letter)
+from paulisynth.paulis import TO_Z, XZ_LETTER, Pauli, conjugate_bits
+
+from conftest import dense_conjugate
 
 ALL_1Q_KINDS = ("h", "s", "sdg", "v", "vdg")
-
-
-def dense_conjugation_1q(kind, p):
-    g = verify.GATE_MATRICES_1Q[kind]
-    target = g.conj().T @ verify.PAULI_MATRICES[p] @ g
-    for cand in Pauli:
-        for sign in (1, -1):
-            if np.allclose(target, sign * verify.PAULI_MATRICES[cand], atol=1e-12):
-                return cand, sign == -1
-    raise AssertionError(f"{kind}^ {p.name} {kind} is not a signed Pauli")
-
-
-def dense_conjugation_cx(pc, pt):
-    g = verify.circuit_unitary(ps.Circuit(2, (ps.cx(0, 1),)))
-    target = g @ np.kron(verify.PAULI_MATRICES[pc], verify.PAULI_MATRICES[pt]) @ g
-    for cc in Pauli:
-        for ct in Pauli:
-            cand = np.kron(verify.PAULI_MATRICES[cc], verify.PAULI_MATRICES[ct])
-            for sign in (1, -1):
-                if np.allclose(target, sign * cand, atol=1e-12):
-                    return (cc, ct), sign == -1
-    raise AssertionError(f"CNOT ({pc.name},{pt.name}) CNOT is not a signed Pauli")
-
-
-def test_conjugation_table_matches_matrix_oracle_exhaustively():
-    for kind in ALL_1Q_KINDS:
-        for p in Pauli:
-            expected = dense_conjugation_1q(kind, p)
-            got = conjugate_letter(ps.Gate(kind, (0,)), (p,))
-            assert (got[0][0], got[1]) == expected, (kind, p.name)
-    for pc in Pauli:
-        for pt in Pauli:
-            expected = dense_conjugation_cx(pc, pt)
-            got = conjugate_letter(ps.cx(0, 1), (pc, pt))
-            assert (got[0], got[1]) == expected, (pc.name, pt.name)
-
-
-def test_frozen_conjugation_examples():
-    # CNOT removes the control leg from ZZ, no sign.
-    assert conjugate_letter(ps.cx(0, 1), (Pauli.Z, Pauli.Z)) == ((Pauli.I, Pauli.Z), False)
-    # Identity commutes with everything.
-    assert conjugate_letter(ps.h(0), (Pauli.I,)) == ((Pauli.I,), False)
-    # S^ X S = -Y with our phase convention.
-    assert conjugate_letter(ps.s(0), (Pauli.X,)) == ((Pauli.Y,), True)
-    # V^ Y V = -Z fixes the square-root-of-X phase convention.
-    assert conjugate_letter(ps.v(0), (Pauli.Y,)) == ((Pauli.Z,), True)
-
-
-def test_conjugate_by_is_the_reverse_direction():
-    for kind in ALL_1Q_KINDS:
-        g = ps.Gate(kind, (0,))
-        for p in Pauli:
-            (mid,), flip1 = conjugate_letter(g, (p,))
-            (back,), flip2 = conjugate_by(g, (mid,))
-            assert back == p and flip1 == flip2
-
 
 # x/z bits of each letter: I=(0,0), X=(1,0), Y=(1,1), Z=(0,1).
 XZ_BITS = {Pauli.I: (0, 0), Pauli.X: (1, 0), Pauli.Y: (1, 1), Pauli.Z: (0, 1)}
@@ -82,29 +27,64 @@ def _letter(x, z, i):
     return {v: p for p, v in XZ_BITS.items()}[(x >> i & 1, z >> i & 1)]
 
 
+def bits_conjugate(gate, letters):
+    """``conjugate_bits`` on one Pauli, given by its letters on ``gate.qubits``,
+    in the form of ``dense_conjugate``: (letters, sign flip)."""
+    bits = [b for p in letters for b in XZ_BITS[p]]
+    nx, nz, nxt, nzt, flip = conjugate_bits(gate.kind, *bits)
+    out = (_letter(nx, nz, 0), _letter(nxt, nzt, 0))[:len(letters)]
+    return out, bool(flip & 1)
+
+
+def test_conjugation_table_matches_matrix_oracle_exhaustively():
+    for kind in ALL_1Q_KINDS:
+        for p in Pauli:
+            gate = ps.Gate(kind, (0,))
+            assert bits_conjugate(gate, (p,)) == dense_conjugate(gate, (p,)), (kind, p.name)
+    for pc in Pauli:
+        for pt in Pauli:
+            assert bits_conjugate(ps.cx(0, 1), (pc, pt)) == \
+                dense_conjugate(ps.cx(0, 1), (pc, pt)), (pc.name, pt.name)
+
+
+def test_frozen_conjugation_examples():
+    # CNOT removes the control leg from ZZ, no sign.
+    assert bits_conjugate(ps.cx(0, 1), (Pauli.Z, Pauli.Z)) == ((Pauli.I, Pauli.Z), False)
+    # Identity commutes with everything.
+    assert bits_conjugate(ps.h(0), (Pauli.I,)) == ((Pauli.I,), False)
+    # S^ X S = -Y with our phase convention (conjugation by sdg).
+    assert bits_conjugate(ps.sdg(0), (Pauli.X,)) == ((Pauli.Y,), True)
+    # V^ Y V = -Z fixes the square-root-of-X phase convention.
+    assert bits_conjugate(ps.vdg(0), (Pauli.Y,)) == ((Pauli.Z,), True)
+    # The module docstring's V Y V^ = Z and V Z V^ = -Y.
+    assert bits_conjugate(ps.v(0), (Pauli.Y,)) == ((Pauli.Z,), False)
+    assert bits_conjugate(ps.v(0), (Pauli.Z,)) == ((Pauli.Y,), True)
+
+
 @pytest.mark.parametrize("letters", [tuple(Pauli), XZ_LETTER], ids=["pauli-enum", "xz"])
 def test_conjugation_luts_match_conjugate_by(letters):
-    # The bit rules of conjugate_bits agree with the CONJ_1Q / CONJ_CNOT lookup
-    # tables behind conjugate_by, whichever order the letters sit in a column.
+    # The bit rules of conjugate_bits agree with dense conjugation g P g^,
+    # whichever order the letters sit in a column.
     # Whole columns at once: bit i is letter i (1q) or letter pair i (cx).
     for kind in ALL_1Q_KINDS:
+        gate = ps.Gate(kind, (0,))
         x, z = _pack(letters)
         nx, nz, xt, zt, flips = conjugate_bits(kind, x, z, 5, 6)
         assert (xt, zt) == (5, 6)  # a 1q gate leaves the second column alone
         for i, p in enumerate(letters):
-            (res,), flip = conjugate_by(ps.Gate(kind, (0,)), (p,))
+            (res,), flip = dense_conjugate(gate, (p,))
             assert (_letter(nx, nz, i), bool(flips >> i & 1)) == (res, flip), (kind, p.name)
-        # ... and one Pauli at a time, as the tableau's append uses them.
+        # ... and one Pauli at a time, as single bits.
         for p in letters:
             nx, nz, _, _, flip = conjugate_bits(kind, *XZ_BITS[p])
-            assert (nx, nz) == XZ_BITS[conjugate_by(ps.Gate(kind, (0,)), (p,))[0][0]]
-            assert flip in (0, 1)
+            (res,), want = dense_conjugate(gate, (p,))
+            assert ((nx, nz), flip) == (XZ_BITS[res], int(want)), (kind, p.name)
     pairs = [(pc, pt) for pc in letters for pt in letters]
     xc, zc = _pack([pc for pc, _ in pairs])
     xt, zt = _pack([pt for _, pt in pairs])
     nxc, nzc, nxt, nzt, flips = conjugate_bits("cx", xc, zc, xt, zt)
     for i, (pc, pt) in enumerate(pairs):
-        (rc, rt), flip = conjugate_by(ps.cx(0, 1), (pc, pt))
+        (rc, rt), flip = dense_conjugate(ps.cx(0, 1), (pc, pt))
         assert (_letter(nxc, nzc, i), _letter(nxt, nzt, i)) == (rc, rt), (pc.name, pt.name)
         assert bool(flips >> i & 1) == flip, (pc.name, pt.name)
     with pytest.raises(ValueError):
@@ -114,28 +94,20 @@ def test_conjugation_luts_match_conjugate_by(letters):
 def test_to_z_turns_each_letter_into_plus_z():
     assert sorted(TO_Z) == [Pauli.X, Pauli.Y]
     for p, make in TO_Z.items():
-        assert conjugate_by(make(0), (p,)) == ((Pauli.Z,), False)
+        assert dense_conjugate(make(0), (p,)) == ((Pauli.Z,), False)
 
 
 @given(st.sampled_from(ALL_1Q_KINDS + ("cx",)), st.data())
 @settings(max_examples=100, deadline=None)
 def test_conjugation_involution(kind, data):
+    # conjugate_bits by g, then the dense g^, gives back P with no net sign.
     gate = ps.cx(0, 1) if kind == "cx" else ps.Gate(kind, (0,))
     arity = 2 if kind == "cx" else 1
     letters = tuple(data.draw(st.sampled_from(list(Pauli))) for _ in range(arity))
-    mid, flip1 = conjugate_letter(gate, letters)
-    back, flip2 = conjugate_letter(gate.adjoint(), mid)
+    mid, flip1 = bits_conjugate(gate, letters)
+    back, flip2 = dense_conjugate(gate.adjoint(), mid)
     assert back == letters
     assert flip1 == flip2
-
-
-def test_conjugate_letter_rejects_rotation_and_bad_arity():
-    with pytest.raises(ValueError):
-        conjugate_letter(ps.rz(0.5, 0), (Pauli.X,))
-    with pytest.raises(ValueError):
-        conjugate_letter(ps.cx(0, 1), (Pauli.X,))
-    with pytest.raises(ValueError):
-        conjugate_letter(ps.h(0), (Pauli.X, Pauli.Z))
 
 
 def gadget(angle, text):
@@ -243,8 +215,3 @@ def test_gate_validation():
         ps.Gate("h", (0, 1))
     with pytest.raises(ValueError):
         ps.Gate("bogus", (0,))
-
-
-def test_table_shapes():
-    assert len(CONJ_CNOT) == 16
-    assert all(len(CONJ_1Q[k]) == 4 for k in ALL_1Q_KINDS)

@@ -203,7 +203,8 @@ def test_trotter_error_repetitions_follow_permutation():
                 assert with_perm.emitted_order == without.emitted_order
                 assert without.permutation.is_identity
                 perm = with_perm.permutation
-                non_involutions += perm.mapping != perm.inverse().mapping
+                inverse = tuple(perm.mapping.index(i) for i in range(len(perm)))
+                non_involutions += perm.mapping != inverse
                 rows = [bench.run_trotter_error([poly], topo, ["proposed"], [t],
                                                 None, repetitions=r, cfg=cfg)
                         for cfg in (None, no_perm)]
@@ -218,7 +219,13 @@ def test_trotter_error_rejects_bad_timesteps(tmp_path):
         with pytest.raises(ValueError, match="timesteps must be finite"):
             bench.run_trotter_error([poly], ps.Topology.line(2), ["naive"],
                                     [0.0, bad], str(out))
+    with pytest.raises(ValueError, match="repetitions must be an integer >= 1, got 1.5"):
+        bench.run_trotter_error([poly], ps.Topology.line(2), ["naive"], [1.0], str(out),
+                                repetitions=1.5)
     assert not out.exists()
+    for count in (-1, 0, 2.5):
+        with pytest.raises(ValueError, match=f"timesteps must be an integer >= 1, got {count}"):
+            bench.default_timesteps(count)
 
 
 def test_trotter_error_checks_qubit_cap_before_synthesis(tmp_path, monkeypatch):

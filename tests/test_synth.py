@@ -4,12 +4,11 @@ import pytest
 import paulisynth as ps
 from paulisynth import verify
 from paulisynth.bench import check_result
-from paulisynth.paulis import conjugate_by
 from paulisynth.synth import (_State, _check_invariant, column_cost, diagonalize_qubit,
                               disconnect, partition_on_qubit, pick_neighbor, pick_pivot)
 from paulisynth.topology import tree_postorder
 
-from conftest import random_connected_topology
+from conftest import dense_conjugate, random_connected_topology
 
 
 def gadget(angle, text):
@@ -84,13 +83,13 @@ def _state(poly, topo, cfg=None):
 
 
 def test_emit_clifford_matches_conjugate_by():
-    # The gadget store against the documented tables: one gadget per letter
+    # The gadget store against dense conjugation g P g^: one gadget per letter
     # (1q kinds) or per letter pair (cx), signs folded into the angles.
     for kind in ("h", "s", "sdg", "v", "vdg"):
         st = _state(poly_of(*((0.25, p.name) for p in ps.Pauli)), ps.Topology.line(1))
         st.emit_clifford(ps.Gate(kind, (0,)))
         for i, p in enumerate(ps.Pauli):
-            (res,), flip = conjugate_by(ps.Gate(kind, (0,)), (p,))
+            (res,), flip = dense_conjugate(ps.Gate(kind, (0,)), (p,))
             assert (st.letter(i, 0), st.angle(i)) == (res, -0.25 if flip else 0.25)
     pairs = [(pc, pt) for pc in ps.Pauli for pt in ps.Pauli]
     # Control on qubit 1, so the pair is written target first.
@@ -98,7 +97,7 @@ def test_emit_clifford_matches_conjugate_by():
                 ps.Topology.line(2))
     st.emit_clifford(ps.cx(1, 0))
     for i, (pc, pt) in enumerate(pairs):
-        (rc, rt), flip = conjugate_by(ps.cx(0, 1), (pc, pt))
+        (rc, rt), flip = dense_conjugate(ps.cx(0, 1), (pc, pt))
         assert (st.letter(i, 1), st.letter(i, 0)) == (rc, rt), (pc.name, pt.name)
         assert st.angle(i) == (-0.25 if flip else 0.25), (pc.name, pt.name)
 

@@ -80,7 +80,7 @@ def test_circuit_unitary_matches_kronecker_products_per_gate():
 def test_concat_unitary_convention():
     a = Circuit(1, (ps.h(0),))
     b = Circuit(1, (ps.s(0),))
-    u = verify.circuit_unitary(a.concat(b))
+    u = verify.circuit_unitary(ps.Circuit(1, a.gates + b.gates))
     assert np.allclose(u, verify.circuit_unitary(b) @ verify.circuit_unitary(a),
                        atol=1e-12)
 
@@ -224,5 +224,6 @@ def test_overlap_dimension_mismatch():
     for order in ([], [0], [0, 0], [0, 1, 2], [1, 2]):
         with pytest.raises(ValueError, match="permutation of the 2 gadget"):
             verify.trotter_overlaps(poly, order, [1.0])
-    with pytest.raises(ValueError, match="repetitions"):
-        verify.trotter_overlaps(poly, [0, 1], [1.0], 0)
+    for r in (0, 1.5):
+        with pytest.raises(ValueError, match=f"repetitions must be an integer >= 1, got {r}"):
+            verify.trotter_overlaps(poly, [0, 1], [1.0], r)

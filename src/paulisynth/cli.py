@@ -8,7 +8,7 @@ import sys
 from . import bench as bench_mod
 from .circuit import to_qasm2
 from .paulis import parse_polynomial
-from .randgen import RandomSpec, SMALL_ANGLE_SET, instance_seed, random_polynomial
+from .randgen import RandomSpec, SMALL_ANGLE_SET, _check_int, instance_seed, random_polynomial
 from .synth import SynthConfig
 from .topology import Topology
 
@@ -143,6 +143,7 @@ def _cmd_trotter(args) -> int:
     if args.infiles:
         polys = [_load_poly(path) for path in args.infiles]
     else:
+        _check_int("instances", args.instances, 1)
         polys = [random_polynomial(RandomSpec(args.qubits, args.gadgets,
                                               SMALL_ANGLE_SET,
                                               instance_seed(args.seed, i)))

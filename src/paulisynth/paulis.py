@@ -61,7 +61,9 @@ class Gate:
     def adjoint(self) -> "Gate":
         if self.kind == "rz":
             return Gate("rz", self.qubits, -self.angle)
-        return Gate(_ADJOINT_KIND[self.kind], self.qubits)
+        kind = _ADJOINT_KIND[self.kind]
+        # h and cx are their own adjoints, and a frozen gate can be shared.
+        return self if kind == self.kind else Gate(kind, self.qubits)
 
 
 def h(q: int) -> Gate:

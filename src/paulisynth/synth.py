@@ -24,7 +24,10 @@ per pivot.  A pivot frame (``_p_step``) sweeps, disconnects one letter
 group, pushes itself again and runs the id step on the gadgets it freed
 from the pivot at once, since that step would be popped next anyway.  A
 frame's gadgets have legs only on its active qubits, which are all the
-sweep reads.
+sweep reads.  A frame of one gadget (most frames on sparse devices) runs in
+``_lone_gadget`` until the gadget is emitted: nothing else is pushed or
+popped meanwhile, so it emits the same gates from bitmasks of the gadget's
+legs and the active set, and keeps the cut-vertex verdicts that still hold.
 """
 
 from __future__ import annotations
@@ -170,7 +173,10 @@ def pick_pivot(state: _State, g: list[int], active: frozenset[int]) -> int:
     columns come first, in index order, without being costed; only if all
     of them are cut vertices are the touched columns costed and tested in
     cost order (index order for one gadget, where each costs 0).  The
-    cut-vertex test stops at the first non-cutting qubit.
+    cut-vertex test stops at the first non-cutting qubit.  So over one gadget
+    (``_lone_gadget``) the pivot is the lowest leg-free non-cutting qubit,
+    else the lowest non-cutting touched one; and ``pick_neighbor`` takes the
+    lowest leg-free active neighbour (cost k), else the lowest one (all 0).
     """
     mask = sum(1 << i for i in g)
     touched = []
@@ -294,13 +300,68 @@ def _p_step(state: _State, g: list[int], pivot: int, active: frozenset[int],
         _id_step(state, parts2[Pauli.I], active - {pivot}, stack)
 
 
+def _lone_gadget(state: _State, i: int, pivot: int, active: frozenset[int]) -> None:
+    """``_p_step`` and ``_id_step`` for a frame of one gadget, run to its end.
+
+    The legs and the active set are bitmasks, updated from the two columns
+    each ``disconnect`` touches.  Known cut vertices are not tested again:
+    removing a non-cutting qubit u keeps every cut vertex cut, except u's
+    only active neighbour if u has exactly one.
+    """
+    x, z, topo = state.x, state.z, state.topo
+    act = sum(1 << j for j in active)
+    legs = sum(1 << j for j in active if (x[j] | z[j]) >> i & 1)
+    cut = 0  # known cut vertices of the active set
+    while state.alive[i]:
+        if not legs & legs - 1:  # the sweep: one leg is emitted, none is a global phase
+            if legs:
+                state.emit_rotation(i)
+            else:
+                state.alive[i] = False
+                state.emitted.append(i)
+            return
+        if pivot < 0:  # pick_pivot's order: leg-free qubits, then touched ones
+            for cands in (act & ~(legs | cut), act & legs & ~cut):
+                while cands:
+                    low = cands & -cands
+                    if topo.is_non_cutting(low.bit_length() - 1, active):
+                        break
+                    cut, cands = cut | low, cands ^ low
+                if cands:
+                    break
+            else:
+                raise AssertionError("connected active set always has a non-cutting qubit")
+            pivot = low.bit_length() - 1
+        if legs >> pivot & 1:
+            diagonalize_qubit(state, [i], pivot)
+            near = topo._nbr_mask[pivot] & act
+            near = near & ~legs or near  # pick_neighbor's choice, lowest first
+            neighbor = (near & -near).bit_length() - 1
+            disconnect(state, pivot, neighbor, [i])
+            legs &= ~(1 << pivot | 1 << neighbor)
+            legs |= ((x[neighbor] | z[neighbor]) >> i & 1) << neighbor
+            if state.debug:
+                _check_invariant(state)
+        # The pivot is leg-free now: drop it from the active set.
+        act ^= 1 << pivot
+        active = active - {pivot}
+        near = topo._nbr_mask[pivot] & act
+        if not near & near - 1:
+            cut &= ~near
+        pivot = -1
+
+
 def _run_recursion(state: _State, indices: list[int]) -> None:
     stack: list = []
     _id_step(state, indices, frozenset(range(state.poly.num_qubits)), stack)
     if state.debug:
         _check_invariant(state)
     while stack:
-        _p_step(state, *stack.pop(), stack)
+        g, pivot, active = stack.pop()
+        if len(g) == 1:
+            _lone_gadget(state, g[0], pivot, active)
+        else:
+            _p_step(state, g, pivot, active, stack)
         if state.debug:
             _check_invariant(state)
 

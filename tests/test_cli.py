@@ -193,6 +193,16 @@ def test_negative_seed_exits_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_trotter_error_bad_instances_exits_2(count, tmp_path, capsys):
+    out = tmp_path / "trot.csv"
+    code = main(["trotter-error", "--qubits", "2", "--gadgets", "4",
+                 "--instances", count, "--out", str(out)])
+    assert code == 2
+    assert f"instances must be an integer >= 1, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trotter_error_qubit_cap_exits_2(tmp_path, capsys):
     out = tmp_path / "trot.csv"
     code = main(["trotter-error", "--qubits", "13", "--gadgets", "4",

@@ -4,8 +4,9 @@ import pytest
 import paulisynth as ps
 from paulisynth import verify
 from paulisynth.bench import check_result
-from paulisynth.synth import (_State, _check_invariant, column_cost, diagonalize_qubit,
-                              disconnect, partition_on_qubit, pick_neighbor, pick_pivot)
+from paulisynth.synth import (_State, _check_invariant, _lone_gadget, _p_step, column_cost,
+                              diagonalize_qubit, disconnect, partition_on_qubit, pick_neighbor,
+                              pick_pivot)
 from paulisynth.topology import tree_postorder
 
 from conftest import dense_conjugate, random_connected_topology
@@ -175,6 +176,17 @@ def _random_connected_subset(topo, rng):
     return frozenset(chosen)
 
 
+def _random_topology(kind, q, rng):
+    """Line, cycle, small grid or random connected graph, by ``kind`` 0-3."""
+    if kind == 0:
+        return ps.Topology.line(q)
+    if kind == 1:
+        return ps.Topology.cycle(q)
+    if kind == 2:
+        return ps.Topology.grid(int(rng.integers(1, 4)), int(rng.integers(2, 4)))
+    return random_connected_topology(q, rng)
+
+
 def test_pick_pivot_and_neighbor_match_brute_force(rng):
     letters = "IXYZ"
 
@@ -194,17 +206,8 @@ def test_pick_pivot_and_neighbor_match_brute_force(rng):
                 _brute_best(near, column_text, k), (tag, pivot)
         return pivot
 
-    def random_topology(kind, q):
-        if kind == 0:
-            return ps.Topology.line(q)
-        if kind == 1:
-            return ps.Topology.cycle(q)
-        if kind == 2:
-            return ps.Topology.grid(int(rng.integers(1, 4)), int(rng.integers(2, 4)))
-        return random_connected_topology(q, rng)
-
     for trial in range(120):
-        topo = random_topology(trial % 4, int(rng.integers(2, 10)))
+        topo = _random_topology(trial % 4, int(rng.integers(2, 10)), rng)
         q = topo.num_qubits
         n = int(rng.integers(1, 8))
         rows = rng.choice(4, size=(n, q), p=[0.5, 0.2, 0.15, 0.15])
@@ -217,7 +220,7 @@ def test_pick_pivot_and_neighbor_match_brute_force(rng):
 
     # One-gadget frames: every leg-free column costs k, every touched one 0.
     for trial in range(80):
-        topo = random_topology(trial % 4, int(rng.integers(2, 10)))
+        topo = _random_topology(trial % 4, int(rng.integers(2, 10)), rng)
         q = topo.num_qubits
         rows = rng.choice(4, size=(3, q), p=[0.4, 0.2, 0.2, 0.2])
         active = _random_connected_subset(topo, rng)
@@ -245,6 +248,42 @@ def test_pick_pivot_and_neighbor_match_brute_force(rng):
         pivot = check(topo, rows, g, frozenset(path), int(rng.integers(1, 21)),
                       ("path", trial))
         assert pivot in (path[0], path[-1])
+
+
+def test_lone_gadget_matches_frame_steps(rng):
+    # A one-gadget frame run by _lone_gadget against _p_step plus a drain of
+    # the frames it pushes, on two states built from the same polynomial.
+    letters = "IXYZ"
+    for trial in range(240):
+        topo = _random_topology(trial % 4, int(rng.integers(2, 10)), rng)
+        q = topo.num_qubits
+        active = _random_connected_subset(topo, rng)
+        while len(active) < 2:
+            active = _random_connected_subset(topo, rng)
+        free = sorted(qb for qb in active if _brute_non_cutting(topo, qb, active))
+        pivot = int(rng.choice(free))
+        others = sorted(active - {pivot})
+        legs = {pivot, *rng.choice(others, size=int(rng.integers(1, len(others) + 1)),
+                                   replace=False).tolist()}
+        n = int(rng.integers(1, 5))
+        rows = rng.choice(4, size=(n, q), p=[0.4, 0.2, 0.2, 0.2])
+        i = int(rng.integers(n))
+        rows[i] = [int(rng.integers(1, 4)) if qb in legs else 0 for qb in range(q)]
+        poly = poly_of(*((0.1 * (r + 1), "".join(letters[x] for x in row))
+                         for r, row in enumerate(rows)))
+        cfg = ps.SynthConfig(k=int(rng.integers(1, 21)))
+        lone, steps = _state(poly, topo, cfg), _state(poly, topo, cfg)
+        _lone_gadget(lone, i, pivot, active)
+        stack = []
+        _p_step(steps, [i], pivot, active, stack)
+        while stack:
+            _p_step(steps, *stack.pop(), stack)
+        tag = (trial, topo.edges, sorted(active), pivot, rows.tolist())
+        assert not lone.alive[i] and lone.emitted == steps.emitted == [i], tag
+        assert lone.gates == steps.gates, tag
+        assert (lone.signs, lone.alive, lone.x, lone.z) == \
+            (steps.signs, steps.alive, steps.x, steps.z), tag
+        assert lone.tableau == steps.tableau, tag
 
 
 def test_partition_on_qubit_worked_strings():

@@ -118,6 +118,32 @@ def test_non_cutting_matches_brute_force_on_random_graphs(rng):
     assert min(kinds.values()) >= 5, kinds
 
 
+def test_cut_vertex_survives_non_cutting_removal(rng):
+    # Removing a non-cutting vertex u keeps every cut vertex cut, except u's
+    # only active neighbour if u has exactly one.  `known` keeps verdicts by
+    # that rule, as synth._lone_gadget does; never forgetting one fails.
+    pendants = 0
+    for trial in range(120):
+        q = int(rng.integers(3, 11))
+        kind = trial % 4
+        t = (Topology.line(q) if kind == 0 else Topology.cycle(q) if kind == 1
+             else Topology.grid(int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+             if kind == 2 else random_connected_topology(q, rng, extra_edge_prob=0.15))
+        active, known = set(range(t.num_qubits)), set()
+        while len(active) > 1:
+            cut = {v for v in active if not brute_force_connected(t, active - {v})}
+            assert known <= cut, (t.edges, active, known - cut)
+            assert cut == {v for v in active if not t.is_non_cutting(v, active)}
+            known = cut
+            u = int(rng.choice(sorted(active - cut)))
+            active.remove(u)
+            near = [w for w in t.neighbors(u) if w in active]
+            if len(near) == 1:
+                pendants += near[0] in known and brute_force_connected(t, active - {near[0]})
+                known.discard(near[0])
+    assert pendants >= 20, pendants
+
+
 def test_non_cutting_requires_active_vertex():
     with pytest.raises(ValueError):
         Topology.line(3).is_non_cutting(2, {0, 1})

@@ -123,8 +123,7 @@ def run_benchmark(methods: list[str], topologies: list[str], sizes: list[int],
             f.write(f"# paulisynth benchmark rng={RNG_ALGORITHM} base_seed={base_seed}\n")
             writer = csv.writer(f)
             writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow(astuple(row))
+            writer.writerows(map(astuple, rows))
     return rows
 
 
@@ -169,8 +168,7 @@ def run_trotter_error(polys: list[PauliPolynomial], topo: Topology,
             f.write(f"# paulisynth trotter-error rng={RNG_ALGORITHM} r={repetitions}\n")
             writer = csv.writer(f)
             writer.writerow(TROTTER_CSV_COLUMNS)
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
     return rows
 
 

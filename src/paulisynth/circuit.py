@@ -1,15 +1,18 @@
 """Gate-list circuits, metrics after single-qubit fusion, and QASM2 export.
 
 Application order: ``gates[0]`` acts first.  Metrics emulate compilation to a
-{CNOT, U3} gateset by collapsing every maximal run of consecutive
-single-qubit gates on a wire into one U3 slot before layering.
+{CNOT, U3} gateset: every maximal run of consecutive single-qubit gates on a
+wire counts as one U3 slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 from .paulis import Gate
+from .randgen import _is_int
 from .topology import Topology
 
 
@@ -19,11 +22,17 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.num_qubits <= 0:
+        n = self.num_qubits
+        if not _is_int(n):
+            raise ValueError(f"num_qubits must be an integer, got {n!r}")
+        if n <= 0:
             raise ValueError("num_qubits must be positive")
-        for g in self.gates:
-            if any(q < 0 or q >= self.num_qubits for q in g.qubits):
-                raise ValueError(f"gate {g} out of range for {self.num_qubits} qubits")
+        wires = tuple(chain.from_iterable(map(attrgetter("qubits"), self.gates)))
+        typed = dict(zip(map(type, wires), wires)).values()  # 1.0 and True equal 1 in a set
+        if not all(_is_int(q) and 0 <= q < n for q in chain(typed, set(wires))):
+            bad = next(g for g in self.gates
+                       if not all(_is_int(q) and 0 <= q < n for q in g.qubits))
+            raise ValueError(f"gate {bad} needs integer wires in 0..{n - 1}")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -36,38 +45,23 @@ class Metrics:
     two_qubit_depth: int
 
 
-def _fused_ops(c: Circuit) -> list[tuple[str, tuple[int, ...]]]:
-    """Collapse single-qubit runs into U3 slots; keep CNOTs as-is."""
-    ops: list[tuple[str, tuple[int, ...]]] = []
-    slot_open = [False] * c.num_qubits
+def metrics(c: Circuit) -> Metrics:
+    """CNOT count, depth and CNOT depth in one pass over the gates.  Each
+    maximal run of single-qubit gates on a wire is one U3 slot: its first
+    gate adds a layer to the wire's depth.  A CNOT closes both wires' slots
+    and lands one layer above the deeper wire, in ``depth`` and ``depth2``."""
+    depth, depth2, slot_open = [0] * c.num_qubits, [0] * c.num_qubits, [False] * c.num_qubits
+    cnots = 0
     for g in c.gates:
         if g.kind == "cx":
-            ops.append(("cx", g.qubits))
-            slot_open[g.qubits[0]] = False
-            slot_open[g.qubits[1]] = False
-        else:
-            q = g.qubits[0]
-            if not slot_open[q]:
-                ops.append(("u3", (q,)))
-                slot_open[q] = True
-    return ops
-
-
-def metrics(c: Circuit) -> Metrics:
-    ops = _fused_ops(c)
-    depth = [0] * c.num_qubits
-    depth2 = [0] * c.num_qubits
-    cnots = 0
-    for kind, qubits in ops:
-        layer = 1 + max(depth[q] for q in qubits)
-        for q in qubits:
-            depth[q] = layer
-        d2 = max(depth2[q] for q in qubits)
-        if kind == "cx":
+            a, b = g.qubits
+            depth[a] = depth[b] = 1 + (depth[a] if depth[a] > depth[b] else depth[b])
+            depth2[a] = depth2[b] = 1 + (depth2[a] if depth2[a] > depth2[b] else depth2[b])
+            slot_open[a] = slot_open[b] = False
             cnots += 1
-            d2 += 1
-        for q in qubits:
-            depth2[q] = d2
+        elif not slot_open[q := g.qubits[0]]:  # the first gate of a U3 slot
+            slot_open[q] = True
+            depth[q] += 1
     return Metrics(cnots, max(depth, default=0), max(depth2, default=0))
 
 

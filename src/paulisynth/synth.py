@@ -14,8 +14,9 @@ of ``signs`` is gadget i's accumulated sign.  An emitted Clifford is a few
 bitwise operations on whole columns, with no live-gadget mask: emitted
 gadgets keep being conjugated and are never read again.  The sign is folded
 into the angle when the gadget's ``rz`` is emitted.  The frame readers (the
-single-leg sweep, ``partition_on_qubit``, the column costs and the letter
-checks) read bits in frame order in plain Python, because frames are small.
+single-leg sweep, ``partition_on_qubit``, column costs, ``diagonalize_qubit``)
+read bits in frame order in plain Python, as frames are small; ``disconnect``
+reads columns under the frame's gadget mask and counts its rules by popcount.
 
 The recursion runs on an explicit stack of non-empty pivot frames, so deep
 polynomials do not hit the interpreter recursion limit.  The id step
@@ -243,34 +244,33 @@ def disconnect(state: _State, pivot: int, neighbor: int, g: list[int]) -> None:
     """Clear the pivot leg for the best-matched subset of ``g``.
 
     Requires diagonal (Z) pivot legs and a (pivot, neighbor) edge.  If some
-    gadgets have no leg on the neighbor, two CNOTs move their pivot legs
-    over; otherwise the pair rule matching the most gadgets is used (one
-    CNOT plus at most one single-qubit Clifford on the neighbor).
+    gadgets have no leg on the neighbor, two CNOTs move their pivot legs over;
+    otherwise one CNOT and at most one Clifford on the neighbor apply the pair
+    rule matching the most gadgets (ties: Z/Y, then Z/X, then X/Y).
     """
-    if any(state.letter(i, pivot) != Pauli.Z for i in g):
+    x, z, gm = state.x, state.z, sum(1 << i for i in g)
+    if gm & (x[pivot] | ~z[pivot]):
         raise ValueError("disconnect requires diagonalized pivot legs")
     if not state.topo.has_edge(pivot, neighbor):
         raise ValueError(f"({pivot},{neighbor}) is not a topology edge")
-    nparts = partition_on_qubit(state, g, neighbor)
-    if nparts[Pauli.I]:
-        matched = nparts[Pauli.I]
+    xn, zn = x[neighbor] & gm, z[neighbor] & gm
+    matched = gm & ~(xn | zn)  # no leg on the neighbor
+    if matched:
         state.emit_clifford(cx(neighbor, pivot))
         state.emit_clifford(cx(pivot, neighbor))
     else:
-        nz = len(nparts[Pauli.Z])
-        nx = len(nparts[Pauli.X])
-        ny = len(nparts[Pauli.Y])
-        rule = max((("zy", nz + ny), ("zx", nz + nx), ("xy", nx + ny)),
-                   key=lambda kv: kv[1])[0]
-        matched = {"zy": nparts[Pauli.Z] + nparts[Pauli.Y],
-                   "zx": nparts[Pauli.Z] + nparts[Pauli.X],
-                   "xy": nparts[Pauli.X] + nparts[Pauli.Y]}[rule]
-        if rule == "zx":
+        zy, xy, zx = zn, xn, gm & ~(xn & zn)  # no I legs, so Z/X matches the non-Y ones
+        nzy, nzx = zy.bit_count(), zx.bit_count()
+        if nzy >= nzx and nzy >= xy.bit_count():
+            matched = zy
+        elif nzx >= xy.bit_count():
+            matched = zx
             state.emit_clifford(s(neighbor))
-        elif rule == "xy":
+        else:
+            matched = xy
             state.emit_clifford(h(neighbor))
         state.emit_clifford(cx(pivot, neighbor))
-    if any(state.letter(i, pivot) != Pauli.I for i in matched):
+    if matched & (x[pivot] | z[pivot]):
         raise AssertionError("disconnect left a matched gadget on the pivot")
 
 
@@ -324,7 +324,7 @@ def _lone_gadget(state: _State, i: int, pivot: int, active: frozenset[int]) -> N
             for cands in (act & ~(legs | cut), act & legs & ~cut):
                 while cands:
                     low = cands & -cands
-                    if topo.is_non_cutting(low.bit_length() - 1, active):
+                    if topo.is_non_cutting(low.bit_length() - 1, act):
                         break
                     cut, cands = cut | low, cands ^ low
                 if cands:
@@ -344,7 +344,6 @@ def _lone_gadget(state: _State, i: int, pivot: int, active: frozenset[int]) -> N
                 _check_invariant(state)
         # The pivot is leg-free now: drop it from the active set.
         act ^= 1 << pivot
-        active = active - {pivot}
         near = topo._nbr_mask[pivot] & act
         if not near & near - 1:
             cut &= ~near

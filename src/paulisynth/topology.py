@@ -12,6 +12,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .paulis import parse_token
+from .randgen import _check_int, _is_int
 
 Edge = tuple[int, int]
 
@@ -24,15 +25,15 @@ class Topology:
     """Undirected connected graph on qubits 0..num_qubits-1."""
 
     def __init__(self, num_qubits: int, edges: Iterable[Edge]):
-        if num_qubits <= 0:
-            raise ValueError("num_qubits must be positive")
+        _check_int("num_qubits", num_qubits, 1)
         self.num_qubits = num_qubits
         edge_set: set[Edge] = set()
         for u, v in edges:
+            if not (_is_int(u) and _is_int(v) and 0 <= u < num_qubits and 0 <= v < num_qubits):
+                raise ValueError(f"edge ({u!r},{v!r}) out of range: endpoints must be "
+                                 f"integers in 0..{num_qubits - 1}")
             if u == v:
                 raise ValueError(f"self-loop on qubit {u}")
-            if not (0 <= u < num_qubits and 0 <= v < num_qubits):
-                raise ValueError(f"edge ({u},{v}) out of range for {num_qubits} qubits")
             edge_set.add(_norm_edge(u, v))
         self.edges = frozenset(edge_set)
         self._adj: list[list[int]] = [[] for _ in range(num_qubits)]
@@ -140,22 +141,31 @@ class Topology:
         return _norm_edge(u, v) in self.edges
 
     def neighbors(self, q: int, active: Iterable[int] | None = None) -> list[int]:
+        if not (_is_int(q) and 0 <= q < self.num_qubits):
+            raise ValueError(f"qubit {q!r} not in 0..{self.num_qubits - 1}")
         if active is None:
             return list(self._adj[q])
         active_set = set(active)
         return [n for n in self._adj[q] if n in active_set]
 
-    def is_non_cutting(self, q: int, active: Iterable[int]) -> bool:
-        """Whether removing ``q`` keeps the induced subgraph on ``active`` connected."""
-        active = frozenset(active)  # no copy for a frozenset
-        try:
-            mask = sum(map(self._bit.__getitem__, active))
-        except KeyError:
-            bad = sorted(j for j in active if j not in self._bit)
-            raise ValueError(f"active qubits {bad} not in 0..{self.num_qubits - 1}") from None
-        if q not in active:
+    def is_non_cutting(self, q: int, active: Iterable[int] | int) -> bool:
+        """Whether removing ``q`` keeps the induced subgraph on ``active`` (an
+        iterable of qubits, or an int with bit j set for active qubit j) connected."""
+        if not isinstance(active, int):
+            active = frozenset(active)  # no copy for a frozenset
+            try:
+                active = sum(map(self._bit.__getitem__, active))
+            except KeyError:
+                bad = sorted(j for j in active if j not in self._bit)
+                raise ValueError(f"active qubits {bad} not in 0..{self.num_qubits - 1}") from None
+        elif isinstance(active, bool) or active < 0:
+            raise ValueError(f"active mask must be a non-negative int, got {active!r}")
+        elif active >> self.num_qubits:
+            bad = [j for j in range(self.num_qubits, active.bit_length()) if active >> j & 1]
+            raise ValueError(f"active qubits {bad} not in 0..{self.num_qubits - 1}")
+        if q not in self._bit or not active >> q & 1:
             raise ValueError(f"qubit {q} is not in the active set")
-        rest = mask & ~(1 << q)
+        rest = active & ~(1 << q)
         frontier = rest & -rest
         unseen, nbr = rest ^ frontier, self._nbr_mask
         while frontier and unseen:  # BFS over bitmasks, one level per round

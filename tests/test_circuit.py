@@ -1,11 +1,31 @@
+import re
+
 import numpy as np
 import pytest
 
 import paulisynth as ps
 from paulisynth import verify
-from paulisynth.circuit import Circuit, Metrics, _fused_ops
+from paulisynth.circuit import Circuit, Metrics
 
 from conftest import random_clifford_circuit
+
+
+def _fused_ops(c):
+    """The layering oracle's fusion step: each maximal run of single-qubit
+    gates on a wire becomes one ("u3", (q,)) op; CNOTs are kept as-is."""
+    ops = []
+    slot_open = [False] * c.num_qubits
+    for g in c.gates:
+        if g.kind == "cx":
+            ops.append(("cx", g.qubits))
+            slot_open[g.qubits[0]] = False
+            slot_open[g.qubits[1]] = False
+        else:
+            q = g.qubits[0]
+            if not slot_open[q]:
+                ops.append(("u3", (q,)))
+                slot_open[q] = True
+    return ops
 
 
 def test_index_bounds_checked():
@@ -17,6 +37,35 @@ def test_rejects_non_positive_qubit_count():
     for q in (0, -1):
         with pytest.raises(ValueError, match="num_qubits must be positive"):
             Circuit(q)
+
+
+@pytest.mark.parametrize("q", [2.0, 2.5, "2", True, None])
+def test_rejects_non_integer_qubit_count(q):
+    with pytest.raises(ValueError, match=f"num_qubits must be an integer, got {q!r}"):
+        Circuit(q)
+
+
+@pytest.mark.parametrize("gates,bad", [
+    ((ps.Gate("h", (0.5,)),), "h', qubits=(0.5,)"),
+    ((ps.h(0), ps.Gate("s", (1.0,))), "s', qubits=(1.0,)"),
+    # 1 == True == 1.0: a non-integer equal to a wire seen earlier is caught too.
+    ((ps.cx(0, 1), ps.Gate("h", (True,))), "h', qubits=(True,)"),
+    ((ps.h(1), ps.Gate("cx", (0, 1.0))), "cx', qubits=(0, 1.0)"),
+    ((ps.h(1), ps.Gate("rz", ("0",), 0.5)), "rz', qubits=('0',)"),
+])
+def test_rejects_non_integer_wires(gates, bad):
+    with pytest.raises(ValueError, match=re.escape(bad) + r".*needs integer wires"):
+        Circuit(2, gates)
+
+
+def test_names_the_first_bad_gate():
+    gates = (ps.h(0), ps.cx(0, 1), ps.h(4), ps.Gate("h", (0.5,)), ps.s(-1))
+    with pytest.raises(ValueError, match=re.escape("qubits=(4,)") + ".*wires in 0..1"):
+        Circuit(2, gates)
+    with pytest.raises(ValueError, match=re.escape("qubits=(-1,)") + ".*wires in 0..1"):
+        Circuit(2, (ps.h(1), ps.s(-1)))
+    # numpy integers are integers, as everywhere else in the package.
+    assert Circuit(np.int64(2), (ps.Gate("cx", (np.int64(1), 0)),)).num_qubits == 2
 
 
 def test_metrics_empty():

@@ -385,6 +385,62 @@ def test_disconnect_requires_diagonal_pivot():
         disconnect(st, 0, 1, [0])
 
 
+def _partition_disconnect(state, pivot, neighbor, g):
+    """Reference rule over the neighbor's letter groups: I-legged gadgets
+    take two CNOTs; otherwise the largest of Z/Y, Z/X and X/Y (first in
+    that order on ties) takes at most one Clifford plus one CNOT."""
+    parts = partition_on_qubit(state, g, neighbor)
+    if parts[ps.Pauli.I]:
+        state.emit_clifford(ps.cx(neighbor, pivot))
+        state.emit_clifford(ps.cx(pivot, neighbor))
+        return "free"
+    nz, nx, ny = (len(parts[p]) for p in (ps.Pauli.Z, ps.Pauli.X, ps.Pauli.Y))
+    rule = max((("zy", nz + ny), ("zx", nz + nx), ("xy", nx + ny)), key=lambda kv: kv[1])[0]
+    if rule == "zx":
+        state.emit_clifford(ps.s(neighbor))
+    elif rule == "xy":
+        state.emit_clifford(ps.h(neighbor))
+    state.emit_clifford(ps.cx(pivot, neighbor))
+    ties = sorted((nz + ny, nz + nx, nx + ny))
+    return rule + ("-tie" if ties[1] == ties[2] else "")
+
+
+def test_disconnect_matches_partition_rule(rng):
+    # Random frames with Z on the pivot and any letter on the neighbor, among
+    # gadgets outside the frame: the mask rule emits the reference's gates.
+    seen = {}
+    for trial in range(400):
+        q = int(rng.integers(2, 6))
+        topo = random_connected_topology(q, rng, extra_edge_prob=0.3)
+        pivot, neighbor = sorted(topo.edges)[int(rng.integers(len(topo.edges)))]
+        if trial % 2:
+            pivot, neighbor = neighbor, pivot
+        frame_size = int(rng.integers(1, 13))
+        others = int(rng.integers(0, 4))
+        texts = []
+        for i in range(frame_size + others):
+            letters = ["IXYZ"[int(c)] for c in rng.integers(0, 4, size=q)]
+            if i < frame_size:
+                letters[pivot] = "Z"
+                # Mostly legged neighbors, so the three pair rules all run.
+                if trial % 4 and letters[neighbor] == "I":
+                    letters[neighbor] = "XYZ"[int(rng.integers(3))]
+            texts.append((0.1 * (i + 1), "".join(letters)))
+        order = rng.permutation(len(texts))
+        poly = poly_of(*(texts[j] for j in order))
+        g = sorted(int(k) for k in np.flatnonzero(order < frame_size))
+        mask, ref = _state(poly, topo), _state(poly, topo)
+        disconnect(mask, pivot, neighbor, g)
+        rule = _partition_disconnect(ref, pivot, neighbor, g)
+        seen[rule] = seen.get(rule, 0) + 1
+        tag = (trial, topo.edges, pivot, neighbor, [t for _, t in texts])
+        assert mask.gates == ref.gates, tag
+        assert (mask.signs, mask.x, mask.z) == (ref.signs, ref.x, ref.z), tag
+        assert mask.tableau == ref.tableau, tag
+    assert min(seen.get(r, 0) for r in ("free", "zy", "zx", "xy")) >= 10, seen
+    assert min(seen.get(r, 0) for r in ("zy-tie", "zx-tie")) >= 10, seen
+
+
 def test_single_gadget_diagonal_single_leg():
     poly = poly_of((0.3, "ZI"),)
     res = ps.synthesize(poly, ps.Topology.line(2))

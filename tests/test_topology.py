@@ -61,6 +61,25 @@ def test_build_errors():
         Topology(2, [(0, 5)])
 
 
+@pytest.mark.parametrize("q", [2.5, "3", 3.0, True, None, 0, -1])
+def test_rejects_non_integer_qubit_count(q):
+    with pytest.raises(ValueError, match=re.escape(f"num_qubits must be an integer >= 1, "
+                                                   f"got {q!r}")):
+        Topology(q, [])
+
+
+@pytest.mark.parametrize("edge", [(0, 1.0), (0, True), (False, 1), ("0", 1), (0.5, 1)])
+def test_rejects_non_integer_edge_endpoints(edge):
+    with pytest.raises(ValueError, match=re.escape(f"edge ({edge[0]!r},{edge[1]!r}) out of "
+                                                   "range: endpoints must be integers in 0..2")):
+        Topology(3, [edge, (1, 2)])
+
+
+def test_numpy_integers_are_integers():
+    t = Topology(np.int64(3), [(np.int64(0), np.int64(1)), (1, 2)])
+    assert t.edges == Topology.line(3).edges
+
+
 def test_duplicate_edges_are_idempotent():
     a = Topology(3, [(0, 1), (1, 2)])
     b = Topology(3, [(0, 1), (1, 0), (1, 2), (1, 2)])
@@ -113,8 +132,10 @@ def test_non_cutting_matches_brute_force_on_random_graphs(rng):
             for v in active:
                 assert t.is_non_cutting(v, active) == \
                     brute_force_connected(t, active - {v}), (t.edges, active, v)
-                # Any iterable is accepted, with the same answer.
+                # Any iterable, or a bitmask, is accepted, with the same answer.
                 assert t.is_non_cutting(v, frozenset(active)) == t.is_non_cutting(v, list(active))
+                assert t.is_non_cutting(v, frozenset(active)) == \
+                    t.is_non_cutting(v, sum(1 << j for j in active))
     assert min(kinds.values()) >= 5, kinds
 
 
@@ -150,10 +171,27 @@ def test_non_cutting_requires_active_vertex():
 
 
 @pytest.mark.parametrize("active,bad", [({0, 5}, "[5]"), ({0, 1, 5}, "[5]"),
-                                        ({0, 1, -1}, "[-1]"), ({-2, 0, 3}, "[-2, 3]")])
+                                        ({0, 1, -1}, "[-1]"), ({-2, 0, 3}, "[-2, 3]"),
+                                        (0b100001, "[5]"), (0b100011, "[5]"),
+                                        (0b11011, "[3, 4]"), (0b1001, "[3]")])
 def test_non_cutting_rejects_active_qubits_out_of_range(active, bad):
     with pytest.raises(ValueError, match=re.escape(f"active qubits {bad} not in 0..2")):
         Topology.line(3).is_non_cutting(0, active)
+
+
+@pytest.mark.parametrize("mask", [-1, -0b101, True, False])
+def test_non_cutting_rejects_bad_masks(mask):
+    with pytest.raises(ValueError, match=re.escape(f"active mask must be a non-negative int, "
+                                                   f"got {mask!r}")):
+        Topology.line(3).is_non_cutting(0, mask)
+
+
+def test_non_cutting_mask_requires_active_vertex():
+    line3 = Topology.line(3)
+    for q, mask in ((2, 0b011), (0, 0), (-1, 0b111), (3, 0b111), ("1", 0b111)):
+        with pytest.raises(ValueError, match=f"qubit {q} is not in the active set"):
+            line3.is_non_cutting(q, mask)
+    assert not line3.is_non_cutting(1, 0b111) and line3.is_non_cutting(2, 0b111)
 
 
 def test_neighbors():
@@ -161,6 +199,14 @@ def test_neighbors():
     assert line3.neighbors(1) == [0, 2]
     assert Topology.complete(3).neighbors(0) == [1, 2]
     assert line3.neighbors(1, active={0, 1}) == [0]
+
+
+@pytest.mark.parametrize("q", [-1, 3, 5, 1.0, True, "1"])
+def test_neighbors_rejects_qubits_out_of_range(q):
+    with pytest.raises(ValueError, match=re.escape(f"qubit {q!r} not in 0..2")):
+        Topology.line(3).neighbors(q)
+    with pytest.raises(ValueError, match=re.escape(f"qubit {q!r} not in 0..2")):
+        Topology.line(3).neighbors(q, {0, 1, 2})
 
 
 def test_steiner_line_path():

@@ -12,9 +12,9 @@ import numpy as np
 
 from . import verify
 from .circuit import conforms
-from .paulis import PauliPolynomial
-from .randgen import (RandomSpec, RNG_ALGORITHM, DEFAULT_ANGLE_SET,
-                      _check_int, instance_seed, random_polynomial)
+from .paulis import PauliPolynomial, _check_int
+from .randgen import (RandomSpec, RNG_ALGORITHM, DEFAULT_ANGLE_SET, instance_seed,
+                      random_polynomial)
 from .synth import SynthConfig, SynthesisResult, naive_synthesize, synthesize
 from .tableau import replay_rotations
 from .topology import Topology

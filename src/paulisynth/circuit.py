@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 
-from .paulis import Gate
-from .randgen import _is_int
+from .paulis import Gate, _is_int
 from .topology import Topology
 
 

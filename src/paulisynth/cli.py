@@ -7,8 +7,8 @@ import sys
 
 from . import bench as bench_mod
 from .circuit import to_qasm2
-from .paulis import parse_polynomial
-from .randgen import RandomSpec, SMALL_ANGLE_SET, _check_int, instance_seed, random_polynomial
+from .paulis import _check_int, parse_polynomial
+from .randgen import RandomSpec, SMALL_ANGLE_SET, instance_seed, random_polynomial
 from .synth import SynthConfig
 from .topology import Topology
 

@@ -1,5 +1,6 @@
-"""Pauli letters, strings, gadgets, polynomials, and the Clifford conjugation
-rules (``conjugate_bits``, applied to bit columns by ``PauliColumns``).
+"""Pauli letters, strings, gadgets, polynomials, the Clifford conjugation
+rules (``conjugate_bits``, applied to bit columns by ``PauliColumns``), and
+the package's integer rule for counts, seeds and indices (``_check_int``).
 
 Conventions used throughout the package:
 
@@ -19,6 +20,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+
+import numpy as np
+
+
+def _is_int(value) -> bool:  # a Python or numpy integer, not a bool
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    """Seeds, indices and counts: a named ValueError unless an integer >= minimum."""
+    if not _is_int(value) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class Pauli(IntEnum):
@@ -196,8 +209,7 @@ class PauliPolynomial:
     gadgets: tuple[PauliGadget, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.num_qubits <= 0:
-            raise ValueError("num_qubits must be positive")
+        _check_int("num_qubits", self.num_qubits, 1)
         for i, g in enumerate(self.gadgets):
             if len(g.string) != self.num_qubits:
                 raise ValueError(

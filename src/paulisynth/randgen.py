@@ -7,22 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paulis import Pauli, PauliGadget, PauliPolynomial, PauliString
+from .paulis import Pauli, PauliGadget, PauliPolynomial, PauliString, _check_int
 
 DEFAULT_ANGLE_SET = (math.pi, math.pi / 2, math.pi / 4, math.pi / 8, math.pi / 16)
 SMALL_ANGLE_SET = (math.pi / 32, math.pi / 64, math.pi / 128)
 
 RNG_ALGORITHM = "numpy-PCG64"
-
-
-def _is_int(value) -> bool:  # a Python or numpy integer, not a bool
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_int(name: str, value, minimum: int) -> None:
-    """Seeds, indices and counts: a named ValueError unless an integer >= minimum."""
-    if not _is_int(value) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

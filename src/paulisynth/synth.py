@@ -14,9 +14,10 @@ of ``signs`` is gadget i's accumulated sign.  An emitted Clifford is a few
 bitwise operations on whole columns, with no live-gadget mask: emitted
 gadgets keep being conjugated and are never read again.  The sign is folded
 into the angle when the gadget's ``rz`` is emitted.  The frame readers (the
-single-leg sweep, ``partition_on_qubit``, column costs, ``diagonalize_qubit``)
-read bits in frame order in plain Python, as frames are small; ``disconnect``
-reads columns under the frame's gadget mask and counts its rules by popcount.
+single-leg sweep, ``partition_on_qubit``, column costs) read bits in frame
+order in plain Python, as frames are small; ``diagonalize_qubit`` and
+``disconnect`` read columns under the frame's gadget mask, and ``disconnect``
+counts its rules by popcount.
 
 The recursion runs on an explicit stack of non-empty pivot frames, so deep
 polynomials do not hit the interpreter recursion limit.  The id step
@@ -179,18 +180,18 @@ def pick_pivot(state: _State, g: list[int], active: frozenset[int]) -> int:
     else the lowest non-cutting touched one; and ``pick_neighbor`` takes the
     lowest leg-free active neighbour (cost k), else the lowest one (all 0).
     """
-    mask = sum(1 << i for i in g)
+    mask, act = sum(1 << i for i in g), sum(1 << j for j in active)
     touched = []
     for j in sorted(active):
         if (state.x[j] | state.z[j]) & mask:
             touched.append(j)
-        elif state.topo.is_non_cutting(j, active):
+        elif state.topo.is_non_cutting(j, act):
             return j
     if len(g) > 1:  # with one gadget every touched column costs 0
         cost = dict(zip(touched, _costs(state, g, touched)))
         touched.sort(key=cost.__getitem__, reverse=True)  # stable
     for j in touched:
-        if state.topo.is_non_cutting(j, active):
+        if state.topo.is_non_cutting(j, act):
             return j
     raise AssertionError("connected active set always has a non-cutting qubit")
 
@@ -226,29 +227,31 @@ def _id_step(state: _State, g: list[int], active: frozenset[int], stack: list) -
         g, active = parts[Pauli.I], active - {pivot}
 
 
-def diagonalize_qubit(state: _State, g: list[int], qubit: int) -> None:
-    """Emit at most one single-qubit Clifford turning the legs of ``g`` at
-    ``qubit`` into Z.  The gadgets must share one letter there (call per
-    letter group otherwise); the gate propagates through all live gadgets."""
-    letters = {state.letter(i, qubit) for i in g} - {Pauli.I}
-    if len(letters) > 1:
-        raise ValueError("mixed letters at qubit; diagonalize per letter group")
-    if not letters or letters == {Pauli.Z}:
+def diagonalize_qubit(state: _State, gm: int, qubit: int) -> None:
+    """Emit at most one single-qubit Clifford turning the legs at ``qubit`` of
+    the gadgets in mask ``gm`` (bit i for gadget i) into Z.  The gadgets must
+    share one letter there (call per letter group otherwise); the gate
+    propagates through all live gadgets."""
+    xs, zs = state.x[qubit] & gm, state.z[qubit] & gm
+    if not xs:  # only I and Z legs
         return
-    state.emit_clifford(TO_Z[letters.pop()](qubit))
-    if any(state.letter(i, qubit) != Pauli.Z for i in g):
+    if zs and zs != xs:  # a Z beside X or Y legs, or Y beside X
+        raise ValueError("mixed letters at qubit; diagonalize per letter group")
+    state.emit_clifford(TO_Z[Pauli.Y if zs else Pauli.X](qubit))
+    if gm & (state.x[qubit] | ~state.z[qubit]):
         raise AssertionError("diagonalization left a non-Z leg")
 
 
-def disconnect(state: _State, pivot: int, neighbor: int, g: list[int]) -> None:
-    """Clear the pivot leg for the best-matched subset of ``g``.
+def disconnect(state: _State, pivot: int, neighbor: int, gm: int) -> None:
+    """Clear the pivot leg for the best-matched subset of the gadgets in mask
+    ``gm`` (bit i for gadget i).
 
     Requires diagonal (Z) pivot legs and a (pivot, neighbor) edge.  If some
     gadgets have no leg on the neighbor, two CNOTs move their pivot legs over;
     otherwise one CNOT and at most one Clifford on the neighbor apply the pair
     rule matching the most gadgets (ties: Z/Y, then Z/X, then X/Y).
     """
-    x, z, gm = state.x, state.z, sum(1 << i for i in g)
+    x, z = state.x, state.z
     if gm & (x[pivot] | ~z[pivot]):
         raise ValueError("disconnect requires diagonalized pivot legs")
     if not state.topo.has_edge(pivot, neighbor):
@@ -288,9 +291,10 @@ def _p_step(state: _State, g: list[int], pivot: int, active: frozenset[int],
     _letter, gpiv = max(
         ((Pauli.Z, parts[Pauli.Z]), (Pauli.X, parts[Pauli.X]), (Pauli.Y, parts[Pauli.Y])),
         key=lambda kv: len(kv[1]))
-    diagonalize_qubit(state, gpiv, pivot)
+    gm = sum(1 << i for i in gpiv)
+    diagonalize_qubit(state, gm, pivot)
     neighbor = pick_neighbor(state, pivot, gpiv, active)
-    disconnect(state, pivot, neighbor, gpiv)
+    disconnect(state, pivot, neighbor, gm)
 
     parts2 = partition_on_qubit(state, remaining, pivot)  # the steps above emit no rz
     rest = parts2[Pauli.X] + parts2[Pauli.Y] + parts2[Pauli.Z]
@@ -308,7 +312,7 @@ def _lone_gadget(state: _State, i: int, pivot: int, active: frozenset[int]) -> N
     removing a non-cutting qubit u keeps every cut vertex cut, except u's
     only active neighbour if u has exactly one.
     """
-    x, z, topo = state.x, state.z, state.topo
+    x, z, topo, bit = state.x, state.z, state.topo, 1 << i
     act = sum(1 << j for j in active)
     legs = sum(1 << j for j in active if (x[j] | z[j]) >> i & 1)
     cut = 0  # known cut vertices of the active set
@@ -333,11 +337,11 @@ def _lone_gadget(state: _State, i: int, pivot: int, active: frozenset[int]) -> N
                 raise AssertionError("connected active set always has a non-cutting qubit")
             pivot = low.bit_length() - 1
         if legs >> pivot & 1:
-            diagonalize_qubit(state, [i], pivot)
+            diagonalize_qubit(state, bit, pivot)
             near = topo._nbr_mask[pivot] & act
             near = near & ~legs or near  # pick_neighbor's choice, lowest first
             neighbor = (near & -near).bit_length() - 1
-            disconnect(state, pivot, neighbor, [i])
+            disconnect(state, pivot, neighbor, bit)
             legs &= ~(1 << pivot | 1 << neighbor)
             legs |= ((x[neighbor] | z[neighbor]) >> i & 1) << neighbor
             if state.debug:

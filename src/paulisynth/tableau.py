@@ -33,8 +33,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .paulis import (TO_Z, XZ_LETTER, Gate, Pauli, PauliColumns, PauliGadget, cx, h, s,
-                     sdg, v)
+from .paulis import (TO_Z, XZ_LETTER, Gate, Pauli, PauliColumns, PauliGadget, _check_int,
+                     cx, h, s, sdg, v)
 from .topology import Topology, tree_postorder
 
 
@@ -85,8 +85,7 @@ class QubitPermutation:
 
 class CliffordTableau:
     def __init__(self, num_qubits: int):
-        if num_qubits <= 0:
-            raise ValueError("num_qubits must be positive")
+        _check_int("num_qubits", num_qubits, 1)
         self.num_qubits = num_qubits
         self.rows = [1 << r for r in range(2 * num_qubits)]
         self.signs = [0] * (2 * num_qubits)

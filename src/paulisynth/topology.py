@@ -1,7 +1,9 @@
 """Connectivity graphs: all-pairs distances, cut-vertex queries, Steiner trees.
 
-The synthesis routines never mutate a topology; recursion over shrinking
-qubit sets is expressed through ``active`` subsets passed to the queries.
+A topology never changes its graph; recursion over shrinking qubit sets is
+expressed through ``active`` subsets passed to the queries.  It does cache
+connectivity facts about that fixed graph (``is_non_cutting`` keeps the last
+two active sets it proved connected), and those never go stale.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .paulis import parse_token
-from .randgen import _check_int, _is_int
+from .paulis import _check_int, _is_int, parse_token
 
 Edge = tuple[int, int]
 
@@ -44,6 +45,7 @@ class Topology:
             lst.sort()
         self._bit = {j: 1 << j for j in range(num_qubits)}
         self._nbr_mask = [sum(1 << w for w in lst) for lst in self._adj]
+        self._connected: tuple[int, ...] = ()  # active masks proven connected
         self.dist = self._floyd_warshall()
         if num_qubits > 1 and int(self.dist.max()) >= _UNREACHABLE:
             raise ValueError("topology graph must be connected")
@@ -165,10 +167,14 @@ class Topology:
             raise ValueError(f"active qubits {bad} not in 0..{self.num_qubits - 1}")
         if q not in self._bit or not active >> q & 1:
             raise ValueError(f"qubit {q} is not in the active set")
-        rest = active & ~(1 << q)
-        frontier = rest & -rest
-        unseen, nbr = rest ^ frontier, self._nbr_mask
-        while frontier and unseen:  # BFS over bitmasks, one level per round
+        rest, nbr = active & ~(1 << q), self._nbr_mask
+        need = nbr[q] & active
+        # If active is connected, every part of rest holds a neighbour of q, so
+        # rest is connected iff the BFS from one neighbour reaches the others.
+        target = need if active in self._connected else rest
+        frontier = target & -target
+        unseen = rest ^ frontier
+        while frontier and target & unseen:  # BFS over bitmasks, one level per round
             reached = 0
             while frontier:
                 low = frontier & -frontier
@@ -176,13 +182,27 @@ class Topology:
                 frontier ^= low
             frontier = reached & unseen
             unseen ^= frontier
-        return not unseen
+        if target & unseen:
+            return False
+        if need:  # rest is connected and q touches it, so active is too
+            self._connected = (active, rest)
+        return True
+
+    def _check_qubits(self, **roles: Iterable) -> None:
+        for role, qubits in roles.items():
+            bad = [j for j in qubits if not (_is_int(j) and 0 <= j < self.num_qubits)]
+            if bad:
+                raise ValueError(f"{role} qubits {bad} not in 0..{self.num_qubits - 1}")
 
     def shortest_path(self, source: int, targets: set[int], active: set[int]) -> list[int]:
         """BFS path inside ``active`` from ``source`` to the nearest of ``targets``.
 
         Deterministic: neighbors are scanned in ascending order.
         """
+        self._check_qubits(source=[source], target=targets, active=active)
+        return self._path(source, targets, active)
+
+    def _path(self, source: int, targets: set[int], active: set[int]) -> list[int]:
         if source in targets:
             return [source]
         prev = {source: -1}
@@ -207,18 +227,19 @@ class Topology:
         Nearest-terminal shortest-path merging; every leaf of the result is a
         terminal.  Returns [] for a single terminal.
         """
-        terms = sorted(set(terminals))
-        active_set = set(active)
-        if not terms:
+        term_set, active_set = set(terminals), set(active)
+        self._check_qubits(terminal=term_set, active=active_set)
+        if not term_set:
             raise ValueError("terminals must be non-empty")
-        if not set(terms) <= active_set:
+        if not term_set <= active_set:
             raise ValueError("terminals must lie inside the active set")
+        terms = sorted(term_set)
         tree_nodes = {terms[0]}
         edges: list[Edge] = []
         remaining = set(terms[1:])
         while remaining:
             # Grow from the tree to the nearest uncovered terminal.
-            path = self.shortest_path(min(remaining), tree_nodes, active_set)
+            path = self._path(min(remaining), tree_nodes, active_set)
             path.reverse()  # now runs tree -> terminal
             for a, b in zip(path, path[1:]):
                 edges.append(_norm_edge(a, b))

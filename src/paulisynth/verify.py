@@ -27,8 +27,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .circuit import Circuit
-from .paulis import Gate, Pauli, PauliGadget, PauliPolynomial, PauliString
-from .randgen import _check_int
+from .paulis import Gate, Pauli, PauliGadget, PauliPolynomial, PauliString, _check_int
 
 MAX_DENSE_QUBITS = 12
 

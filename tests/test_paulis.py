@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,14 @@ def test_gadget_rejects_non_finite_angle():
 def test_polynomial_validates_lengths():
     with pytest.raises(ValueError):
         ps.PauliPolynomial(3, (gadget(0.5, "XX"),))
+
+
+@pytest.mark.parametrize("q", [2.5, True, 0, -1, "2"])
+def test_polynomial_rejects_non_integer_qubit_count(q):
+    with pytest.raises(ValueError, match=re.escape(f"num_qubits must be an integer >= 1, "
+                                                   f"got {q!r}")):
+        ps.PauliPolynomial(q, ())
+    assert ps.PauliPolynomial(np.int64(2), ()).num_qubits == 2
 
 
 def test_gate_validation():

@@ -307,22 +307,22 @@ def test_partition_all_z_and_empty():
 def test_diagonalize_qubit_per_letter():
     poly = poly_of((0.1, "XZ"), (0.2, "XI"))
     st = _state(poly, ps.Topology.line(2))
-    diagonalize_qubit(st, [0, 1], 0)
+    diagonalize_qubit(st, 0b11, 0)
     assert [g.kind for g in st.gates] == ["h"]
     assert st.letter(0, 0) == ps.Pauli.Z and st.letter(1, 0) == ps.Pauli.Z
     # Z group needs no gate
     st2 = _state(poly_of((0.1, "ZZ"),), ps.Topology.line(2))
-    diagonalize_qubit(st2, [0], 0)
+    diagonalize_qubit(st2, 0b1, 0)
     assert st2.gates == []
     # mixed letters are rejected
     st3 = _state(poly_of((0.1, "XZ"), (0.2, "YI")), ps.Topology.line(2))
     with pytest.raises(ValueError):
-        diagonalize_qubit(st3, [0, 1], 0)
+        diagonalize_qubit(st3, 0b11, 0)
 
 
 def test_diagonalize_y_records_flips_via_oracle():
     st = _state(poly_of((0.5, "YZ"), (0.3, "ZZ")), ps.Topology.line(2))
-    diagonalize_qubit(st, [0], 0)
+    diagonalize_qubit(st, 0b1, 0)
     assert [g.kind for g in st.gates] == ["v"]
     assert st.letter(0, 0) == ps.Pauli.Z
     # the Z-letter gadget turned into -Y under v conjugation
@@ -331,14 +331,14 @@ def test_diagonalize_y_records_flips_via_oracle():
 
 def test_disconnect_zz_zy_single_cnot():
     st = _state(poly_of((0.1, "ZZ"), (0.2, "ZY")), ps.Topology.line(2))
-    disconnect(st, 0, 1, [0, 1])
+    disconnect(st, 0, 1, 0b11)
     assert [g.kind for g in st.gates] == ["cx"]
     assert st.letter(0, 0) == ps.Pauli.I and st.letter(1, 0) == ps.Pauli.I
 
 
 def test_disconnect_zi_uses_two_cnots():
     st = _state(poly_of((0.7, "ZI"),), ps.Topology.line(2))
-    disconnect(st, 0, 1, [0])
+    disconnect(st, 0, 1, 0b1)
     assert [g.kind for g in st.gates] == ["cx", "cx"]
     assert st.letter(0, 0) == ps.Pauli.I and st.letter(0, 1) == ps.Pauli.Z
     # unitary check on 2 qubits: circuit + conjugated gadget + undo == original
@@ -352,7 +352,7 @@ def test_disconnect_zi_uses_two_cnots():
 
 def test_disconnect_zx_rule_handles_both():
     st = _state(poly_of((0.1, "ZX"), (0.2, "ZZ")), ps.Topology.line(2))
-    disconnect(st, 0, 1, [0, 1])
+    disconnect(st, 0, 1, 0b11)
     # Z/X matches both gadgets: one Clifford on the neighbor plus one CNOT
     assert [g.kind for g in st.gates] == ["s", "cx"]
     assert st.letter(0, 0) == ps.Pauli.I and st.letter(1, 0) == ps.Pauli.I
@@ -371,18 +371,18 @@ def test_disconnect_zx_rule_handles_both():
 def test_disconnect_rule_tie_priority():
     # single ZX gadget: Z/X and X/Y both match one gadget; priority picks Z/X
     st = _state(poly_of((0.1, "ZX"),), ps.Topology.line(2))
-    disconnect(st, 0, 1, [0])
+    disconnect(st, 0, 1, 0b1)
     assert [g.kind for g in st.gates] == ["s", "cx"]
     # single ZZ gadget: Z/Y and Z/X tie; priority picks Z/Y (bare CNOT)
     st2 = _state(poly_of((0.1, "ZZ"),), ps.Topology.line(2))
-    disconnect(st2, 0, 1, [0])
+    disconnect(st2, 0, 1, 0b1)
     assert [g.kind for g in st2.gates] == ["cx"]
 
 
 def test_disconnect_requires_diagonal_pivot():
     st = _state(poly_of((0.1, "XZ"),), ps.Topology.line(2))
     with pytest.raises(ValueError):
-        disconnect(st, 0, 1, [0])
+        disconnect(st, 0, 1, 0b1)
 
 
 def _partition_disconnect(state, pivot, neighbor, g):
@@ -430,7 +430,7 @@ def test_disconnect_matches_partition_rule(rng):
         poly = poly_of(*(texts[j] for j in order))
         g = sorted(int(k) for k in np.flatnonzero(order < frame_size))
         mask, ref = _state(poly, topo), _state(poly, topo)
-        disconnect(mask, pivot, neighbor, g)
+        disconnect(mask, pivot, neighbor, sum(1 << i for i in g))
         rule = _partition_disconnect(ref, pivot, neighbor, g)
         seen[rule] = seen.get(rule, 0) + 1
         tag = (trial, topo.edges, pivot, neighbor, [t for _, t in texts])
@@ -688,7 +688,7 @@ def test_debug_invariant_catches_corrupted_letters(monkeypatch):
     poly = ps.random_polynomial(ps.RandomSpec(6, 8, seed=3))
     st = _state(poly, topo)
     _check_invariant(st)
-    ps.synth.disconnect(st, 0, 1, [i for i in range(8) if st.letter(i, 0) == ps.Pauli.Z])
+    ps.synth.disconnect(st, 0, 1, sum(1 << i for i in range(8) if st.letter(i, 0) == ps.Pauli.Z))
     _check_invariant(st)
     st.gates.append(ps.h(2))  # a gate neither the gadgets nor the tableau saw
     with pytest.raises(AssertionError, match="emitted gates"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,14 @@ def test_rejects_rotations():
     t = CliffordTableau(1)
     with pytest.raises(ValueError):
         t.prepend(ps.rz(0.3, 0))
+
+
+@pytest.mark.parametrize("q", [2.5, True, 0, -1, "2"])
+def test_rejects_non_integer_qubit_count(q):
+    with pytest.raises(ValueError, match=re.escape(f"num_qubits must be an integer >= 1, "
+                                                   f"got {q!r}")):
+        CliffordTableau(q)
+    assert CliffordTableau(np.int64(2)) == CliffordTableau(2)
 
 
 def test_inverse_roundtrip_and_oracle(rng):

@@ -165,6 +165,47 @@ def test_cut_vertex_survives_non_cutting_removal(rng):
     assert pendants >= 20, pendants
 
 
+def test_connectivity_memo_skips_sets_where_q_had_no_active_neighbour():
+    # {0, 3, 4} minus qubit 0 is connected, but qubit 0 touches none of it,
+    # so {0, 3, 4} itself is not: a later query must not treat it as connected.
+    line5 = Topology.line(5)
+    assert line5.is_non_cutting(0, {0, 3, 4})
+    assert not line5.is_non_cutting(3, {0, 3, 4})
+    assert not line5.is_non_cutting(4, 0b11001)
+
+
+def test_non_cutting_on_peels_interleaved_with_random_sets(rng):
+    # Peel steps remove a non-cutting qubit, so the memo usually holds the
+    # active set; random, possibly disconnected, queries on the same object
+    # in between must get exact answers and must not poison later ones.
+    peel_calls = early = disconnected = 0
+    for trial in range(60):
+        q = int(rng.integers(3, 13))
+        kind = trial % 4
+        t = (Topology.line(q) if kind == 0 else Topology.cycle(q) if kind == 1
+             else Topology.grid(int(rng.integers(2, 4)), int(rng.integers(2, 5)))
+             if kind == 2 else random_connected_topology(q, rng, extra_edge_prob=0.2))
+        active = set(range(t.num_qubits))
+        while active:
+            mask = sum(1 << j for j in active)
+            free = []
+            for v in sorted(active):
+                peel_calls += 1
+                early += mask in t._connected
+                ans = t.is_non_cutting(v, mask)
+                assert ans == brute_force_connected(t, active - {v}), (t.edges, active, v)
+                free += [v] * ans
+                other = {j for j in range(t.num_qubits) if rng.random() < 0.5} | {v}
+                if rng.random() < 0.2:
+                    disconnected += not brute_force_connected(t, other)
+                    for w in sorted(other):
+                        assert t.is_non_cutting(w, other) == \
+                            brute_force_connected(t, other - {w}), (t.edges, other, w)
+            active.remove(int(rng.choice(free)))
+    assert disconnected >= 50, disconnected
+    assert early > 0.6 * peel_calls, (early, peel_calls)
+
+
 def test_non_cutting_requires_active_vertex():
     with pytest.raises(ValueError):
         Topology.line(3).is_non_cutting(2, {0, 1})
@@ -295,6 +336,21 @@ def test_steiner_errors():
         t.steiner_tree(set(), {0, 1, 2, 3})
     with pytest.raises(ValueError, match="inside"):
         t.steiner_tree({3}, {0, 1})
+
+
+def test_paths_reject_qubits_out_of_range():
+    line3 = Topology.line(3)
+    with pytest.raises(ValueError, match=re.escape("source qubits [-1] not in 0..2")):
+        line3.shortest_path(-1, {2}, {0, 1, 2, -1})
+    with pytest.raises(ValueError, match=re.escape("target qubits [3] not in 0..2")):
+        line3.shortest_path(0, {3}, {0, 1, 2})
+    with pytest.raises(ValueError, match=re.escape("active qubits [1.0] not in 0..2")):
+        line3.shortest_path(0, {2}, [0, 1.0, 2])
+    with pytest.raises(ValueError, match=re.escape("terminal qubits [5] not in 0..2")):
+        line3.steiner_tree({0, 5}, {0, 1, 2, 5})
+    with pytest.raises(ValueError, match=re.escape("active qubits [True] not in 0..2")):
+        line3.steiner_tree({0, 2}, [0, True, 2])
+    assert line3.shortest_path(0, {2}, {0, 1, 2}) == [0, 1, 2]
 
 
 def test_steiner_respects_active_subset():

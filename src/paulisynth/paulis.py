@@ -2,6 +2,9 @@
 rules (``conjugate_bits``, applied to bit columns by ``PauliColumns``), and
 the package's integer rule for counts, seeds and indices (``_check_int``).
 
+The Clifford gate factories intern their gates: equal arguments of equal
+types give the same frozen ``Gate``, built once.
+
 Conventions used throughout the package:
 
 * Qubit 0 is the leftmost letter of a Pauli string and the most significant
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,9 +50,6 @@ _CHAR_TO_PAULI = {c: Pauli(i) for i, c in enumerate(_PAULI_CHARS)}
 
 CLIFFORD_KINDS = ("h", "s", "sdg", "v", "vdg", "cx")
 
-_ADJOINT_KIND = {"h": "h", "s": "sdg", "sdg": "s", "v": "vdg", "vdg": "v",
-                 "cx": "cx", "rz": "rz"}
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -74,33 +75,45 @@ class Gate:
     def adjoint(self) -> "Gate":
         if self.kind == "rz":
             return Gate("rz", self.qubits, -self.angle)
-        kind = _ADJOINT_KIND[self.kind]
-        # h and cx are their own adjoints, and a frozen gate can be shared.
-        return self if kind == self.kind else Gate(kind, self.qubits)
+        return _ADJOINT[self.kind](*self.qubits)
 
 
+# Typed, because True == 1 with equal hashes: an untyped cache would answer
+# cx(1, 0) with the gate cached for cx(True, 0), whose wire is a bool.
+_interned = lru_cache(maxsize=None, typed=True)
+
+
+@_interned
 def h(q: int) -> Gate:
     return Gate("h", (q,))
 
 
+@_interned
 def s(q: int) -> Gate:
     return Gate("s", (q,))
 
 
+@_interned
 def sdg(q: int) -> Gate:
     return Gate("sdg", (q,))
 
 
+@_interned
 def v(q: int) -> Gate:
     return Gate("v", (q,))
 
 
+@_interned
 def vdg(q: int) -> Gate:
     return Gate("vdg", (q,))
 
 
+@_interned
 def cx(control: int, target: int) -> Gate:
     return Gate("cx", (control, target))
+
+
+_ADJOINT = {"h": h, "s": sdg, "sdg": s, "v": vdg, "vdg": v, "cx": cx}
 
 
 def rz(angle: float, q: int) -> Gate:

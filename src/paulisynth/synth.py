@@ -13,11 +13,11 @@ bitsets whose bit i is the X and Z part of gadget i's letter on j, and bit i
 of ``signs`` is gadget i's accumulated sign.  An emitted Clifford is a few
 bitwise operations on whole columns, with no live-gadget mask: emitted
 gadgets keep being conjugated and are never read again.  The sign is folded
-into the angle when the gadget's ``rz`` is emitted.  The frame readers (the
-single-leg sweep, ``partition_on_qubit``, column costs) read bits in frame
-order in plain Python, as frames are small; ``diagonalize_qubit`` and
-``disconnect`` read columns under the frame's gadget mask, and ``disconnect``
-counts its rules by popcount.
+into the angle when the gadget's ``rz`` is emitted.  A frame is ``(g, gm,
+pivot, act)``: its gadgets in frame order (column costs read runs in that
+order), their bitmask (bit i for gadget i), its pivot, and its active
+qubits as a bitmask.  All other frame reads are bitwise on columns under
+these masks, from the sweep to ``_split`` and ``disconnect``.
 
 The recursion runs on an explicit stack of non-empty pivot frames, so deep
 polynomials do not hit the interpreter recursion limit.  The id step
@@ -25,11 +25,12 @@ polynomials do not hit the interpreter recursion limit.  The id step
 per pivot.  A pivot frame (``_p_step``) sweeps, disconnects one letter
 group, pushes itself again and runs the id step on the gadgets it freed
 from the pivot at once, since that step would be popped next anyway.  A
-frame's gadgets have legs only on its active qubits, which are all the
-sweep reads.  A frame of one gadget (most frames on sparse devices) runs in
-``_lone_gadget`` until the gadget is emitted: nothing else is pushed or
-popped meanwhile, so it emits the same gates from bitmasks of the gadget's
-legs and the active set, and keeps the cut-vertex verdicts that still hold.
+frame's gadgets are live and have legs only on its active qubits, which are
+all the sweep reads.  A frame of one gadget (most frames on sparse devices)
+runs in ``_lone_gadget`` until the gadget is emitted: nothing else is pushed
+or popped meanwhile, so it emits the same gates from bitmasks of the
+gadget's legs and the active set, and keeps the cut-vertex verdicts that
+still hold.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ import os
 from dataclasses import dataclass
 
 from .circuit import Circuit, Metrics, metrics
-from .paulis import (TO_Z, XZ_LETTER, Gate, Pauli, PauliColumns, PauliPolynomial,
-                     commutes, cx, h, rz, s)
+from .paulis import TO_Z, Gate, Pauli, PauliColumns, PauliPolynomial, commutes, cx, h, rz, s
 from .tableau import (CliffordTableau, QubitPermutation, pauli_row, replay_rotations,
                       synthesize_tableau)
 from .topology import Topology, tree_postorder
@@ -135,19 +135,24 @@ class _State(PauliColumns):
         self.emitted.append(i)
 
 
-def _single_leg_sweep(state: _State, g: list[int], active: frozenset[int]) -> list[int]:
+def _bits(mask: int) -> list[int]:
+    """Set bits of ``mask``, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def _single_leg_sweep(state: _State, g: list[int], gm: int, act: int) -> tuple[list[int], int]:
     # Weight classes as bitsets over the active columns: some leg, and two or
     # more legs.  The sweep emits only single-qubit Cliffords, which keep legs.
     some = many = 0
     x, z = state.x, state.z
-    for j in active:
+    for j in _bits(act):
         legs = x[j] | z[j]
         many |= some & legs
         some |= legs
+    if gm & many == gm:  # every gadget keeps two or more legs
+        return g, gm
     remaining = []
     for i in g:
-        if not state.alive[i]:
-            continue
         if not some >> i & 1:
             # All-identity gadget: a global phase, dropped.
             state.alive[i] = False
@@ -156,18 +161,17 @@ def _single_leg_sweep(state: _State, g: list[int], active: frozenset[int]) -> li
             state.emit_rotation(i)
         else:
             remaining.append(i)
-    return remaining
+    return remaining, gm & many
 
 
-def _costs(state: _State, g: list[int], cands: list[int]) -> list[int]:
-    """Column cost of each candidate over ``g``; each distinct column is costed once."""
-    mask = sum(1 << i for i in g)
-    keys = [(state.x[j] | state.z[j]) & mask for j in cands]
+def _costs(state: _State, g: list[int], gm: int, cands: list[int]) -> list[int]:
+    """Column cost of each candidate over ``g`` (mask ``gm``), each distinct column once."""
+    keys = [(state.x[j] | state.z[j]) & gm for j in cands]
     cost = {key: column_cost(bytes([key >> i & 1 for i in g]), state.k) for key in set(keys)}
     return [cost[key] for key in keys]
 
 
-def pick_pivot(state: _State, g: list[int], active: frozenset[int]) -> int:
+def pick_pivot(state: _State, g: list[int], gm: int, act: int) -> int:
     """Highest column-cost non-cutting qubit; ties go to the lowest index.
 
     Over the n gadgets of ``g`` a leg-free column costs k*n, and a column
@@ -180,15 +184,14 @@ def pick_pivot(state: _State, g: list[int], active: frozenset[int]) -> int:
     else the lowest non-cutting touched one; and ``pick_neighbor`` takes the
     lowest leg-free active neighbour (cost k), else the lowest one (all 0).
     """
-    mask, act = sum(1 << i for i in g), sum(1 << j for j in active)
     touched = []
-    for j in sorted(active):
-        if (state.x[j] | state.z[j]) & mask:
+    for j in _bits(act):
+        if (state.x[j] | state.z[j]) & gm:
             touched.append(j)
         elif state.topo.is_non_cutting(j, act):
             return j
     if len(g) > 1:  # with one gadget every touched column costs 0
-        cost = dict(zip(touched, _costs(state, g, touched)))
+        cost = dict(zip(touched, _costs(state, g, gm, touched)))
         touched.sort(key=cost.__getitem__, reverse=True)  # stable
     for j in touched:
         if state.topo.is_non_cutting(j, act):
@@ -196,35 +199,45 @@ def pick_pivot(state: _State, g: list[int], active: frozenset[int]) -> int:
     raise AssertionError("connected active set always has a non-cutting qubit")
 
 
-def pick_neighbor(state: _State, pivot: int, g: list[int], active: frozenset[int]) -> int:
-    """Highest column-cost active neighbor of ``pivot``; ties go to the lowest index."""
-    cands = state.topo.neighbors(pivot, active)
-    if not cands:
+def pick_neighbor(state: _State, pivot: int, g: list[int], gm: int, act: int) -> int:
+    """Highest column-cost active neighbor of ``pivot`` over the gadgets of
+    ``g`` in mask ``gm``; ties go to the lowest index."""
+    near = state.topo._nbr_mask[pivot] & act
+    if not near:
         raise AssertionError("pivot with connected gadgets must have an active neighbor")
-    if len(cands) == 1:  # nothing to compare, so skip the costs
-        return cands[0]
-    costs = _costs(state, g, cands)
+    if not near & near - 1:  # nothing to compare, so skip the costs
+        return near.bit_length() - 1
+    cands = _bits(near)
+    costs = _costs(state, [i for i in g if gm >> i & 1], gm, cands)
     return cands[costs.index(max(costs))]
 
 
-def partition_on_qubit(state: _State, g: list[int], qubit: int) -> dict[int, list[int]]:
-    groups: dict[int, list[int]] = {0: [], 1: [], 2: [], 3: []}
-    x, z = state.x[qubit], state.z[qubit]
+def _split(state: _State, g: list[int], gm: int,
+           pivot: int) -> tuple[list[int], int, list[int], int]:
+    """``(rest, rest mask, id, id mask)``: the gadgets of ``g`` (mask ``gm``)
+    with a leg on ``pivot``, in frame order X, then Y, then Z, and the others
+    in frame order."""
+    xs, zs = state.x[pivot] & gm, state.z[pivot] & gm
+    on = xs | zs
+    if not on:
+        return [], 0, g, gm
+    if xs in (0, gm) and zs in (0, gm):  # one letter on every gadget
+        return g, gm, [], 0
+    groups = ([], [], [], [])  # by x + 2z: I, X, Z, Y
     for i in g:
-        groups[XZ_LETTER[(x >> i & 1) | (z >> i & 1) << 1]].append(i)
-    return groups
+        groups[(xs >> i & 1) | (zs >> i & 1) << 1].append(i)
+    return groups[1] + groups[3] + groups[2], on, groups[0], gm ^ on
 
 
-def _id_step(state: _State, g: list[int], active: frozenset[int], stack: list) -> None:
-    g = _single_leg_sweep(state, g, active)
+def _id_step(state: _State, g: list[int], gm: int, act: int, stack: list) -> None:
+    g, gm = _single_leg_sweep(state, g, gm, act)
     # Peel the id child in place: it is popped next and its sweep emits nothing.
     while g:
-        pivot = pick_pivot(state, g, active)
-        parts = partition_on_qubit(state, g, pivot)
-        rest = parts[Pauli.X] + parts[Pauli.Y] + parts[Pauli.Z]
+        pivot = pick_pivot(state, g, gm, act)
+        rest, rm, g, gm = _split(state, g, gm, pivot)
         if rest:
-            stack.append((rest, pivot, active))
-        g, active = parts[Pauli.I], active - {pivot}
+            stack.append((rest, rm, pivot, act))
+        act ^= 1 << pivot
 
 
 def diagonalize_qubit(state: _State, gm: int, qubit: int) -> None:
@@ -277,34 +290,32 @@ def disconnect(state: _State, pivot: int, neighbor: int, gm: int) -> None:
         raise AssertionError("disconnect left a matched gadget on the pivot")
 
 
-def _p_step(state: _State, g: list[int], pivot: int, active: frozenset[int],
+def _p_step(state: _State, g: list[int], gm: int, pivot: int, act: int,
             stack: list) -> None:
-    remaining = _single_leg_sweep(state, g, active)
-    if not remaining:
+    g, gm = _single_leg_sweep(state, g, gm, act)
+    if not g:
         return
-    parts = partition_on_qubit(state, remaining, pivot)
-    if parts[Pauli.I]:
+    xs, zs = state.x[pivot] & gm, state.z[pivot] & gm
+    if (xs | zs) != gm:
         raise AssertionError("pivot frame gadgets must touch the pivot")
 
     # Largest pivot-letter group; ties prefer Z (no diagonalization gate),
     # then X, then Y.
-    _letter, gpiv = max(
-        ((Pauli.Z, parts[Pauli.Z]), (Pauli.X, parts[Pauli.X]), (Pauli.Y, parts[Pauli.Y])),
-        key=lambda kv: len(kv[1]))
-    gm = sum(1 << i for i in gpiv)
-    diagonalize_qubit(state, gm, pivot)
-    neighbor = pick_neighbor(state, pivot, gpiv, active)
-    disconnect(state, pivot, neighbor, gm)
+    zg, xg, yg = zs & ~xs, xs & ~zs, xs & zs
+    nz, nx, ny = zg.bit_count(), xg.bit_count(), yg.bit_count()
+    gpiv = zg if nz >= nx and nz >= ny else xg if nx >= ny else yg
+    diagonalize_qubit(state, gpiv, pivot)
+    neighbor = pick_neighbor(state, pivot, g, gpiv, act)
+    disconnect(state, pivot, neighbor, gpiv)
 
-    parts2 = partition_on_qubit(state, remaining, pivot)  # the steps above emit no rz
-    rest = parts2[Pauli.X] + parts2[Pauli.Y] + parts2[Pauli.Z]
+    rest, rm, ids, idm = _split(state, g, gm, pivot)  # the steps above emit no rz
     if rest:
-        stack.append((rest, pivot, active))
-    if parts2[Pauli.I]:  # the id child would be popped next, so run it now
-        _id_step(state, parts2[Pauli.I], active - {pivot}, stack)
+        stack.append((rest, rm, pivot, act))
+    if ids:  # the id child would be popped next, so run it now
+        _id_step(state, ids, idm, act ^ 1 << pivot, stack)
 
 
-def _lone_gadget(state: _State, i: int, pivot: int, active: frozenset[int]) -> None:
+def _lone_gadget(state: _State, i: int, pivot: int, act: int) -> None:
     """``_p_step`` and ``_id_step`` for a frame of one gadget, run to its end.
 
     The legs and the active set are bitmasks, updated from the two columns
@@ -313,8 +324,7 @@ def _lone_gadget(state: _State, i: int, pivot: int, active: frozenset[int]) -> N
     only active neighbour if u has exactly one.
     """
     x, z, topo, bit = state.x, state.z, state.topo, 1 << i
-    act = sum(1 << j for j in active)
-    legs = sum(1 << j for j in active if (x[j] | z[j]) >> i & 1)
+    legs = sum(1 << j for j in _bits(act) if (x[j] | z[j]) >> i & 1)
     cut = 0  # known cut vertices of the active set
     while state.alive[i]:
         if not legs & legs - 1:  # the sweep: one leg is emitted, none is a global phase
@@ -356,15 +366,16 @@ def _lone_gadget(state: _State, i: int, pivot: int, active: frozenset[int]) -> N
 
 def _run_recursion(state: _State, indices: list[int]) -> None:
     stack: list = []
-    _id_step(state, indices, frozenset(range(state.poly.num_qubits)), stack)
+    _id_step(state, indices, sum(1 << i for i in indices), (1 << state.poly.num_qubits) - 1,
+             stack)
     if state.debug:
         _check_invariant(state)
     while stack:
-        g, pivot, active = stack.pop()
+        g, gm, pivot, act = stack.pop()
         if len(g) == 1:
-            _lone_gadget(state, g[0], pivot, active)
+            _lone_gadget(state, g[0], pivot, act)
         else:
-            _p_step(state, g, pivot, active, stack)
+            _p_step(state, g, gm, pivot, act, stack)
         if state.debug:
             _check_invariant(state)
 

@@ -39,11 +39,11 @@ from .topology import Topology, tree_postorder
 
 
 def _product_phase(r1: int, r2: int, q: int) -> int:
-    """Power of i in P(r1) * P(r2) = i^p * P(r1 ^ r2), for rows of q wires."""
-    m = (1 << q) - 1
+    """Power of i in P(r1) * P(r2) = i^p * P(r1 ^ r2), for rows of q wires
+    (2q bits, so ``r >> q`` is the Z part and needs no mask)."""
     r3 = r1 ^ r2
-    return ((r1 & m & (r1 >> q)).bit_count() + (r2 & m & (r2 >> q)).bit_count()
-            + 2 * ((r1 >> q) & r2 & m).bit_count() - (r3 & m & (r3 >> q)).bit_count())
+    return ((r1 & (r1 >> q)).bit_count() + (r2 & (r2 >> q)).bit_count()
+            + 2 * ((r1 >> q) & r2).bit_count() - (r3 & (r3 >> q)).bit_count())
 
 
 def pauli_row(letters: Sequence[Pauli]) -> int:
@@ -357,19 +357,21 @@ def synthesize_tableau(t: CliffordTableau, topo: Topology,
         work.conjugate(gate)
 
     active = set(range(q))
+    act = (1 << q) - 1  # ``active`` as a bitmask, for the cut-vertex tests
     rows_left = set(range(q))
     while rows_left:
         supp = work.supports()
         if allow_permutation:
             r = min(rows_left, key=lambda rr: (_interaction_cost(supp, rr), rr))
-            candidates = [cc for cc in sorted(active) if topo.is_non_cutting(cc, active)]
+            candidates = [cc for cc in sorted(active) if topo.is_non_cutting(cc, act)]
             c = min(candidates, key=lambda cc: (_distance_cost(supp, cc, topo), cc))
         else:
-            candidates = [rr for rr in sorted(rows_left) if topo.is_non_cutting(rr, active)]
+            candidates = [rr for rr in sorted(rows_left) if topo.is_non_cutting(rr, act)]
             r = min(candidates, key=lambda rr: (_interaction_cost(supp, rr), rr))
             c = r
         _reduce_pair(work, r, c, active, topo, emit)
         active.discard(c)
+        act ^= 1 << c
         rows_left.discard(r)
 
     residual = work.to_rows().residual_permutation()

@@ -155,17 +155,19 @@ class Topology:
         iterable of qubits, or an int with bit j set for active qubit j) connected."""
         if not isinstance(active, int):
             active = frozenset(active)  # no copy for a frozenset
-            try:
-                active = sum(map(self._bit.__getitem__, active))
-            except KeyError:
-                bad = sorted(j for j in active if j not in self._bit)
-                raise ValueError(f"active qubits {bad} not in 0..{self.num_qubits - 1}") from None
+            # A bool or a float hashes like the int it equals, so check the type.
+            bad = [j for j in active if not (_is_int(j) and 0 <= j < self.num_qubits)]
+            if bad:
+                raise ValueError(f"active qubits {sorted(bad)} not in 0..{self.num_qubits - 1}")
+            active = sum(map(self._bit.__getitem__, active))
         elif isinstance(active, bool) or active < 0:
             raise ValueError(f"active mask must be a non-negative int, got {active!r}")
         elif active >> self.num_qubits:
             bad = [j for j in range(self.num_qubits, active.bit_length()) if active >> j & 1]
             raise ValueError(f"active qubits {bad} not in 0..{self.num_qubits - 1}")
-        if q not in self._bit or not active >> q & 1:
+        if type(q) is not int and _is_int(q):  # plain ints skip both checks
+            q = int(q)
+        if type(q) is not int or q not in self._bit or not active >> q & 1:
             raise ValueError(f"qubit {q} is not in the active set")
         rest, nbr = active & ~(1 << q), self._nbr_mask
         need = nbr[q] & active

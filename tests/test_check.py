@@ -155,6 +155,18 @@ def test_check_result_rejects_bad_emitted_order():
         check_result(poly, replace(result, circuit=ps.Circuit(4)))
 
 
+def test_check_result_rejects_an_appended_clifford_that_fixes_every_x():
+    # h(0) cx(0,1) h(0) maps every X image to itself but moves Z images, so a
+    # check that reads only the X rows of the left-over Clifford would pass it.
+    poly = ps.random_polynomial(ps.RandomSpec(4, 12, seed=1))
+    result = ps.synthesize(poly, ps.Topology.line(4))
+    assert check_result(poly, result)
+    extra = (ps.h(0), ps.cx(0, 1), ps.h(0))
+    broken = _with_gates(result, result.circuit.gates + extra)
+    assert not check_result(poly, broken)
+    assert not dense_check(poly, broken)
+
+
 def test_check_result_at_64_qubits():
     topo = ps.Topology.from_spec("grid:8x8")
     poly = ps.random_polynomial(ps.RandomSpec(64, 300, seed=1))

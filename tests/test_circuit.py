@@ -140,6 +140,15 @@ def test_conforms():
     assert ps.conforms(Circuit(3, (ps.cx(0, 2),)), ps.Topology.complete(3))
 
 
+def test_conforms_reads_the_last_gate():
+    # A non-edge CNOT as the last gate of a synthesized circuit is caught.
+    line4 = ps.Topology.line(4)
+    poly = ps.random_polynomial(ps.RandomSpec(4, 12, seed=1))
+    gates = ps.synthesize(poly, line4).circuit.gates
+    assert ps.conforms(Circuit(4, gates), line4)
+    assert not ps.conforms(Circuit(4, gates + (ps.cx(0, 3),)), line4)
+
+
 def test_conforms_monotone_under_added_edges(rng):
     base = ps.Topology.line(4)
     richer = ps.Topology(4, list(base.edges) + [(0, 2), (1, 3)])

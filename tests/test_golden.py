@@ -137,6 +137,14 @@ GOLDEN_LARGE = {
 # recorded before the recursion peeled pivots in place.
 GOLDEN_GRID64 = "9e5002079e6339c5674d8a0359e1cd4644282bbd9f74877a5a49136ac4cd6d47"
 
+# line:8 with 2,500 gadgets, seed 1, default k and permutation: the size of
+# the line8-deep benchmark, whose frames hold many gadgets each; recorded
+# before the frames carried gadget and active masks.
+GOLDEN_DEEP = {
+    "arbitrary": "24ea65d68168e1e287cc2f99f76cb3009534f1daadf4eeaddce7f84d8f036c2e",
+    "commuting-sets": "c5dd831c9f4c8060f772af9430789dbab0991ec865c942958f6c41e7e88c1ab0",
+}
+
 
 def digest(result):
     gates = tuple((g.kind, g.qubits, g.angle) for g in result.circuit.gates)
@@ -178,3 +186,10 @@ def test_grid_8x8_circuit_matches_golden_hash():
     topo = ps.Topology.from_spec("grid:8x8")
     poly = ps.random_polynomial(ps.RandomSpec(64, 300, seed=1))
     assert digest(ps.synthesize(poly, topo)) == GOLDEN_GRID64
+
+
+def test_deep_line_8_circuits_match_golden_hashes():
+    topo = ps.Topology.from_spec("line:8")
+    poly = ps.random_polynomial(ps.RandomSpec(8, 2500, seed=1))
+    for mode, expected in GOLDEN_DEEP.items():
+        assert digest(ps.synthesize(poly, topo, ps.SynthConfig(mode=mode))) == expected, mode

@@ -224,3 +224,24 @@ def test_gate_validation():
         ps.Gate("h", (0, 1))
     with pytest.raises(ValueError):
         ps.Gate("bogus", (0,))
+
+
+def test_clifford_gates_are_interned_per_argument_type():
+    # True == 1 with equal hashes, so only a typed cache keeps the bool-wired
+    # gate apart from the int-wired one, whichever is built first.
+    ps.cx.cache_clear()
+    ps.sdg.cache_clear()
+    first = ps.cx(True, 0)
+    later = ps.cx(1, 0)
+    assert [type(q) for q in later.qubits] == [int, int]
+    assert ps.Circuit(2, (later,)).gates == (later,)
+    with pytest.raises(ValueError, match="needs integer wires"):
+        ps.Circuit(2, (first,))
+    adj = ps.s(True).adjoint()
+    assert adj.kind == "sdg" and type(adj.qubits[0]) is bool
+    assert type(ps.sdg(1).qubits[0]) is int
+    assert ps.Circuit(2, (ps.sdg(1),)).gates == (ps.sdg(1),)
+    with pytest.raises(ValueError, match="needs integer wires"):
+        ps.Circuit(2, (adj,))
+    assert ps.h(0) is ps.h(0)
+    assert ps.s(0).adjoint() is ps.sdg(0) and ps.cx(0, 1).adjoint() is ps.cx(0, 1)

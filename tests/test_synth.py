@@ -4,8 +4,8 @@ import pytest
 import paulisynth as ps
 from paulisynth import verify
 from paulisynth.bench import check_result
-from paulisynth.synth import (_State, _check_invariant, _lone_gadget, _p_step, column_cost,
-                              diagonalize_qubit, disconnect, partition_on_qubit, pick_neighbor,
+from paulisynth.synth import (_State, _check_invariant, _lone_gadget, _p_step, _split,
+                              column_cost, diagonalize_qubit, disconnect, pick_neighbor,
                               pick_pivot)
 from paulisynth.topology import tree_postorder
 
@@ -83,6 +83,11 @@ def _state(poly, topo, cfg=None):
     return _State(poly, topo, cfg or ps.SynthConfig())
 
 
+def _mask(qubits):
+    """Bitmask of a set of qubits or gadgets."""
+    return sum(1 << i for i in qubits)
+
+
 def test_emit_clifford_matches_conjugate_by():
     # The gadget store against dense conjugation g P g^: one gadget per letter
     # (1q kinds) or per letter pair (cx), signs folded into the angles.
@@ -106,7 +111,7 @@ def test_emit_clifford_matches_conjugate_by():
 def test_pick_pivot_prefers_all_identity_column():
     poly = poly_of((0.1, "XYZI"), (0.2, "ZXYI"), (0.3, "YZXI"))
     st = _state(poly, ps.Topology.complete(4))
-    assert pick_pivot(st, [0, 1, 2], frozenset(range(4))) == 3
+    assert pick_pivot(st, [0, 1, 2], 0b111, 0b1111) == 3
 
 
 def test_pick_pivot_excludes_cut_vertices():
@@ -114,21 +119,21 @@ def test_pick_pivot_excludes_cut_vertices():
     # the tie between ends breaks to the lowest index
     poly = poly_of((0.1, "XIX"), (0.2, "ZIZ"))
     st = _state(poly, ps.Topology.line(3))
-    assert pick_pivot(st, [0, 1], frozenset({0, 1, 2})) == 0
+    assert pick_pivot(st, [0, 1], 0b11, 0b111) == 0
     st2 = _state(poly, ps.Topology.complete(3))
-    assert pick_pivot(st2, [0, 1], frozenset({0, 1, 2})) == 1
+    assert pick_pivot(st2, [0, 1], 0b11, 0b111) == 1
 
 
 def test_pick_pivot_single_qubit():
     poly = poly_of((0.1, "IZ"),)
     st = _state(poly, ps.Topology.line(2))
-    assert pick_pivot(st, [0], frozenset({1})) == 1
+    assert pick_pivot(st, [0], 0b1, 0b10) == 1
 
 
 def test_pick_neighbor_forced_on_line():
     poly = poly_of((0.1, "ZXY"),)
     st = _state(poly, ps.Topology.line(3))
-    assert pick_neighbor(st, 0, [0], frozenset({0, 1, 2})) == 1
+    assert pick_neighbor(st, 0, [0], 0b1, 0b111) == 1
 
 
 def test_pick_neighbor_maximizes_cost():
@@ -136,13 +141,13 @@ def test_pick_neighbor_maximizes_cost():
     # carries the all-I column which scores k=10 higher
     poly = poly_of((0.1, "ZXI"), (0.2, "ZXI"))
     st = _state(poly, ps.Topology.complete(3))
-    assert pick_neighbor(st, 0, [0, 1], frozenset({0, 1, 2})) == 2
+    assert pick_neighbor(st, 0, [0, 1], 0b11, 0b111) == 2
 
 
 def test_pick_neighbor_single_candidate_even_all_identity():
     poly = poly_of((0.1, "ZI"),)
     st = _state(poly, ps.Topology.line(2))
-    assert pick_neighbor(st, 0, [0], frozenset({0, 1})) == 1
+    assert pick_neighbor(st, 0, [0], 0b1, 0b11) == 1
 
 
 def _brute_non_cutting(topo, qb, active):
@@ -198,11 +203,11 @@ def test_pick_pivot_and_neighbor_match_brute_force(rng):
             return "".join(letters[st.letter(i, qb)] for i in g)
 
         free = [qb for qb in active if _brute_non_cutting(topo, qb, active)]
-        pivot = pick_pivot(st, g, active)
+        pivot = pick_pivot(st, g, _mask(g), _mask(active))
         assert pivot == _brute_best(free, column_text, k), (tag, sorted(active))
         near = [w for w in active if topo.has_edge(pivot, w)]
         if near:
-            assert pick_neighbor(st, pivot, g, active) == \
+            assert pick_neighbor(st, pivot, g, _mask(g), _mask(active)) == \
                 _brute_best(near, column_text, k), (tag, pivot)
         return pivot
 
@@ -273,9 +278,9 @@ def test_lone_gadget_matches_frame_steps(rng):
                          for r, row in enumerate(rows)))
         cfg = ps.SynthConfig(k=int(rng.integers(1, 21)))
         lone, steps = _state(poly, topo, cfg), _state(poly, topo, cfg)
-        _lone_gadget(lone, i, pivot, active)
+        _lone_gadget(lone, i, pivot, _mask(active))
         stack = []
-        _p_step(steps, [i], pivot, active, stack)
+        _p_step(steps, [i], 1 << i, pivot, _mask(active), stack)
         while stack:
             _p_step(steps, *stack.pop(), stack)
         tag = (trial, topo.edges, sorted(active), pivot, rows.tolist())
@@ -286,22 +291,65 @@ def test_lone_gadget_matches_frame_steps(rng):
         assert lone.tableau == steps.tableau, tag
 
 
+def _partition_ref(state, g, qubit):
+    """List reference of the frame split: the gadgets of ``g`` by their
+    letter on ``qubit``, each group in frame order."""
+    groups = {p: [] for p in ps.Pauli}
+    for i in g:
+        groups[state.letter(i, qubit)].append(i)
+    return groups
+
+
 def test_partition_on_qubit_worked_strings():
     poly = poly_of((0.1, "IIZZ"), (0.2, "YXZX"), (0.3, "IIYZ"), (0.4, "YXZI"))
     st = _state(poly, ps.Topology.line(4))
-    parts = partition_on_qubit(st, [0, 1, 2, 3], 3)
+    parts = _partition_ref(st, [0, 1, 2, 3], 3)
     assert parts[ps.Pauli.I] == [3]
     assert parts[ps.Pauli.X] == [1]
     assert parts[ps.Pauli.Y] == []
     assert parts[ps.Pauli.Z] == [0, 2]
+    # The split: X, then Y, then Z, with their mask; then I.
+    assert _split(st, [0, 1, 2, 3], 0b1111, 3) == ([1, 0, 2], 0b0111, [3], 0b1000)
 
 
 def test_partition_all_z_and_empty():
     poly = poly_of((0.1, "ZZ"), (0.2, "ZI"))
     st = _state(poly, ps.Topology.line(2))
-    parts = partition_on_qubit(st, [0, 1], 0)
+    parts = _partition_ref(st, [0, 1], 0)
     assert parts[ps.Pauli.Z] == [0, 1]
-    assert partition_on_qubit(st, [], 0) == {0: [], 1: [], 2: [], 3: []}
+    assert _partition_ref(st, [], 0) == {0: [], 1: [], 2: [], 3: []}
+    assert _split(st, [0, 1], 0b11, 0) == ([0, 1], 0b11, [], 0)
+    assert _split(st, [], 0, 0) == ([], 0, [], 0)
+
+
+def test_split_matches_list_reference(rng):
+    # Random frames in random order among gadgets outside the frame: the mask
+    # split gives the reference's X+Y+Z and I lists, with their masks.
+    paths = {"id child": 0, "one letter": 0, "ordered pass": 0}
+    for trial in range(300):
+        q = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 12))
+        rows = rng.choice(4, size=(n, q), p=[0.4, 0.2, 0.2, 0.2])
+        g = [int(i) for i in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
+        pivot = int(rng.integers(q))
+        if trial % 3 == 0:  # no frame gadget on the pivot
+            rows[g, pivot] = 0
+        elif trial % 3 == 1:  # one shared letter
+            rows[g, pivot] = int(rng.integers(1, 4))
+        poly = poly_of(*((0.1, "".join("IXYZ"[x] for x in row)) for row in rows))
+        st = _state(poly, ps.Topology.line(q))
+        parts = _partition_ref(st, g, pivot)
+        rest = parts[ps.Pauli.X] + parts[ps.Pauli.Y] + parts[ps.Pauli.Z]
+        tag = (trial, rows.tolist(), g, pivot)
+        assert _split(st, g, _mask(g), pivot) == \
+            (rest, _mask(rest), parts[ps.Pauli.I], _mask(parts[ps.Pauli.I])), tag
+        if not rest:
+            paths["id child"] += 1
+        elif not parts[ps.Pauli.I] and rest in (parts[p] for p in ps.Pauli):
+            paths["one letter"] += 1
+        else:
+            paths["ordered pass"] += 1
+    assert min(paths.values()) >= 20, paths
 
 
 def test_diagonalize_qubit_per_letter():
@@ -389,7 +437,7 @@ def _partition_disconnect(state, pivot, neighbor, g):
     """Reference rule over the neighbor's letter groups: I-legged gadgets
     take two CNOTs; otherwise the largest of Z/Y, Z/X and X/Y (first in
     that order on ties) takes at most one Clifford plus one CNOT."""
-    parts = partition_on_qubit(state, g, neighbor)
+    parts = _partition_ref(state, g, neighbor)
     if parts[ps.Pauli.I]:
         state.emit_clifford(ps.cx(neighbor, pivot))
         state.emit_clifford(ps.cx(pivot, neighbor))

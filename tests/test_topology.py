@@ -227,6 +227,17 @@ def test_non_cutting_rejects_bad_masks(mask):
         Topology.line(3).is_non_cutting(0, mask)
 
 
+@pytest.mark.parametrize("q,active,msg", [
+    (True, [0, 1, 2], "qubit True is not in the active set"),  # True == 1, a bool
+    (0, [0, True], "active qubits [True] not in 0..2"),  # as a member too
+    (1.0, [0, 1, 2], "qubit 1.0 is not in the active set"),  # 1.0 == 1, not an int
+])
+def test_non_cutting_applies_the_integer_rule(q, active, msg):
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        Topology.line(3).is_non_cutting(q, active)
+    assert Topology.line(3).is_non_cutting(np.int64(0), [np.int64(0), 1, 2])
+
+
 def test_non_cutting_mask_requires_active_vertex():
     line3 = Topology.line(3)
     for q, mask in ((2, 0b011), (0, 0), (-1, 0b111), (3, 0b111), ("1", 0b111)):

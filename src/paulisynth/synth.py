@@ -122,8 +122,9 @@ class _State(PauliColumns):
         self.conjugate(gate)
         self.tableau.prepend(gate.adjoint())
 
-    def emit_rotation(self, i: int) -> None:
-        legs = [j for j, (x, z) in enumerate(zip(self.x, self.z)) if (x | z) >> i & 1]
+    def emit_rotation(self, i: int, act: int) -> None:
+        """Emit gadget i, whose one leg lies on the active qubits in mask ``act``."""
+        legs = [j for j in _bits(act) if (self.x[j] | self.z[j]) >> i & 1]
         if len(legs) != 1:
             raise AssertionError("rotation emission needs exactly one leg")
         qb = legs[0]
@@ -158,7 +159,7 @@ def _single_leg_sweep(state: _State, g: list[int], gm: int, act: int) -> tuple[l
             state.alive[i] = False
             state.emitted.append(i)
         elif not many >> i & 1:
-            state.emit_rotation(i)
+            state.emit_rotation(i, act)
         else:
             remaining.append(i)
     return remaining, gm & many
@@ -329,7 +330,7 @@ def _lone_gadget(state: _State, i: int, pivot: int, act: int) -> None:
     while state.alive[i]:
         if not legs & legs - 1:  # the sweep: one leg is emitted, none is a global phase
             if legs:
-                state.emit_rotation(i)
+                state.emit_rotation(i, act)
             else:
                 state.alive[i] = False
                 state.emitted.append(i)

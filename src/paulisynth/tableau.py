@@ -1,30 +1,29 @@
 """Clifford tableaus over GF(2) and their architecture-aware synthesis.
 
-Representation: 2q rows as Python ints plus 2q sign bits for a Clifford W.
+One layout: 2q rows as Python ints plus 2q sign bits for a Clifford W.
 Row r < q stores the image ``W X_r W^`` and row q+r stores ``W Z_r W^`` as a
 signed Pauli; bit j < q of a row is the X component on wire j, bit q+j the Z
 component (I=(0,0), X=(1,0), Z=(0,1), Y=(1,1)).
 
 ``prepend(g)`` realizes ``W -> W * W_g`` (gate applied before the tableau)
-as row products.  With ``P(x, z) = i^|x&z| X^x Z^z`` (Hermitian, Y = iXZ),
+as row products, O(1) per gate (Aaronson-Gottesman, quant-ph/0406196).
+With ``P(x, z) = i^|x&z| X^x Z^z`` (Hermitian, Y = iXZ),
 
     P(x1, z1) * P(x2, z2) = i^(|x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3|) * P(x3, z3)
 
-for ``(x3, z3) = (x1^x2, z1^z2)``, so a row product costs four popcounts
-(``_product_phase``).
+for ``(x3, z3) = (x1^x2, z1^z2)``, so a row product costs four popcounts.
 
-Applying a gate after the Clifford (``W -> W_g * W``) happens only in the
-gadget store's bit columns (``_ColumnTableau``), one
-``PauliColumns.conjugate`` call per gate: ``from_circuit`` and
-``synthesize_tableau`` work there and transpose back to rows at the end.
-
-``synthesize_tableau`` emits an architecture-conforming circuit E and an
-output permutation ``perm`` such that ``W_t = P(perm) * U(E)``; with
-``allow_permutation=False`` the permutation is the identity.
+``synthesize_tableau`` emits a conforming circuit E and a permutation with
+``W_t = P(perm) * U(E)``.  It peels a copy of t, prepending each gate's
+adjoint, and picks gates on the copy's inverse ``U(E) * W_t^``, read from
+the rows by ``M^-1 = Omega M^T Omega``: for k' = k+q (k < q) or k-q, row k
+of the inverse has X bit ``rows[q+j] >> k' & 1`` and Z bit
+``rows[j] >> k' & 1`` on wire j.  Once the inverse's row pair r is X_c, Z_c,
+the copy maps X_c, Z_c to X_r, Z_r with the same signs, ``signs[c]`` and
+``signs[q+c]``; at the end the copy is the permutation.
 
 ``replay_rotations`` reads a Clifford+Rz gate list in Pauli-rotation form
-(Clifford times a product of Pauli exponentials) with the same ``prepend``
-path; it is the exact equivalence check at any qubit count.
+with the same ``prepend`` path; it is the exact check at any qubit count.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .paulis import (TO_Z, XZ_LETTER, Gate, Pauli, PauliColumns, PauliGadget, _check_int,
-                     cx, h, s, sdg, v)
+from .paulis import TO_Z, XZ_LETTER, Gate, Pauli, PauliGadget, _check_int, cx, h, s, sdg, v
 from .topology import Topology, tree_postorder
 
 
@@ -92,10 +90,10 @@ class CliffordTableau:
 
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "CliffordTableau":
-        work = _ColumnTableau(cls(circuit.num_qubits))
-        for g in circuit.gates:
-            work.conjugate(g)
-        return work.to_rows()
+        t = cls(circuit.num_qubits)
+        for g in reversed(circuit.gates):
+            t.prepend(g)
+        return t
 
     def copy(self) -> "CliffordTableau":
         t = CliffordTableau(self.num_qubits)
@@ -124,6 +122,10 @@ class CliffordTableau:
         """Row action of applying ``gate`` before this Clifford."""
         if not gate.is_clifford:
             raise ValueError("tableaus track Clifford gates only")
+        self._prepend(gate)
+
+    def _prepend(self, gate: Gate) -> None:
+        """``prepend`` of a gate known to be Clifford: the peel's gate action."""
         q = self.num_qubits
         k = gate.kind
         if k == "h":
@@ -204,32 +206,6 @@ class CliffordTableau:
         return self.residual_permutation() == list(range(self.num_qubits))
 
 
-def _transpose(cols: Sequence[int], n: int) -> list[int]:
-    """Bit-matrix transpose: bit j of ``result[r]`` is bit r of ``cols[j]``, r < n."""
-    text = [format(col, f"0{n}b") for col in cols]
-    return [int("".join(bits)[::-1], 2) for bits in zip(*text)][::-1]
-
-
-class _ColumnTableau(PauliColumns):
-    """A tableau in the gadget store's layout: Pauli r of the columns is row r,
-    so a gate is one ``conjugate`` call on whole columns."""
-
-    def __init__(self, t: CliffordTableau):
-        q = self.num_qubits = t.num_qubits
-        cols = _transpose(t.rows, 2 * q)
-        super().__init__(cols[:q], cols[q:], sum(sign << r for r, sign in enumerate(t.signs)))
-
-    def supports(self) -> list[int]:
-        """Per row, the wires where its Pauli is not I, as a bitset."""
-        return _transpose([x | z for x, z in zip(self.x, self.z)], 2 * self.num_qubits)
-
-    def to_rows(self) -> CliffordTableau:
-        t = CliffordTableau(self.num_qubits)
-        t.rows = _transpose(self.x + self.z, len(t.rows))
-        t.signs = [self.signs >> r & 1 for r in range(len(t.rows))]
-        return t
-
-
 def replay_rotations(num_qubits: int, gates: Iterable[Gate],
                      gadgets: Sequence[PauliGadget], tol: float) -> CliffordTableau | None:
     """Match a Clifford+Rz gate list against a gadget product, exactly.
@@ -272,62 +248,85 @@ def _distance_cost(supp: list[int], c: int, topo: Topology) -> int:
                if row >> j & 1)
 
 
+def _row_supports(t: CliffordTableau) -> list[int]:
+    """Per row of t, the wires where its Pauli is not I, as a bitset."""
+    q = t.num_qubits
+    return [(row | row >> q) & ((1 << q) - 1) for row in t.rows]
+
+
+def _inverse_supports(t: CliffordTableau) -> list[int]:
+    """``_row_supports(t.inverse())``, read from t's rows by one bit-matrix
+    transpose: bit j of ``supp[k']`` is bit k' of ``rows[j] | rows[q+j]``."""
+    q = t.num_qubits
+    text = [format(t.rows[j] | t.rows[q + j], f"0{2 * q}b") for j in range(q)]
+    supp = [int("".join(bits)[::-1], 2) for bits in zip(*text)][::-1]
+    return supp[q:] + supp[:q]
+
+
+def _inverse_letter(t: CliffordTableau, k: int, wire: int) -> Pauli:
+    """``t.inverse().row_letter(k, wire)``, read from t's rows."""
+    q = t.num_qubits
+    b = k + q if k < q else k - q
+    return XZ_LETTER[(t.rows[q + wire] >> b & 1) | (t.rows[wire] >> b & 1) << 1]
+
+
 def row_interaction_cost(t: CliffordTableau, r: int) -> int:
     """Number of wires touched by the X and Z images of logical qubit r."""
-    return _interaction_cost(_ColumnTableau(t).supports(), r)
+    return _interaction_cost(_row_supports(t), r)
 
 
 def column_distance_cost(t: CliffordTableau, c: int, topo: Topology) -> int:
     """Distance-weighted spread of the row pair at index c."""
-    return _distance_cost(_ColumnTableau(t).supports(), c, topo)
+    return _distance_cost(_row_supports(t), c, topo)
 
 
-def _reduce_pair(work: _ColumnTableau, r: int, c: int, active: set[int],
+def _reduce_pair(work: CliffordTableau, r: int, c: int, active: set[int],
                  topo: Topology, emit) -> None:
-    """Conjugate until image(X_r) = X_c and image(Z_r) = Z_c with + signs."""
+    """Emit gates until row pair r of ``work.inverse()`` is X_c, Z_c with +
+    signs, that is until ``work`` maps X_c, Z_c to X_r, Z_r."""
     q = work.num_qubits
 
     # X image -> single X on wire c.
-    supp = [j for j in sorted(active) if work.letter(r, j) != Pauli.I]
+    supp = [j for j in sorted(active) if _inverse_letter(work, r, j) != Pauli.I]
     for j in supp:
-        letter = work.letter(r, j)
+        letter = _inverse_letter(work, r, j)
         if letter == Pauli.Z:
             emit(h(j))
         elif letter == Pauli.Y:
             emit(sdg(j))
     tree = topo.steiner_tree(set(supp) | {c}, active)
     for child, parent in tree_postorder(tree, c):
-        if work.letter(r, child) != Pauli.X:
+        if _inverse_letter(work, r, child) != Pauli.X:
             continue
-        if work.letter(r, parent) != Pauli.X:
+        if _inverse_letter(work, r, parent) != Pauli.X:
             emit(cx(child, parent))
         emit(cx(parent, child))
 
     # Z image -> single Z on wire c, leaving X_c intact (gates with c as CNOT
     # target or diagonal-preserving on c only).
-    root_letter = work.letter(q + r, c)
+    root_letter = _inverse_letter(work, q + r, c)
     if root_letter == Pauli.Y:
         emit(v(c))
     elif root_letter != Pauli.Z:
         raise AssertionError("anticommutation forces Z or Y on the target wire")
     for j in sorted(active - {c}):
-        letter = work.letter(q + r, j)
+        letter = _inverse_letter(work, q + r, j)
         if letter in TO_Z:
             emit(TO_Z[letter](j))
-    supp_z = [j for j in sorted(active) if work.letter(q + r, j) != Pauli.I]
+    supp_z = [j for j in sorted(active) if _inverse_letter(work, q + r, j) != Pauli.I]
     tree = topo.steiner_tree(set(supp_z) | {c}, active)
     for child, parent in tree_postorder(tree, c):
-        if work.letter(q + r, child) != Pauli.Z:
+        if _inverse_letter(work, q + r, child) != Pauli.Z:
             continue
-        if work.letter(q + r, parent) != Pauli.Z:
+        if _inverse_letter(work, q + r, parent) != Pauli.Z:
             emit(cx(parent, child))
         emit(cx(child, parent))
 
     # Clear residual signs on the finished pair, acting on the new register.
-    if work.signs >> r & 1:
+    if work.signs[c]:
         emit(s(c))
         emit(s(c))
-    if work.signs >> (q + r) & 1:
+    if work.signs[q + c]:
         emit(v(c))
         emit(v(c))
 
@@ -337,10 +336,10 @@ def synthesize_tableau(t: CliffordTableau, topo: Topology,
                        ) -> tuple[Circuit, QubitPermutation]:
     """Emit a conforming circuit E and permutation with W_t = P(perm) * U(E).
 
-    Gates are generated by peeling the tableau down to a permutation matrix
-    with all-zero signs (the identity when ``allow_permutation=False``);
-    replaying ``prepend(gate.adjoint())`` over E in order reproduces exactly
-    that residual.
+    Gates are generated by peeling a copy of t down to a permutation matrix
+    with all-zero signs (the identity when ``allow_permutation=False``):
+    the copy takes ``prepend(gate.adjoint())`` for each gate of E in order.
+    t itself is left unchanged.
     """
     q = t.num_qubits
     if topo.num_qubits != q:
@@ -349,18 +348,18 @@ def synthesize_tableau(t: CliffordTableau, topo: Topology,
         raise ValueError(f"allow_permutation must be a bool, got {allow_permutation!r}")
     if not t.is_symplectic():
         raise ValueError("tableau matrix is not symplectic")
-    work = _ColumnTableau(t.inverse())
+    work = t.copy()
     gates: list[Gate] = []
 
     def emit(gate: Gate) -> None:
         gates.append(gate)
-        work.conjugate(gate)
+        work._prepend(gate.adjoint())
 
     active = set(range(q))
     act = (1 << q) - 1  # ``active`` as a bitmask, for the cut-vertex tests
     rows_left = set(range(q))
     while rows_left:
-        supp = work.supports()
+        supp = _inverse_supports(work)
         if allow_permutation:
             r = min(rows_left, key=lambda rr: (_interaction_cost(supp, rr), rr))
             candidates = [cc for cc in sorted(active) if topo.is_non_cutting(cc, act)]
@@ -374,10 +373,7 @@ def synthesize_tableau(t: CliffordTableau, topo: Topology,
         act ^= 1 << c
         rows_left.discard(r)
 
-    residual = work.to_rows().residual_permutation()
-    if residual is None:
+    perm = work.residual_permutation()
+    if perm is None:
         raise AssertionError("tableau reduction did not reach a clean permutation")
-    perm_out = [0] * q
-    for r in range(q):
-        perm_out[residual[r]] = r
-    return Circuit(q, tuple(gates)), QubitPermutation(tuple(perm_out))
+    return Circuit(q, tuple(gates)), QubitPermutation(tuple(perm))

@@ -6,11 +6,11 @@ import pytest
 import paulisynth as ps
 from paulisynth import verify
 from paulisynth.circuit import Circuit
-from paulisynth.tableau import (CliffordTableau, QubitPermutation, _ColumnTableau,
-                                column_distance_cost, row_interaction_cost,
-                                synthesize_tableau)
+from paulisynth.tableau import (CliffordTableau, QubitPermutation, _inverse_letter,
+                                _inverse_supports, _row_supports, column_distance_cost,
+                                row_interaction_cost, synthesize_tableau)
 
-from conftest import dense_conjugate, random_clifford_circuit, tableau_matches_unitary
+from conftest import random_clifford_circuit, tableau_matches_unitary
 
 
 def test_prepend_h_twice_is_identity():
@@ -85,38 +85,21 @@ def test_prepend_append_preserve_symplecticity(rng):
         assert t.is_symplectic()
 
 
-def _row_layout_append(t, gate):
-    """Reference for applying ``gate`` after the tableau, on the row ints: each
-    row's letters on the gate's wires go through dense conjugation g P g^."""
-    q = t.num_qubits
-    for r in range(2 * q):
-        new, flip = dense_conjugate(gate, tuple(t.row_letter(r, w) for w in gate.qubits))
-        for w, p in zip(gate.qubits, new):
-            t.rows[r] &= ~(1 << w | 1 << (q + w))
-            t.rows[r] |= (p in (ps.Pauli.X, ps.Pauli.Y)) << w
-            t.rows[r] |= (p in (ps.Pauli.Y, ps.Pauli.Z)) << (q + w)
-        t.signs[r] ^= flip
-
-
-def test_column_layout_matches_row_layout_append(rng):
+def test_peel_reads_match_the_inverse_rows(rng):
+    # The peel reads the inverse's letters and supports from the rows; the
+    # reference is t.inverse(), which checks each of its rows by conjugating
+    # it back through t.
     for q in range(1, 11):
         for _ in range(3):
-            # A random start built by prepends, a path independent of the columns.
-            start = CliffordTableau(q)
-            for g in random_clifford_circuit(q, 4 * q, rng).gates:
-                start.prepend(g)
-            work, ref = _ColumnTableau(start), start.copy()
-            assert work.to_rows() == start
+            t = CliffordTableau(q)
             for g in random_clifford_circuit(q, int(rng.integers(1, 12 * q)), rng).gates:
-                work.conjugate(g)
-                _row_layout_append(ref, g)
-            back = work.to_rows()
-            assert back.rows == ref.rows and back.signs == ref.signs
-            assert all(work.letter(r, j) == ref.row_letter(r, j)
-                       for r in range(2 * q) for j in range(q))
-            assert all(bool(work.signs >> r & 1) == bool(ref.signs[r]) for r in range(2 * q))
-            m = (1 << q) - 1
-            assert work.supports() == [(row | row >> q) & m for row in ref.rows]
+                t.prepend(g)
+            inv = t.inverse()
+            assert all(_inverse_letter(t, k, j) == inv.row_letter(k, j)
+                       for k in range(2 * q) for j in range(q))
+            supports = [sum((inv.row_letter(k, j) != ps.Pauli.I) << j for j in range(q))
+                        for k in range(2 * q)]
+            assert _inverse_supports(t) == _row_supports(inv) == supports
 
 
 def test_rejects_rotations():
@@ -223,6 +206,16 @@ def test_synthesize_roundtrip_small_suite(rng):
             assert residual is not None
             if not allow_perm:
                 assert residual == list(range(q))
+
+
+def test_synthesize_leaves_its_argument_unchanged(rng):
+    for q in range(1, 7):
+        topo = ps.Topology.line(q)
+        for allow_perm in (True, False):
+            t = CliffordTableau.from_circuit(random_clifford_circuit(q, 10 * q, rng))
+            before = t.copy()
+            synthesize_tableau(t, topo, allow_perm)
+            assert t == before
 
 
 def test_synthesize_rejects_mismatched_topology():

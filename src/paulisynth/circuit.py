@@ -27,8 +27,9 @@ class Circuit:
         if n <= 0:
             raise ValueError("num_qubits must be positive")
         wires = tuple(chain.from_iterable(map(attrgetter("qubits"), self.gates)))
-        typed = dict(zip(map(type, wires), wires)).values()  # 1.0 and True equal 1 in a set
-        if not all(_is_int(q) and 0 <= q < n for q in chain(typed, set(wires))):
+        # Types first: a set merges 1, 1.0 and True, and cannot hold a list.
+        typed = dict(zip(map(type, wires), wires)).values()
+        if not (all(_is_int(q) for q in typed) and all(0 <= q < n for q in set(wires))):
             bad = next(g for g in self.gates
                        if not all(_is_int(q) and 0 <= q < n for q in g.qubits))
             raise ValueError(f"gate {bad} needs integer wires in 0..{n - 1}")

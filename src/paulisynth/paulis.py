@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -78,9 +78,20 @@ class Gate:
         return _ADJOINT[self.kind](*self.qubits)
 
 
-# Typed, because True == 1 with equal hashes: an untyped cache would answer
-# cx(1, 0) with the gate cached for cx(True, 0), whose wire is a bool.
-_interned = lru_cache(maxsize=None, typed=True)
+def _interned(factory):
+    """Cache ``factory``'s gates per argument type, as True == 1 with equal
+    hashes; an unhashable wire gets an uncached gate, for ``Circuit`` to reject."""
+    cached = lru_cache(maxsize=None, typed=True)(factory)
+
+    @wraps(factory)
+    def gate(*wires):
+        try:
+            return cached(*wires)
+        except TypeError:
+            return factory(*wires)
+
+    gate.cache_clear = cached.cache_clear
+    return gate
 
 
 @_interned

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from .circuit import Circuit, Metrics, metrics
 from .paulis import TO_Z, Gate, Pauli, PauliColumns, PauliPolynomial, commutes, cx, h, rz, s
 from .tableau import (CliffordTableau, QubitPermutation, pauli_row, replay_rotations,
-                      synthesize_tableau)
-from .topology import Topology, tree_postorder
+                      steiner_ladder, synthesize_tableau)
+from .topology import Topology, _bits
 
 DEBUG_ENV_VAR = "PAULISYNTH_DEBUG"
 
@@ -96,7 +96,6 @@ class _State(PauliColumns):
         super().__init__([int("0" + c.translate(_X_BITS), 2) for c in cols or [""] * q],
                          [int("0" + c.translate(_Z_BITS), 2) for c in cols or [""] * q])
         self.angles = [float(g.angle) for g in poly.gadgets]
-        self.alive = [True] * len(poly.gadgets)
         self.gates: list[Gate] = []
         self.tableau = CliffordTableau(q)
         self.emitted: list[int] = []
@@ -132,13 +131,7 @@ class _State(PauliColumns):
         if letter in TO_Z:
             self.emit_clifford(TO_Z[letter](qb))
         self.gates.append(rz(self.angle(i), qb))
-        self.alive[i] = False
         self.emitted.append(i)
-
-
-def _bits(mask: int) -> list[int]:
-    """Set bits of ``mask``, ascending."""
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def _single_leg_sweep(state: _State, g: list[int], gm: int, act: int) -> tuple[list[int], int]:
@@ -156,7 +149,6 @@ def _single_leg_sweep(state: _State, g: list[int], gm: int, act: int) -> tuple[l
     for i in g:
         if not some >> i & 1:
             # All-identity gadget: a global phase, dropped.
-            state.alive[i] = False
             state.emitted.append(i)
         elif not many >> i & 1:
             state.emit_rotation(i, act)
@@ -327,12 +319,11 @@ def _lone_gadget(state: _State, i: int, pivot: int, act: int) -> None:
     x, z, topo, bit = state.x, state.z, state.topo, 1 << i
     legs = sum(1 << j for j in _bits(act) if (x[j] | z[j]) >> i & 1)
     cut = 0  # known cut vertices of the active set
-    while state.alive[i]:
+    while True:  # left by the return once the gadget is emitted
         if not legs & legs - 1:  # the sweep: one leg is emitted, none is a global phase
             if legs:
                 state.emit_rotation(i, act)
             else:
-                state.alive[i] = False
                 state.emitted.append(i)
             return
         if pivot < 0:  # pick_pivot's order: leg-free qubits, then touched ones
@@ -417,7 +408,7 @@ def synthesize(poly: PauliPolynomial, topo: Topology,
         gadget_sets = [list(range(len(poly.gadgets)))]
     for gset in gadget_sets:
         _run_recursion(state, gset)
-    if any(state.alive):
+    if len(state.emitted) != len(poly.gadgets):
         raise AssertionError("synthesis left live gadgets")
     recursion_gates = len(state.gates)
     tab_circuit, perm = synthesize_tableau(state.tableau, topo, cfg.allow_permutation)
@@ -428,14 +419,13 @@ def synthesize(poly: PauliPolynomial, topo: Topology,
 def naive_synthesize(poly: PauliPolynomial, topo: Topology) -> SynthesisResult:
     """Per-gadget Steiner-ladder baseline in the original order, no reordering.
 
-    Each gadget is diagonalized, fanned into a root wire with CNOTs along a
-    Steiner tree, rotated, and exactly undone.
+    Each gadget is diagonalized, fanned into its lowest leg by the Z
+    ``steiner_ladder`` over all wires, rotated there, and exactly undone.
     """
     if poly.num_qubits != topo.num_qubits:
         raise ValueError(
             f"polynomial has {poly.num_qubits} qubits but topology has {topo.num_qubits}")
     q = poly.num_qubits
-    everything = frozenset(range(q))
     gates: list[Gate] = []
     for gadget in poly.gadgets:
         letters = gadget.string.letters
@@ -445,16 +435,7 @@ def naive_synthesize(poly: PauliPolynomial, topo: Topology) -> SynthesisResult:
         pre = [TO_Z[letters[j]](j) for j in legs if letters[j] in TO_Z]
         root = legs[0]
         ladder: list[Gate] = []
-        carrying = set(legs)
-        tree = topo.steiner_tree(set(legs), everything)
-        for child, parent in tree_postorder(tree, root):
-            if child not in carrying:
-                continue
-            if parent not in carrying:
-                ladder.append(cx(parent, child))
-                carrying.add(parent)
-            ladder.append(cx(child, parent))
-            carrying.discard(child)
+        steiner_ladder(topo, sum(1 << j for j in legs), root, (1 << q) - 1, True, ladder.append)
         gates.extend(pre)
         gates.extend(ladder)
         gates.append(rz(gadget.angle, root))
@@ -477,7 +458,7 @@ def _check_invariant(state: _State) -> None:
                                 [gadgets[i] for i in state.emitted], 1e-9)
     if replayed is None or replayed != state.tableau:
         raise AssertionError("synthesis invariant violated: emitted gates")
-    for i in [i for i, live in enumerate(state.alive) if live]:
+    for i in sorted(set(range(len(gadgets))) - set(state.emitted)):
         letters = [state.letter(i, j) for j in range(state.poly.num_qubits)]
         image, sign = replayed.conjugate_vector(pauli_row(letters))
         angle = -state.angle(i) if sign else state.angle(i)

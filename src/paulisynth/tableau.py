@@ -18,9 +18,11 @@ for ``(x3, z3) = (x1^x2, z1^z2)``, so a row product costs four popcounts.
 adjoint, and picks gates on the copy's inverse ``U(E) * W_t^``, read from
 the rows by ``M^-1 = Omega M^T Omega``: for k' = k+q (k < q) or k-q, row k
 of the inverse has X bit ``rows[q+j] >> k' & 1`` and Z bit
-``rows[j] >> k' & 1`` on wire j.  Once the inverse's row pair r is X_c, Z_c,
-the copy maps X_c, Z_c to X_r, Z_r with the same signs, ``signs[c]`` and
-``signs[q+c]``; at the end the copy is the permutation.
+``rows[j] >> k' & 1`` on wire j (``_inverse_row``: two wire masks).  Each
+row is folded onto one wire by a ``steiner_ladder`` of CNOTs on device edges
+(Kissinger and Meijer-van de Griend, arXiv:1904.00633).  Once the inverse's
+row pair r is X_c, Z_c, the copy maps X_c, Z_c to X_r, Z_r with the same
+signs, ``signs[c]`` and ``signs[q+c]``; at the end the copy is the permutation.
 
 ``replay_rotations`` reads a Clifford+Rz gate list in Pauli-rotation form
 with the same ``prepend`` path; it is the exact check at any qubit count.
@@ -32,8 +34,8 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .paulis import TO_Z, XZ_LETTER, Gate, Pauli, PauliGadget, _check_int, cx, h, s, sdg, v
-from .topology import Topology, tree_postorder
+from .paulis import XZ_LETTER, Gate, Pauli, PauliGadget, _check_int, cx, h, s, sdg, v
+from .topology import Topology, _bits, tree_postorder
 
 
 def _product_phase(r1: int, r2: int, q: int) -> int:
@@ -263,11 +265,12 @@ def _inverse_supports(t: CliffordTableau) -> list[int]:
     return supp[q:] + supp[:q]
 
 
-def _inverse_letter(t: CliffordTableau, k: int, wire: int) -> Pauli:
-    """``t.inverse().row_letter(k, wire)``, read from t's rows."""
-    q = t.num_qubits
+def _inverse_row(t: CliffordTableau, k: int) -> tuple[int, int]:
+    """X and Z wire masks of row k of ``t.inverse()``, read from t's rows."""
+    q, rows = t.num_qubits, t.rows
     b = k + q if k < q else k - q
-    return XZ_LETTER[(t.rows[q + wire] >> b & 1) | (t.rows[wire] >> b & 1) << 1]
+    return (sum((rows[q + j] >> b & 1) << j for j in range(q)),
+            sum((rows[j] >> b & 1) << j for j in range(q)))
 
 
 def row_interaction_cost(t: CliffordTableau, r: int) -> int:
@@ -280,47 +283,44 @@ def column_distance_cost(t: CliffordTableau, c: int, topo: Topology) -> int:
     return _distance_cost(_row_supports(t), c, topo)
 
 
-def _reduce_pair(work: CliffordTableau, r: int, c: int, active: set[int],
+def steiner_ladder(topo: Topology, legs: int, root: int, act: int, z: bool, emit) -> None:
+    """Emit CNOTs on edges among the active wires (mask ``act``) that fold X
+    on every wire of mask ``legs`` (Z if ``z``) into X (Z) on ``root`` alone.
+    In postorder along a Steiner tree of the legs and the root, each leg is
+    copied onto its parent if that has none, then cleared; none is read again."""
+    tree = topo.steiner_tree(_bits(legs | 1 << root), _bits(act))
+    for child, parent in tree_postorder(tree, root):
+        if not legs >> child & 1:
+            continue
+        if not legs >> parent & 1:
+            emit(cx(parent, child) if z else cx(child, parent))
+            legs |= 1 << parent
+        emit(cx(child, parent) if z else cx(parent, child))
+
+
+def _reduce_pair(work: CliffordTableau, r: int, c: int, act: int,
                  topo: Topology, emit) -> None:
     """Emit gates until row pair r of ``work.inverse()`` is X_c, Z_c with +
-    signs, that is until ``work`` maps X_c, Z_c to X_r, Z_r."""
+    signs (``work`` maps X_c, Z_c to X_r, Z_r); it commutes with the finished
+    pairs, so its legs lie on the active wires (mask ``act``)."""
     q = work.num_qubits
 
-    # X image -> single X on wire c.
-    supp = [j for j in sorted(active) if _inverse_letter(work, r, j) != Pauli.I]
-    for j in supp:
-        letter = _inverse_letter(work, r, j)
-        if letter == Pauli.Z:
-            emit(h(j))
-        elif letter == Pauli.Y:
-            emit(sdg(j))
-    tree = topo.steiner_tree(set(supp) | {c}, active)
-    for child, parent in tree_postorder(tree, c):
-        if _inverse_letter(work, r, child) != Pauli.X:
-            continue
-        if _inverse_letter(work, r, parent) != Pauli.X:
-            emit(cx(child, parent))
-        emit(cx(parent, child))
+    # X image -> X on its legs (h on Z, sdg on Y) -> single X on wire c.
+    x, z = _inverse_row(work, r)
+    for j in _bits(z):
+        emit(sdg(j) if x >> j & 1 else h(j))
+    steiner_ladder(topo, x | z, c, act, False, emit)
 
     # Z image -> single Z on wire c, leaving X_c intact (gates with c as CNOT
     # target or diagonal-preserving on c only).
-    root_letter = _inverse_letter(work, q + r, c)
-    if root_letter == Pauli.Y:
+    x, z = _inverse_row(work, q + r)
+    if x >> c & 1:  # Y on the root, emitted before the other wires
         emit(v(c))
-    elif root_letter != Pauli.Z:
+    elif not z >> c & 1:
         raise AssertionError("anticommutation forces Z or Y on the target wire")
-    for j in sorted(active - {c}):
-        letter = _inverse_letter(work, q + r, j)
-        if letter in TO_Z:
-            emit(TO_Z[letter](j))
-    supp_z = [j for j in sorted(active) if _inverse_letter(work, q + r, j) != Pauli.I]
-    tree = topo.steiner_tree(set(supp_z) | {c}, active)
-    for child, parent in tree_postorder(tree, c):
-        if _inverse_letter(work, q + r, child) != Pauli.Z:
-            continue
-        if _inverse_letter(work, q + r, parent) != Pauli.Z:
-            emit(cx(parent, child))
-        emit(cx(child, parent))
+    for j in _bits(x & ~(1 << c)):
+        emit(v(j) if z >> j & 1 else h(j))
+    steiner_ladder(topo, x | z, c, act, True, emit)
 
     # Clear residual signs on the finished pair, acting on the new register.
     if work.signs[c]:
@@ -355,23 +355,19 @@ def synthesize_tableau(t: CliffordTableau, topo: Topology,
         gates.append(gate)
         work._prepend(gate.adjoint())
 
-    active = set(range(q))
-    act = (1 << q) - 1  # ``active`` as a bitmask, for the cut-vertex tests
-    rows_left = set(range(q))
+    act = rows_left = (1 << q) - 1  # bit c: wire c active, bit r: row pair r left
     while rows_left:
         supp = _inverse_supports(work)
+        # min keeps the first, so ties go to the lowest index.
+        free = [j for j in _bits(act) if topo.is_non_cutting(j, act)]
         if allow_permutation:
-            r = min(rows_left, key=lambda rr: (_interaction_cost(supp, rr), rr))
-            candidates = [cc for cc in sorted(active) if topo.is_non_cutting(cc, act)]
-            c = min(candidates, key=lambda cc: (_distance_cost(supp, cc, topo), cc))
-        else:
-            candidates = [rr for rr in sorted(rows_left) if topo.is_non_cutting(rr, act)]
-            r = min(candidates, key=lambda rr: (_interaction_cost(supp, rr), rr))
-            c = r
-        _reduce_pair(work, r, c, active, topo, emit)
-        active.discard(c)
+            r = min(_bits(rows_left), key=lambda rr: _interaction_cost(supp, rr))
+            c = min(free, key=lambda cc: _distance_cost(supp, cc, topo))
+        else:  # rows_left == act
+            r = c = min(free, key=lambda rr: _interaction_cost(supp, rr))
+        _reduce_pair(work, r, c, act, topo, emit)
         act ^= 1 << c
-        rows_left.discard(r)
+        rows_left ^= 1 << r
 
     perm = work.residual_permutation()
     if perm is None:

@@ -4,6 +4,10 @@ A topology never changes its graph; recursion over shrinking qubit sets is
 expressed through ``active`` subsets passed to the queries.  It does cache
 connectivity facts about that fixed graph (``is_non_cutting`` keeps the last
 two active sets it proved connected), and those never go stale.
+
+Inside, a set of qubits is an int bitmask (bit j for qubit j), the graph is
+one neighbour mask per qubit, and every query runs on masks once it has
+checked its input.
 """
 
 from __future__ import annotations
@@ -37,14 +41,10 @@ class Topology:
                 raise ValueError(f"self-loop on qubit {u}")
             edge_set.add(_norm_edge(u, v))
         self.edges = frozenset(edge_set)
-        self._adj: list[list[int]] = [[] for _ in range(num_qubits)]
-        for u, v in sorted(edge_set):
-            self._adj[u].append(v)
-            self._adj[v].append(u)
-        for lst in self._adj:
-            lst.sort()
-        self._bit = {j: 1 << j for j in range(num_qubits)}
-        self._nbr_mask = [sum(1 << w for w in lst) for lst in self._adj]
+        self._nbr_mask = [0] * num_qubits  # bit w of entry u: (u, w) is an edge
+        for u, v in edge_set:
+            self._nbr_mask[u] |= 1 << v
+            self._nbr_mask[v] |= 1 << u
         self._connected: tuple[int, ...] = ()  # active masks proven connected
         self.dist = self._floyd_warshall()
         if num_qubits > 1 and int(self.dist.max()) >= _UNREACHABLE:
@@ -145,10 +145,8 @@ class Topology:
     def neighbors(self, q: int, active: Iterable[int] | None = None) -> list[int]:
         if not (_is_int(q) and 0 <= q < self.num_qubits):
             raise ValueError(f"qubit {q!r} not in 0..{self.num_qubits - 1}")
-        if active is None:
-            return list(self._adj[q])
-        active_set = set(active)
-        return [n for n in self._adj[q] if n in active_set]
+        active_set = range(self.num_qubits) if active is None else set(active)
+        return [n for n in _bits(self._nbr_mask[q]) if n in active_set]
 
     def is_non_cutting(self, q: int, active: Iterable[int] | int) -> bool:
         """Whether removing ``q`` keeps the induced subgraph on ``active`` (an
@@ -159,7 +157,7 @@ class Topology:
             bad = [j for j in active if not (_is_int(j) and 0 <= j < self.num_qubits)]
             if bad:
                 raise ValueError(f"active qubits {sorted(bad)} not in 0..{self.num_qubits - 1}")
-            active = sum(map(self._bit.__getitem__, active))
+            active = _mask(active)
         elif isinstance(active, bool) or active < 0:
             raise ValueError(f"active mask must be a non-negative int, got {active!r}")
         elif active >> self.num_qubits:
@@ -167,7 +165,7 @@ class Topology:
             raise ValueError(f"active qubits {bad} not in 0..{self.num_qubits - 1}")
         if type(q) is not int and _is_int(q):  # plain ints skip both checks
             q = int(q)
-        if type(q) is not int or q not in self._bit or not active >> q & 1:
+        if type(q) is not int or not 0 <= q < self.num_qubits or not active >> q & 1:
             raise ValueError(f"qubit {q} is not in the active set")
         rest, nbr = active & ~(1 << q), self._nbr_mask
         need = nbr[q] & active
@@ -202,25 +200,31 @@ class Topology:
         Deterministic: neighbors are scanned in ascending order.
         """
         self._check_qubits(source=[source], target=targets, active=active)
-        return self._path(source, targets, active)
+        return self._path(int(source), _mask(set(targets)), _mask(set(active)))[::-1]
 
-    def _path(self, source: int, targets: set[int], active: set[int]) -> list[int]:
-        if source in targets:
+    def _path(self, source: int, targets: int, active: int) -> list[int]:
+        """``shortest_path`` on masks (bit j: qubit j), from the target to ``source``."""
+        if targets >> source & 1:
             return [source]
-        prev = {source: -1}
+        nbr, prev = self._nbr_mask, {}
+        seen = 1 << source
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            for w in self._adj[u]:
-                if w in active and w not in prev:
-                    prev[w] = u
-                    if w in targets:
-                        path = [w]
-                        while path[-1] != source:
-                            path.append(prev[path[-1]])
-                        path.reverse()
-                        return path
-                    queue.append(w)
+            fresh = nbr[u] & active & ~seen
+            hit = fresh & targets
+            if hit:  # the lowest target comes first in ascending order
+                path = [(hit & -hit).bit_length() - 1, u]
+                while path[-1] != source:
+                    path.append(prev[path[-1]])
+                return path
+            seen |= fresh
+            while fresh:
+                low = fresh & -fresh
+                w = low.bit_length() - 1
+                prev[w] = u
+                queue.append(w)
+                fresh ^= low
         raise ValueError("targets unreachable inside the active set")
 
     def steiner_tree(self, terminals: Iterable[int], active: Iterable[int]) -> list[Edge]:
@@ -235,43 +239,48 @@ class Topology:
             raise ValueError("terminals must be non-empty")
         if not term_set <= active_set:
             raise ValueError("terminals must lie inside the active set")
-        terms = sorted(term_set)
-        tree_nodes = {terms[0]}
+        remaining, act = _mask(term_set), _mask(active_set)
+        tree = remaining & -remaining
         edges: list[Edge] = []
-        remaining = set(terms[1:])
-        while remaining:
+        while remaining := remaining & ~tree:
             # Grow from the tree to the nearest uncovered terminal.
-            path = self._path(min(remaining), tree_nodes, active_set)
-            path.reverse()  # now runs tree -> terminal
-            for a, b in zip(path, path[1:]):
-                edges.append(_norm_edge(a, b))
-                tree_nodes.add(b)
-            tree_nodes.add(path[0])
-            remaining -= tree_nodes
+            path = self._path((remaining & -remaining).bit_length() - 1, tree, act)
+            edges.extend(map(_norm_edge, path, path[1:]))  # tree -> terminal
+            tree |= _mask(path)
         return edges
+
+
+def _mask(qubits: Iterable[int]) -> int:
+    """Bitmask of distinct integer qubits: bit j for qubit j."""
+    return sum(1 << int(j) for j in qubits)
+
+
+def _bits(mask: int) -> list[int]:
+    """Set bits of ``mask``, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 _UNREACHABLE = 10 ** 9
 
 
 def tree_postorder(edges: Iterable[Edge], root: int) -> list[tuple[int, int]]:
-    """(child, parent) pairs of a tree in postorder (children before parents)."""
-    adj: dict[int, list[int]] = {}
+    """(child, parent) pairs of a tree in postorder (children before parents,
+    siblings in ascending order): the reverse of the preorder that takes
+    siblings in descending order."""
+    nbr: dict[int, int] = {}  # bit w of nbr[u]: (u, w) is a tree edge
     for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for lst in adj.values():
-        lst.sort()
+        nbr[u] = nbr.get(u, 0) | 1 << v
+        nbr[v] = nbr.get(v, 0) | 1 << u
     order: list[tuple[int, int]] = []
-    stack: list[tuple[int, int, bool]] = [(root, -1, False)]
+    stack = [(root, -1)]
     while stack:
-        node, parent, expanded = stack.pop()
-        if expanded:
-            if parent != -1:
-                order.append((node, parent))
-            continue
-        stack.append((node, parent, True))
-        for child in reversed(adj.get(node, [])):
-            if child != parent:
-                stack.append((child, node, False))
-    return order
+        node, parent = stack.pop()
+        kids = nbr.get(node, 0)
+        if parent >= 0:
+            order.append((node, parent))
+            kids ^= 1 << parent
+        while kids:  # ascending, so that the highest is popped first
+            low = kids & -kids
+            stack.append((low.bit_length() - 1, node))
+            kids ^= low
+    return order[::-1]

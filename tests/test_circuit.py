@@ -52,6 +52,9 @@ def test_rejects_non_integer_qubit_count(q):
     ((ps.cx(0, 1), ps.Gate("h", (True,))), "h', qubits=(True,)"),
     ((ps.h(1), ps.Gate("cx", (0, 1.0))), "cx', qubits=(0, 1.0)"),
     ((ps.h(1), ps.Gate("rz", ("0",), 0.5)), "rz', qubits=('0',)"),
+    # Unhashable wires, from a factory without a cache and from an interned one.
+    ((ps.rz(0.1, [0]),), "rz', qubits=([0],)"),
+    ((ps.h(0), ps.h([0])), "h', qubits=([0],)"),
 ])
 def test_rejects_non_integer_wires(gates, bad):
     with pytest.raises(ValueError, match=re.escape(bad) + r".*needs integer wires"):

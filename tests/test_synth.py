@@ -284,10 +284,9 @@ def test_lone_gadget_matches_frame_steps(rng):
         while stack:
             _p_step(steps, *stack.pop(), stack)
         tag = (trial, topo.edges, sorted(active), pivot, rows.tolist())
-        assert not lone.alive[i] and lone.emitted == steps.emitted == [i], tag
+        assert lone.emitted == steps.emitted == [i], tag
         assert lone.gates == steps.gates, tag
-        assert (lone.signs, lone.alive, lone.x, lone.z) == \
-            (steps.signs, steps.alive, steps.x, steps.z), tag
+        assert (lone.signs, lone.x, lone.z) == (steps.signs, steps.x, steps.z), tag
         assert lone.tableau == steps.tableau, tag
 
 
@@ -747,7 +746,7 @@ def test_debug_invariant_catches_corrupted_letters(monkeypatch):
         _check_invariant(st)
     st.tableau.prepend(ps.h(2))
     _check_invariant(st)
-    live = [i for i, alive in enumerate(st.alive) if alive]
+    live = [i for i in range(len(poly)) if i not in st.emitted]
     # One flipped bit anywhere in a live gadget is caught: its x bit, its z
     # bit, or its sign.
     for part in ("x", "z", "sign"):
@@ -768,7 +767,7 @@ def test_debug_invariant_catches_corrupted_letters(monkeypatch):
     def corrupting(state, pivot, neighbor, g):
         disconnect(state, pivot, neighbor, g)
         if not corrupted:  # once, so the recursion ends even unchecked
-            corrupted.append(max(i for i, alive in enumerate(state.alive) if alive))
+            corrupted.append(max(i for i in range(len(poly)) if i not in state.emitted))
             state.flip_bit(corrupted[0], "z", pivot)
 
     monkeypatch.setattr(ps.synth, "disconnect", corrupting)

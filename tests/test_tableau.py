@@ -6,11 +6,12 @@ import pytest
 import paulisynth as ps
 from paulisynth import verify
 from paulisynth.circuit import Circuit
-from paulisynth.tableau import (CliffordTableau, QubitPermutation, _inverse_letter,
+from paulisynth.paulis import conjugate_bits
+from paulisynth.tableau import (CliffordTableau, QubitPermutation, _inverse_row,
                                 _inverse_supports, _row_supports, column_distance_cost,
-                                row_interaction_cost, synthesize_tableau)
+                                row_interaction_cost, steiner_ladder, synthesize_tableau)
 
-from conftest import random_clifford_circuit, tableau_matches_unitary
+from conftest import random_clifford_circuit, random_connected_topology, tableau_matches_unitary
 
 
 def test_prepend_h_twice_is_identity():
@@ -86,20 +87,52 @@ def test_prepend_append_preserve_symplecticity(rng):
 
 
 def test_peel_reads_match_the_inverse_rows(rng):
-    # The peel reads the inverse's letters and supports from the rows; the
-    # reference is t.inverse(), which checks each of its rows by conjugating
-    # it back through t.
+    # The peel reads the inverse's rows (as X and Z wire masks) and supports
+    # from t's rows; the reference is t.inverse(), which checks each of its
+    # rows by conjugating it back through t.
     for q in range(1, 11):
         for _ in range(3):
             t = CliffordTableau(q)
             for g in random_clifford_circuit(q, int(rng.integers(1, 12 * q)), rng).gates:
                 t.prepend(g)
             inv = t.inverse()
-            assert all(_inverse_letter(t, k, j) == inv.row_letter(k, j)
-                       for k in range(2 * q) for j in range(q))
+            # x and z are bits j < q and q+j of the row, so every letter of
+            # every row is compared.
+            assert [x | z << q for x, z in (_inverse_row(t, k) for k in range(2 * q))] \
+                == inv.rows
             supports = [sum((inv.row_letter(k, j) != ps.Pauli.I) << j for j in range(q))
                         for k in range(2 * q)]
             assert _inverse_supports(t) == _row_supports(inv) == supports
+
+
+def test_steiner_ladder_folds_the_legs_into_the_root(rng):
+    # On a connected active set, the ladder uses only active edges and maps
+    # X (or Z) on every leg to exactly +X (or +Z) on the root under g P g^.
+    for trial in range(200):
+        q = int(rng.integers(2, 13))
+        topo = ps.Topology.grid(8, 8) if trial % 10 == 0 else random_connected_topology(q, rng)
+        q = topo.num_qubits
+        active = {int(rng.integers(q))}
+        for _ in range(int(rng.integers(q))):
+            active.add(int(rng.choice(sorted({w for u in active for w in topo.neighbors(u)}))))
+        act = sum(1 << j for j in active)
+        root = int(rng.choice(sorted(active)))
+        legs = sum(1 << j for j in rng.choice(sorted(active), int(rng.integers(1, len(active) + 1)),
+                                              replace=False).tolist())
+        for z_legs in (False, True):
+            x, z, sign = [0] * q, [0] * q, 0
+            for j in active:
+                (z if z_legs else x)[j] = legs >> j & 1
+            ladder = []
+            steiner_ladder(topo, legs, root, act, z_legs, ladder.append)
+            for g in ladder:
+                c, t = g.qubits
+                assert g.kind == "cx" and topo.has_edge(c, t) and act >> c & act >> t & 1
+                x[c], z[c], x[t], z[t], flip = conjugate_bits("cx", x[c], z[c], x[t], z[t])
+                sign ^= flip
+            single = [int(j == root) for j in range(q)]
+            expected = ([0] * q, single) if z_legs else (single, [0] * q)
+            assert (x, z, sign) == (*expected, 0), (trial, topo.edges, active, root, legs)
 
 
 def test_rejects_rotations():

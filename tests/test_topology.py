@@ -364,6 +364,94 @@ def test_paths_reject_qubits_out_of_range():
     assert line3.shortest_path(0, {2}, {0, 1, 2}) == [0, 1, 2]
 
 
+def _path_ref(adj, source, targets, active):
+    """Set-based BFS over adjacency lists: the reference for ``Topology._path``."""
+    if source in targets:
+        return [source]
+    prev = {source: -1}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w in active and w not in prev:
+                prev[w] = u
+                if w in targets:
+                    path = [w]
+                    while path[-1] != source:
+                        path.append(prev[path[-1]])
+                    path.reverse()
+                    return path
+                queue.append(w)
+    raise ValueError("targets unreachable inside the active set")
+
+
+def _steiner_ref(adj, terminals, active):
+    """Set-based nearest-terminal merging: the reference for ``steiner_tree``."""
+    terms = sorted(terminals)
+    tree_nodes, remaining, edges = {terms[0]}, set(terms[1:]), []
+    while remaining:
+        path = _path_ref(adj, min(remaining), tree_nodes, active)
+        path.reverse()
+        for a, b in zip(path, path[1:]):
+            edges.append((min(a, b), max(a, b)))
+            tree_nodes.add(b)
+        remaining -= tree_nodes
+    return edges
+
+
+def _postorder_ref(edges, root):
+    """Explicit-stack postorder over sorted adjacency lists: the reference for
+    ``tree_postorder``."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    order, stack = [], [(root, -1, False)]
+    while stack:
+        node, parent, expanded = stack.pop()
+        if expanded:
+            if parent != -1:
+                order.append((node, parent))
+            continue
+        stack.append((node, parent, True))
+        for child in sorted(adj.get(node, []), reverse=True):
+            if child != parent:
+                stack.append((child, node, False))
+    return order
+
+
+def _outcome(query, *args):
+    try:
+        return query(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_mask_paths_and_trees_match_the_set_reference(rng):
+    # Random active sets need not be connected, so some queries fail; both
+    # sides must then fail alike.  Sources are drawn from all qubits, so some
+    # lie outside the active set.  Each tree is also walked from one of its
+    # terminals.
+    for trial in range(300):
+        t = Topology.grid(8, 8) if trial % 5 == 0 else \
+            random_connected_topology(int(rng.integers(2, 13)), rng)
+        q = t.num_qubits
+        adj = [sorted(w for e in t.edges if u in e for w in e if w != u) for u in range(q)]
+        density = rng.uniform(0.4, 1.0)
+        active = {j for j in range(q) if rng.random() < density}
+        source = int(rng.integers(q))
+        targets = {int(j) for j in rng.choice(q, int(rng.integers(1, 4)))}
+        assert _outcome(t.shortest_path, source, targets, active) == \
+            _outcome(_path_ref, adj, source, targets, active), (trial, source, targets, active)
+        if active:
+            terms = {int(j) for j in rng.choice(sorted(active), int(rng.integers(1, len(active) + 1)))}
+            tree = _outcome(t.steiner_tree, terms, active)
+            assert tree == _outcome(_steiner_ref, adj, terms, active), (trial, terms, active)
+            if isinstance(tree, list):
+                root = int(rng.choice(sorted(terms)))
+                assert tree_postorder(tree, root) == _postorder_ref(tree, root), (trial, tree)
+
+
 def test_steiner_respects_active_subset():
     t = Topology.cycle(4)
     # with vertex 1 inactive, the 0..2 route must go the long way

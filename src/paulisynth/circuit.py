@@ -12,7 +12,7 @@ from itertools import chain
 from operator import attrgetter
 
 from .paulis import Gate, _is_int
-from .topology import Topology
+from .topology import Topology, _norm_edge
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,9 @@ def metrics(c: Circuit) -> Metrics:
 
 
 def conforms(c: Circuit, topo: Topology) -> bool:
-    """True iff every CNOT acts on a topology edge."""
-    return all(g.kind != "cx" or topo.has_edge(*g.qubits) for g in c.gates)
+    """True iff every CNOT acts on a topology edge (a wire outside the
+    topology is on none)."""
+    return all(g.kind != "cx" or _norm_edge(*g.qubits) in topo.edges for g in c.gates)
 
 
 _QASM_KIND = {"h": "h", "s": "s", "sdg": "sdg", "v": "sx", "vdg": "sxdg", "cx": "cx"}

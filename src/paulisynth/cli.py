@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out-qasm")
     p_synth.add_argument("--out-metrics")
     p_synth.add_argument("--verify", action="store_true",
-                         help="exact equivalence check (tableau replay, any qubit count)")
+                         help="exact equivalence check (bit-column pass, any qubit count)")
     p_synth.add_argument("--tol", type=float, default=1e-9)
 
     p_bench = sub.add_parser("bench", help="random-instance benchmark to CSV")

@@ -47,6 +47,8 @@ class Pauli(IntEnum):
 
 _PAULI_CHARS = "IXYZ"
 _CHAR_TO_PAULI = {c: Pauli(i) for i, c in enumerate(_PAULI_CHARS)}
+# Letter text to x and z bits.
+_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
 
 CLIFFORD_KINDS = ("h", "s", "sdg", "v", "vdg", "cx")
 
@@ -173,6 +175,14 @@ class PauliColumns:
 
     def __init__(self, x: list[int], z: list[int], signs: int = 0):
         self.x, self.z, self.signs = x, z, signs
+
+    @classmethod
+    def from_texts(cls, texts: list[str], num_qubits: int) -> "PauliColumns":
+        """Pauli i from the letter word ``texts[i]`` (num_qubits letters), sign +."""
+        # Column j as text, Pauli 0 last so that it lands on bit 0.
+        cols = ["".join(c)[::-1] for c in zip(*texts)] or [""] * num_qubits
+        return cls([int("0" + c.translate(_X_BITS), 2) for c in cols],
+                   [int("0" + c.translate(_Z_BITS), 2) for c in cols])
 
     def conjugate(self, gate: Gate) -> None:
         """Every Pauli P becomes ``g P g^``."""

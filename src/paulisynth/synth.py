@@ -46,9 +46,6 @@ from .topology import Topology, _bits
 
 DEBUG_ENV_VAR = "PAULISYNTH_DEBUG"
 
-# Letter text to x and z bits.
-_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
-
 _MODES = ("arbitrary", "commuting-sets")
 
 
@@ -91,10 +88,8 @@ def column_cost(column, k: int) -> int:
 class _State(PauliColumns):
     def __init__(self, poly: PauliPolynomial, topo: Topology, cfg: SynthConfig):
         q = poly.num_qubits
-        # Column j as text, gadget 0 last so that it lands on bit 0.
-        cols = ["".join(c)[::-1] for c in zip(*(str(g.string) for g in poly.gadgets))]
-        super().__init__([int("0" + c.translate(_X_BITS), 2) for c in cols or [""] * q],
-                         [int("0" + c.translate(_Z_BITS), 2) for c in cols or [""] * q])
+        cols = PauliColumns.from_texts([str(g.string) for g in poly.gadgets], q)
+        super().__init__(cols.x, cols.z)
         self.angles = [float(g.angle) for g in poly.gadgets]
         self.gates: list[Gate] = []
         self.tableau = CliffordTableau(q)
@@ -260,7 +255,7 @@ def disconnect(state: _State, pivot: int, neighbor: int, gm: int) -> None:
     x, z = state.x, state.z
     if gm & (x[pivot] | ~z[pivot]):
         raise ValueError("disconnect requires diagonalized pivot legs")
-    if not state.topo.has_edge(pivot, neighbor):
+    if not state.topo._nbr_mask[pivot] >> neighbor & 1:
         raise ValueError(f"({pivot},{neighbor}) is not a topology edge")
     xn, zn = x[neighbor] & gm, z[neighbor] & gm
     matched = gm & ~(xn | zn)  # no leg on the neighbor

@@ -25,7 +25,9 @@ row pair r is X_c, Z_c, the copy maps X_c, Z_c to X_r, Z_r with the same
 signs, ``signs[c]`` and ``signs[q+c]``; at the end the copy is the permutation.
 
 ``replay_rotations`` reads a Clifford+Rz gate list in Pauli-rotation form
-with the same ``prepend`` path; it is the exact check at any qubit count.
+with the same ``prepend`` path; it is the debug invariant's replay
+(``synth._check_invariant``), independent of the column rules of
+``paulis.conjugate_bits`` that ``bench.check_result`` uses.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .paulis import XZ_LETTER, Gate, Pauli, PauliGadget, _check_int, cx, h, s, sdg, v
+from .paulis import XZ_LETTER, Gate, Pauli, PauliGadget, _check_int, _is_int, cx, h, s, sdg, v
 from .topology import Topology, _bits, tree_postorder
 
 
@@ -65,6 +67,9 @@ class QubitPermutation:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(map(_is_int, self.mapping)):
+            raise ValueError(f"permutation entries must be integers, got {self.mapping}")
+        object.__setattr__(self, "mapping", tuple(map(int, self.mapping)))
         if sorted(self.mapping) != list(range(len(self.mapping))):
             raise ValueError(f"not a permutation: {self.mapping}")
 

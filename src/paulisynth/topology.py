@@ -140,13 +140,18 @@ class Topology:
     # -- queries ---------------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
+        self._check_qubits(edge=(u, v))
+        return bool(self._nbr_mask[u] >> int(v) & 1)
 
     def neighbors(self, q: int, active: Iterable[int] | None = None) -> list[int]:
         if not (_is_int(q) and 0 <= q < self.num_qubits):
             raise ValueError(f"qubit {q!r} not in 0..{self.num_qubits - 1}")
-        active_set = range(self.num_qubits) if active is None else set(active)
-        return [n for n in _bits(self._nbr_mask[q]) if n in active_set]
+        near = self._nbr_mask[q]
+        if active is not None:
+            active = list(active)
+            self._check_qubits(active=active)
+            near &= _mask(set(active))
+        return _bits(near)
 
     def is_non_cutting(self, q: int, active: Iterable[int] | int) -> bool:
         """Whether removing ``q`` keeps the induced subgraph on ``active`` (an

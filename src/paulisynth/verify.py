@@ -3,8 +3,8 @@
 Builds exact matrices for gadgets, circuits and exact time evolution, and
 the overlap of a product formula with the exact evolution (used by the
 Trotter-error scan).  Synthesized circuits are checked exactly at any size
-by ``bench.check_result`` (a tableau replay); the dense functions here are
-the oracle its tests compare it with.
+by ``bench.check_result`` (one pass over bit columns); the dense functions
+here are the oracle its tests compare it with.
 
 Qubit 0 is the most significant tensor factor, matching the Pauli string
 convention.  Application order: a circuit ``[g0, g1]`` has unitary

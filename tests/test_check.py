@@ -1,8 +1,12 @@
-"""``bench.check_result`` (exact tableau replay) against the dense oracle.
+"""``bench.check_result`` (one pass over bit columns) against the dense
+oracle, and against the row-product replay it replaced.
 
 The corpus mixes naive and proposed synthesis, both modes and both
 permutation settings, polynomials with all-identity gadgets, and six kinds
-of broken result; the replay must give the dense verdict on every case.
+of broken result; the check must give the dense verdict on every case.  Two
+more mutants flip only a generator's sign, which keeps every letter; past the
+dense oracle's reach, the check must agree with the old verdict of
+``replay_rotations`` plus ``residual_permutation``.
 """
 
 import math
@@ -15,12 +19,15 @@ import paulisynth as ps
 from paulisynth.bench import check_result
 from paulisynth.tableau import replay_rotations
 
-from conftest import dense_check
+from conftest import dense_check, random_connected_topology
 
 SPECS = ("line:2", "line:3", "cycle:3", "line:4", "cycle:4", "grid:2x2",
          "complete:4", "line:5", "cycle:5", "complete:5")
 MUTANTS = ("angle", "drop_clifford", "swap_clifford", "inverse_permutation",
            "swap_gadgets", "truncate_order")
+# Append s(c) s(c) = Z_c or v(c) v(c) = X_c (up to phase) on one wire: the
+# left-over Clifford flips the sign of an X or Z generator and no letter.
+SIGN_MUTANTS = ("sign_x", "sign_z")
 
 
 def _with_identity_gadgets(poly, rng):
@@ -90,6 +97,9 @@ def mutate(kind, poly, result, rng):
         a, b = pairs[int(rng.integers(len(pairs)))]
         order[a], order[b] = order[b], order[a]
         return replace(result, emitted_order=order)
+    if kind in SIGN_MUTANTS:
+        gate = (ps.s if kind == "sign_x" else ps.v)(int(rng.integers(result.circuit.num_qubits)))
+        return _with_gates(result, gates + [gate, gate])
     if kind == "truncate_order":
         # Cut at the last gadget that is not the identity, so the product changes.
         last = [p for p, i in enumerate(order) if not _is_identity(poly.gadgets[i])]
@@ -155,6 +165,15 @@ def test_check_result_rejects_bad_emitted_order():
         check_result(poly, replace(result, circuit=ps.Circuit(4)))
 
 
+@pytest.mark.parametrize("tol", [None, "1e-9", True, [1e-9], float("nan"), math.inf, -1.0])
+def test_check_result_rejects_a_bad_tolerance(tol):
+    poly = ps.random_polynomial(ps.RandomSpec(3, 6, seed=2))
+    result = ps.synthesize(poly, ps.Topology.line(3))
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        check_result(poly, result, tol)
+    assert check_result(poly, result, np.float64(1e-9)) and check_result(poly, result, 0)
+
+
 def test_check_result_rejects_an_appended_clifford_that_fixes_every_x():
     # h(0) cx(0,1) h(0) maps every X image to itself but moves Z images, so a
     # check that reads only the X rows of the left-over Clifford would pass it.
@@ -191,3 +210,79 @@ def test_replay_rotations_returns_the_left_over_clifford():
     t = replay_rotations(1, (ps.h(0), ps.rz(0.2, 0)),
                          [ps.PauliGadget(0.2, ps.PauliString.from_str("X"))], 1e-9)
     assert t == ps.CliffordTableau.from_circuit(ps.Circuit(1, (ps.h(0),)))
+
+
+def _row_replay_verdict(poly, result, tol=1e-9):
+    """The check before the column pass: row-product replay, then the
+    left-over Clifford must be the output permutation with no signs."""
+    order = result.emitted_order
+    if sorted(order) != list(range(len(poly.gadgets))):
+        return False
+    t = replay_rotations(poly.num_qubits, result.circuit.gates,
+                         [poly.gadgets[i] for i in order], tol)
+    return t is not None and t.residual_permutation() == list(result.permutation.mapping)
+
+
+def _assert_same_verdicts(poly, result, rng):
+    """check_result and the row replay agree on ``result`` and every mutant."""
+    cases = [("correct", result)]
+    cases += [(kind, mutate(kind, poly, result, rng)) for kind in MUTANTS + SIGN_MUTANTS]
+    verdicts = {}
+    for kind, case in cases:
+        if case is not None:
+            verdicts[kind] = check_result(poly, case)
+            assert verdicts[kind] == _row_replay_verdict(poly, case), kind
+    assert verdicts["correct"]
+    assert not any(verdicts[kind] for kind in SIGN_MUTANTS)
+    return verdicts
+
+
+def test_check_result_agrees_with_the_row_replay_on_the_corpus():
+    # The corpus of test_check_result_agrees_with_dense_oracle, instance for
+    # instance; the sign mutants draw from their own generator.
+    rng, sign_rng = np.random.default_rng(9001), np.random.default_rng(9002)
+    for trial in range(64):
+        topo = ps.Topology.from_spec(SPECS[trial % len(SPECS)])
+        q = topo.num_qubits
+        n = int(rng.integers(1, 16))
+        poly = ps.random_polynomial(ps.RandomSpec(q, n, seed=int(rng.integers(1 << 40))))
+        if trial % 3 == 0:
+            poly = _with_identity_gadgets(poly, rng)
+        if trial % 4 == 3:
+            result = ps.naive_synthesize(poly, topo)
+        else:
+            cfg = ps.SynthConfig(mode=("arbitrary", "commuting-sets")[trial % 2],
+                                 allow_permutation=trial % 8 < 4)
+            result = ps.synthesize(poly, topo, cfg)
+        for kind in MUTANTS:
+            case = mutate(kind, poly, result, rng)
+            if case is not None:
+                assert check_result(poly, case) == _row_replay_verdict(poly, case), (trial, kind)
+        for kind in SIGN_MUTANTS:
+            case = mutate(kind, poly, result, sign_rng)
+            assert not check_result(poly, case) and not _row_replay_verdict(poly, case)
+            assert not dense_check(poly, case), (trial, kind)
+
+
+@pytest.mark.parametrize("spec, n", [("grid:8x8", 300), ("line:8", 2500)])
+def test_check_result_agrees_with_the_row_replay_on_large_instances(spec, n):
+    topo = ps.Topology.from_spec(spec)
+    poly = ps.random_polynomial(ps.RandomSpec(topo.num_qubits, n, seed=1))
+    verdicts = _assert_same_verdicts(poly, ps.synthesize(poly, topo), np.random.default_rng(5))
+    assert set(verdicts) == {"correct", *MUTANTS, *SIGN_MUTANTS}
+
+
+def test_check_result_agrees_with_the_row_replay_on_random_devices():
+    # Trees (no extra edge), sparse and dense graphs, q up to 64.
+    rng = np.random.default_rng(2108)
+    for trial, q in enumerate((2, 3, 5, 8, 13, 21, 34, 47, 55, 64, 64, 64)):
+        topo = random_connected_topology(q, rng, (0.0, 2 / q, 0.3)[trial % 3])
+        poly = ps.random_polynomial(ps.RandomSpec(q, int(rng.integers(1, 40)),
+                                                  seed=int(rng.integers(1 << 40))))
+        if trial % 4 == 3:
+            result = ps.naive_synthesize(poly, topo)
+        else:
+            cfg = ps.SynthConfig(mode=("arbitrary", "commuting-sets")[trial % 2],
+                                 allow_permutation=trial % 8 < 4)
+            result = ps.synthesize(poly, topo, cfg)
+        _assert_same_verdicts(poly, result, rng)

@@ -141,6 +141,7 @@ def test_conforms():
     assert not ps.conforms(Circuit(3, (ps.cx(0, 2),)), line3)
     assert ps.conforms(Circuit(3, (ps.cx(0, 1), ps.h(2))), line3)
     assert ps.conforms(Circuit(3, (ps.cx(0, 2),)), ps.Topology.complete(3))
+    assert not ps.conforms(Circuit(5, (ps.cx(3, 4),)), line3)  # wires outside the device
 
 
 def test_conforms_reads_the_last_gate():

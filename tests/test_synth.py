@@ -432,6 +432,14 @@ def test_disconnect_requires_diagonal_pivot():
         disconnect(st, 0, 1, 0b1)
 
 
+def test_disconnect_requires_an_edge():
+    st = _state(poly_of((0.1, "ZIZ"),), ps.Topology.line(3))
+    for neighbor in (2, 7):
+        with pytest.raises(ValueError, match=f"\\(0,{neighbor}\\) is not a topology edge"):
+            disconnect(st, 0, neighbor, 0b1)
+    assert not st.gates
+
+
 def _partition_disconnect(state, pivot, neighbor, g):
     """Reference rule over the neighbor's letter groups: I-legged gadgets
     take two CNOTs; otherwise the largest of Z/Y, Z/X and X/Y (first in

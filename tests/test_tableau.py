@@ -279,6 +279,14 @@ def test_synthesize_cnot_bound_empirical(rng):
             assert cnots <= 8 * q * q
 
 
+def test_qubit_permutation_applies_the_integer_rule():
+    for mapping in ((0, 1.0), (True, 0), ("0", 1), (0, None)):
+        with pytest.raises(ValueError, match="permutation entries must be integers"):
+            QubitPermutation(mapping)
+    p = QubitPermutation((np.int64(1), 0))
+    assert p.mapping == (1, 0) and all(type(i) is int for i in p.mapping)
+
+
 def test_residual_permutation_detects_signs():
     t = CliffordTableau(2)
     assert t.residual_permutation() == [0, 1]

@@ -261,6 +261,18 @@ def test_neighbors_rejects_qubits_out_of_range(q):
         Topology.line(3).neighbors(q, {0, 1, 2})
 
 
+def test_has_edge_and_neighbors_check_their_qubits():
+    line3 = Topology.line(3)
+    assert line3.has_edge(0, 1) and line3.has_edge(np.int64(2), 1) and not line3.has_edge(0, 2)
+    for u, v, bad in ((7, 1, 7), (True, 2, True), (0, 1.0, 1.0), (-1, 0, -1), ("1", 2, "1")):
+        with pytest.raises(ValueError, match=re.escape(f"edge qubits [{bad!r}] not in 0..2")):
+            line3.has_edge(u, v)
+    assert line3.neighbors(1, active=[np.int64(2), 0]) == [0, 2]
+    for active in (["a", 7, 2.0, 0], [True], [-1]):
+        with pytest.raises(ValueError, match="active qubits"):
+            line3.neighbors(1, active=active)
+
+
 def test_steiner_line_path():
     t = Topology.line(5)
     edges = t.steiner_tree({0, 4}, set(range(5)))

@@ -60,16 +60,15 @@ def check_result(poly: PauliPolynomial, result: SynthesisResult,
     """Exact check that ``P(mapping) @ U_circuit`` is the emitted gadget
     product up to a global phase, at any qubit count.
 
-    ``emitted_order`` must be a permutation of the gadgets.  One forward pass
-    pushes Paulis through the circuit's Clifford gates by the column rules of
-    ``paulis.conjugate_bits``: Paulis 0..m-1 are the m non-identity gadgets of
-    ``emitted_order`` in that order, and m+r, m+q+r the generators X_r, Z_r.
-    With D the Clifford gates before the k-th rz (on wire j), that rz is
-    gadget k when ``D P_k D^ = +-Z_j`` exactly and its angle times that sign
-    is the gadget's within ``tol``.  At the end every rotation is used, and
-    the Clifford gates map generator ``mapping[c]`` to X_c and Z_c with no
-    sign, i.e. they are ``P(mapping)^``.  The dense functions in ``verify``
-    are the test oracle for this check.
+    ``emitted_order`` must be a permutation of the gadgets.  One forward pass,
+    ``PauliColumns.push_through``, pushes Paulis 0..m-1 (the m non-identity
+    gadgets of ``emitted_order`` in that order) and m+r, m+q+r (X_r, Z_r)
+    through the circuit's Clifford gates: with D the gates before the k-th rz
+    (on wire j), that rz is gadget k when ``D P_k D^ = +-Z_j`` exactly and
+    its angle times that sign is the gadget's within ``tol``.  At the end the
+    gates map generator ``mapping[c]`` to X_c and Z_c with no sign, i.e. they
+    are ``P(mapping)^``.  The dense functions in ``verify`` are the test
+    oracle for this check.
     """
     if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
             or not (math.isfinite(tol) and tol >= 0)):
@@ -83,29 +82,12 @@ def check_result(poly: PauliPolynomial, result: SynthesisResult,
     # Pauli.I is 0, so any() keeps the gadgets with a non-identity letter.
     targets = [g for g in (poly.gadgets[i] for i in order) if any(g.string.letters)]
     m = len(targets)
-    cols = PauliColumns.from_texts([str(g.string) for g in targets], q)
+    cols = PauliColumns.with_generators([str(g.string) for g in targets], q)
+    if not cols.push_through(result.circuit.gates, range(m), [g.angle for g in targets], tol):
+        return False
     x, z = cols.x, cols.z
-    for r in range(q):
-        x[r] |= 1 << (m + r)
-        z[r] |= 1 << (m + q + r)
-    k = 0
-    for g in result.circuit.gates:
-        if g.is_clifford:
-            cols.conjugate(g)
-            continue
-        if k == m:
-            return False
-        bit = 1 << k
-        if (any(map(bit.__and__, x)) or not z[g.qubits[0]] & bit
-                or sum(map(bit.__and__, z)) != bit):  # not exactly +-Z on the wire
-            return False
-        angle = -g.angle if cols.signs & bit else g.angle
-        # Compared with <= so that a NaN angle fails too.
-        if not abs(angle - targets[k].angle) <= tol:
-            return False
-        k += 1
     mapping = result.permutation.mapping
-    return (k == m and not cols.signs >> m and len(mapping) == q
+    return (not cols.signs >> m and len(mapping) == q
             and all(x[c] >> m == 1 << mapping[c] and z[c] >> m == 1 << (q + mapping[c])
                     for c in range(q)))
 

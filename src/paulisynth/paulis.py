@@ -16,6 +16,8 @@ Conventions used throughout the package:
   ``V = exp(i*pi/4) * Rx(pi/2)``).
 * Conjugation may flip the sign of a Pauli; callers fold that flip into the
   gadget angle (``angle -> -angle``) rather than carrying a separate sign.
+* Entry points reject a bad value (a float count, a letter out of range)
+  with a ``ValueError`` naming it; a wrong class gets what Python raises.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class Pauli(IntEnum):
 
 _PAULI_CHARS = "IXYZ"
 _CHAR_TO_PAULI = {c: Pauli(i) for i, c in enumerate(_PAULI_CHARS)}
+_LETTER_TEXT = bytes.maketrans(bytes(range(4)), _PAULI_CHARS.encode())
 # Letter text to x and z bits.
 _X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
 
@@ -184,6 +187,13 @@ class PauliColumns:
         return cls([int("0" + c.translate(_X_BITS), 2) for c in cols],
                    [int("0" + c.translate(_Z_BITS), 2) for c in cols])
 
+    @classmethod
+    def with_generators(cls, texts: list[str], q: int) -> "PauliColumns":
+        """``from_texts``, then X_r and Z_r as Paulis m+r and m+q+r, m = len(texts)."""
+        cols, m = cls.from_texts(texts, q), len(texts)
+        return cls([c | 1 << (m + r) for r, c in enumerate(cols.x)],
+                   [c | 1 << (m + q + r) for r, c in enumerate(cols.z)])
+
     def conjugate(self, gate: Gate) -> None:
         """Every Pauli P becomes ``g P g^``."""
         x, z, a = self.x, self.z, gate.qubits[0]
@@ -198,12 +208,44 @@ class PauliColumns:
         """Letter of Pauli i on ``wire``."""
         return XZ_LETTER[(self.x[wire] >> i & 1) | (self.z[wire] >> i & 1) << 1]
 
+    def push_through(self, gates, order, angles, tol: float) -> bool:
+        """``conjugate`` every Pauli by each Clifford gate in turn; the k-th
+        ``rz``, on wire j, must find Pauli ``order[k]`` exactly +-Z_j, and its
+        angle times that sign must be ``angles[k]`` within ``tol``.  False at
+        a mismatch, or unless there is exactly one rz per entry of ``order``."""
+        x, z, k = self.x, self.z, 0
+        for g in gates:
+            if g.is_clifford:
+                self.conjugate(g)
+                continue
+            if k == len(order):
+                return False
+            bit = 1 << order[k]
+            if (any(map(bit.__and__, x)) or not z[g.qubits[0]] & bit
+                    or sum(map(bit.__and__, z)) != bit):  # not exactly +-Z on the wire
+                return False
+            angle = -g.angle if self.signs & bit else g.angle
+            # Compared with <= so that a NaN angle fails too.
+            if not abs(angle - angles[k]) <= tol:
+                return False
+            k += 1
+        return k == len(order)
+
 
 @dataclass(frozen=True)
 class PauliString:
-    """A word over {I, X, Y, Z}; one letter per qubit."""
+    """A word over {I, X, Y, Z}; one letter per qubit, a ``Pauli`` or 0-3."""
 
     letters: tuple[Pauli, ...]
+
+    def __post_init__(self):
+        letters = tuple(self.letters)
+        if not all(type(p) is Pauli for p in letters):
+            for p in letters:
+                if not (_is_int(p) and 0 <= p <= 3):
+                    raise ValueError(f"invalid Pauli letter {p!r}: not a Pauli or 0-3")
+            letters = tuple(map(Pauli, letters))
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def from_str(cls, text: str) -> "PauliString":
@@ -213,7 +255,7 @@ class PauliString:
             raise ValueError(f"invalid Pauli letter {exc.args[0]!r} in {text!r}") from None
 
     def __str__(self) -> str:
-        return "".join(_PAULI_CHARS[p] for p in self.letters)
+        return bytes(self.letters).translate(_LETTER_TEXT).decode()
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -25,8 +27,13 @@ class RandomSpec:
     def __post_init__(self):
         for name in ("num_qubits", "num_gadgets"):
             _check_int(name, getattr(self, name), 1)
-        if not self.angle_set:
-            raise ValueError("angle_set must be non-empty")
+        angles = self.angle_set
+        if (not isinstance(angles, Sequence) or isinstance(angles, str) or not angles
+                or not all(isinstance(a, Real) and not isinstance(a, bool) and math.isfinite(a)
+                           for a in angles)):
+            raise ValueError(f"angle_set must be a non-empty sequence of finite angles, "
+                             f"got {angles!r}")
+        object.__setattr__(self, "angle_set", tuple(angles))
         _check_int("seed", self.seed, 0)
 
 

@@ -39,9 +39,10 @@ import os
 from dataclasses import dataclass
 
 from .circuit import Circuit, Metrics, metrics
-from .paulis import TO_Z, Gate, Pauli, PauliColumns, PauliPolynomial, commutes, cx, h, rz, s
-from .tableau import (CliffordTableau, QubitPermutation, pauli_row, replay_rotations,
-                      steiner_ladder, synthesize_tableau)
+from .paulis import (TO_Z, Gate, Pauli, PauliColumns, PauliPolynomial, _check_int, commutes,
+                     cx, h, rz, s)
+from .tableau import (CliffordTableau, QubitPermutation, _inverse_columns, steiner_ladder,
+                      synthesize_tableau)
 from .topology import Topology, _bits
 
 DEBUG_ENV_VAR = "PAULISYNTH_DEBUG"
@@ -56,8 +57,8 @@ class SynthConfig:
     allow_permutation: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"weighting factor k must be an integer >= 1, got {self.k!r}")
+        _check_int("k", self.k, 1)
+        object.__setattr__(self, "k", int(self.k))
         mode = self.mode.replace("_", "-") if isinstance(self.mode, str) else self.mode
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
@@ -102,13 +103,6 @@ class _State(PauliColumns):
     def angle(self, i: int) -> float:
         """Current angle of gadget i, its accumulated sign folded in."""
         return -self.angles[i] if self.signs >> i & 1 else self.angles[i]
-
-    def flip_bit(self, i: int, part: str, qubit: int = 0) -> None:
-        """Corrupt gadget i's ``"x"`` or ``"z"`` bit on ``qubit``, or its ``"sign"``."""
-        if part == "sign":
-            self.signs ^= 1 << i
-        else:
-            getattr(self, part)[qubit] ^= 1 << i
 
     def emit_clifford(self, gate: Gate) -> None:
         """Append to the circuit, conjugate all gadgets, stash the adjoint."""
@@ -444,19 +438,25 @@ def naive_synthesize(poly: PauliPolynomial, topo: Topology) -> SynthesisResult:
 def _check_invariant(state: _State) -> None:
     """Exact check of the running decomposition (debug toggle, any size).
 
-    Replaying ``state.gates`` must realize the emitted gadgets and rebuild
-    ``state.tableau`` (``U^`` for the Clifford U emitted so far), and every
-    live gadget mapped back through ``U^`` must be its original gadget.
+    ``PauliColumns.push_through`` pushes the original gadgets and the
+    generators X_r, Z_r through ``state.gates``, matching the rotations to
+    the emitted gadgets.  The generators must land on the rows of
+    ``state.tableau.inverse()`` (U, the Clifford emitted so far, by the row
+    rules), and every live gadget on its bits and sign in the store.
     """
-    gadgets = state.poly.gadgets
-    replayed = replay_rotations(state.poly.num_qubits, state.gates,
-                                [gadgets[i] for i in state.emitted], 1e-9)
-    if replayed is None or replayed != state.tableau:
+    q, gadgets, n = state.poly.num_qubits, state.poly.gadgets, len(state.poly)
+    cols = PauliColumns.with_generators([str(g.string) for g in gadgets], q)
+    # Pauli.I is 0, so any() skips the identity gadgets, which emit no rz.
+    order = [i for i in state.emitted if any(gadgets[i].string.letters)]
+    inv = _inverse_columns(state.tableau)
+    if not (cols.push_through(state.gates, order, [gadgets[i].angle for i in order], 1e-9)
+            and [col >> n for col in cols.x] == inv.x and [col >> n for col in cols.z] == inv.z
+            and cols.signs >> n == inv.signs):
         raise AssertionError("synthesis invariant violated: emitted gates")
-    for i in sorted(set(range(len(gadgets))) - set(state.emitted)):
-        letters = [state.letter(i, j) for j in range(state.poly.num_qubits)]
-        image, sign = replayed.conjugate_vector(pauli_row(letters))
-        angle = -state.angle(i) if sign else state.angle(i)
-        if not (image == pauli_row(gadgets[i].string.letters)
-                and abs(angle - gadgets[i].angle) <= 1e-9):
-            raise AssertionError(f"synthesis invariant violated: live gadget {i}")
+    bad = cols.signs ^ state.signs
+    for j in range(q):
+        bad |= cols.x[j] ^ state.x[j] | cols.z[j] ^ state.z[j]
+    bad &= (1 << n) - 1 - sum(1 << i for i in state.emitted)
+    if bad:
+        raise AssertionError(
+            f"synthesis invariant violated: live gadget {(bad & -bad).bit_length() - 1}")

@@ -14,29 +14,23 @@ With ``P(x, z) = i^|x&z| X^x Z^z`` (Hermitian, Y = iXZ),
 for ``(x3, z3) = (x1^x2, z1^z2)``, so a row product costs four popcounts.
 
 ``synthesize_tableau`` emits a conforming circuit E and a permutation with
-``W_t = P(perm) * U(E)``.  It peels a copy of t, prepending each gate's
-adjoint, and picks gates on the copy's inverse ``U(E) * W_t^``, read from
-the rows by ``M^-1 = Omega M^T Omega``: for k' = k+q (k < q) or k-q, row k
-of the inverse has X bit ``rows[q+j] >> k' & 1`` and Z bit
-``rows[j] >> k' & 1`` on wire j (``_inverse_row``: two wire masks).  Each
-row is folded onto one wire by a ``steiner_ladder`` of CNOTs on device edges
-(Kissinger and Meijer-van de Griend, arXiv:1904.00633).  Once the inverse's
-row pair r is X_c, Z_c, the copy maps X_c, Z_c to X_r, Z_r with the same
-signs, ``signs[c]`` and ``signs[q+c]``; at the end the copy is the permutation.
-
-``replay_rotations`` reads a Clifford+Rz gate list in Pauli-rotation form
-with the same ``prepend`` path; it is the debug invariant's replay
-(``synth._check_invariant``), independent of the column rules of
-``paulis.conjugate_bits`` that ``bench.check_result`` uses.
+``W_t = P(perm) * U(E)``.  It peels the rows of ``U(E) * W_t^`` as Paulis in
+bit columns: by ``M^-1 = Omega M^T Omega``, wire j's X and Z columns start as
+rows q+j and j of t with their halves swapped (``_inverse_columns``; only the
+signs need ``inverse``), and each emitted gate g maps P to ``g P g^`` by
+``paulis.conjugate_bits``.  Row r, bit r of every column, is folded onto one
+wire by a ``steiner_ladder`` of CNOTs on device edges (Kissinger and
+Meijer-van de Griend, arXiv:1904.00633); at the end wire c holds row pair
+``perm[c]`` with + signs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .circuit import Circuit
-from .paulis import XZ_LETTER, Gate, Pauli, PauliGadget, _check_int, _is_int, cx, h, s, sdg, v
+from .paulis import (XZ_LETTER, Gate, Pauli, PauliColumns, _check_int, _is_int, cx, h, s,
+                     sdg, v)
 from .topology import Topology, _bits, tree_postorder
 
 
@@ -46,13 +40,6 @@ def _product_phase(r1: int, r2: int, q: int) -> int:
     r3 = r1 ^ r2
     return ((r1 & (r1 >> q)).bit_count() + (r2 & (r2 >> q)).bit_count()
             + 2 * ((r1 >> q) & r2).bit_count() - (r3 & (r3 >> q)).bit_count())
-
-
-def pauli_row(letters: Sequence[Pauli]) -> int:
-    """Row int of a Pauli word: X bit j, then Z bit q+j."""
-    q = len(letters)
-    return sum((p in (Pauli.X, Pauli.Y)) << j | (p in (Pauli.Y, Pauli.Z)) << (q + j)
-               for j, p in enumerate(letters))
 
 
 @dataclass(frozen=True)
@@ -129,10 +116,6 @@ class CliffordTableau:
         """Row action of applying ``gate`` before this Clifford."""
         if not gate.is_clifford:
             raise ValueError("tableaus track Clifford gates only")
-        self._prepend(gate)
-
-    def _prepend(self, gate: Gate) -> None:
-        """``prepend`` of a gate known to be Clifford: the peel's gate action."""
         q = self.num_qubits
         k = gate.kind
         if k == "h":
@@ -154,8 +137,13 @@ class CliffordTableau:
     # -- queries -------------------------------------------------------------
 
     def row_letter(self, r: int, wire: int) -> Pauli:
+        """Letter of row r (image of X_r, or of Z_{r-q} for r >= q) on ``wire``."""
+        q = self.num_qubits
+        if not (_is_int(r) and 0 <= r < 2 * q and _is_int(wire) and 0 <= wire < q):
+            raise ValueError(f"row_letter needs a row in 0..{2 * q - 1} and a wire in "
+                             f"0..{q - 1}, got ({r!r}, {wire!r})")
         row = self.rows[r]
-        return XZ_LETTER[(row >> wire & 1) | (row >> (self.num_qubits + wire) & 1) << 1]
+        return XZ_LETTER[(row >> wire & 1) | (row >> (q + wire) & 1) << 1]
 
     def is_symplectic(self) -> bool:
         """Rows r and q+r anticommute; every other pair commutes."""
@@ -213,38 +201,6 @@ class CliffordTableau:
         return self.residual_permutation() == list(range(self.num_qubits))
 
 
-def replay_rotations(num_qubits: int, gates: Iterable[Gate],
-                     gadgets: Sequence[PauliGadget], tol: float) -> CliffordTableau | None:
-    """Match a Clifford+Rz gate list against a gadget product, exactly.
-
-    The gates equal ``C * prod_i exp(-i*a_i/2 * P_i)`` (first rotation acting
-    first): ``prepend(g.adjoint())`` per Clifford gate builds the tableau of
-    ``C^`` so far, and an ``rz(theta)`` on wire j is ``P_i`` = row q+j at that
-    point with ``a_i = theta * (row sign)``.  The rotations must be the
-    non-identity ``gadgets`` one for one and in order, letters exactly and
-    angles within ``tol``.  Returns the tableau of ``C^``, or None on a
-    mismatch.
-    """
-    q = num_qubits
-    targets = [g for g in gadgets if g.string.legs()]
-    rows = [pauli_row(g.string.letters) for g in targets]
-    t = CliffordTableau(q)
-    k = 0
-    for g in gates:
-        if g.is_clifford:
-            t.prepend(g.adjoint())
-            continue
-        if k == len(targets):
-            return None
-        row = q + g.qubits[0]
-        angle = -g.angle if t.signs[row] else g.angle
-        # Compared with <= so that a NaN angle fails too.
-        if not (t.rows[row] == rows[k] and abs(angle - targets[k].angle) <= tol):
-            return None
-        k += 1
-    return t if k == len(targets) else None
-
-
 def _interaction_cost(supp: list[int], r: int) -> int:
     return supp[r].bit_count() + supp[len(supp) // 2 + r].bit_count()
 
@@ -261,21 +217,27 @@ def _row_supports(t: CliffordTableau) -> list[int]:
     return [(row | row >> q) & ((1 << q) - 1) for row in t.rows]
 
 
-def _inverse_supports(t: CliffordTableau) -> list[int]:
-    """``_row_supports(t.inverse())``, read from t's rows by one bit-matrix
-    transpose: bit j of ``supp[k']`` is bit k' of ``rows[j] | rows[q+j]``."""
+def _inverse_columns(t: CliffordTableau) -> PauliColumns:
+    """The rows of ``t.inverse()`` as Paulis 0..2q-1 in bit columns: wire j's
+    X (Z) column is row q+j (j) of t with its halves swapped."""
     q = t.num_qubits
-    text = [format(t.rows[j] | t.rows[q + j], f"0{2 * q}b") for j in range(q)]
-    supp = [int("".join(bits)[::-1], 2) for bits in zip(*text)][::-1]
-    return supp[q:] + supp[:q]
+    swapped = [row >> q | (row & (1 << q) - 1) << q for row in t.rows]
+    signs = sum(sign << k for k, sign in enumerate(t.inverse().signs))
+    return PauliColumns(swapped[q:], swapped[:q], signs)
 
 
-def _inverse_row(t: CliffordTableau, k: int) -> tuple[int, int]:
-    """X and Z wire masks of row k of ``t.inverse()``, read from t's rows."""
-    q, rows = t.num_qubits, t.rows
-    b = k + q if k < q else k - q
-    return (sum((rows[q + j] >> b & 1) << j for j in range(q)),
-            sum((rows[j] >> b & 1) << j for j in range(q)))
+def _wire_masks(work: PauliColumns, r: int) -> tuple[int, int]:
+    """X and Z wire masks of Pauli r: bit j is bit r of column j."""
+    return (sum((col >> r & 1) << j for j, col in enumerate(work.x)),
+            sum((col >> r & 1) << j for j, col in enumerate(work.z)))
+
+
+def _supports(work: PauliColumns) -> list[int]:
+    """Per Pauli of ``work``, the wires where it is not I, as a bitset, by one
+    bit-matrix transpose: bit j of ``supp[k]`` is bit k of ``x[j] | z[j]``."""
+    width = 2 * len(work.x)
+    text = [format(x | z, f"0{width}b") for x, z in zip(work.x, work.z)]
+    return [int("".join(bits)[::-1], 2) for bits in zip(*text)][::-1]
 
 
 def row_interaction_cost(t: CliffordTableau, r: int) -> int:
@@ -303,22 +265,22 @@ def steiner_ladder(topo: Topology, legs: int, root: int, act: int, z: bool, emit
         emit(cx(child, parent) if z else cx(parent, child))
 
 
-def _reduce_pair(work: CliffordTableau, r: int, c: int, act: int,
+def _reduce_pair(work: PauliColumns, r: int, c: int, act: int,
                  topo: Topology, emit) -> None:
-    """Emit gates until row pair r of ``work.inverse()`` is X_c, Z_c with +
-    signs (``work`` maps X_c, Z_c to X_r, Z_r); it commutes with the finished
-    pairs, so its legs lie on the active wires (mask ``act``)."""
-    q = work.num_qubits
+    """Emit gates until Pauli pair r of ``work`` is X_c, Z_c with + signs; it
+    commutes with the finished pairs, so its legs lie on the active wires
+    (mask ``act``)."""
+    q = len(work.x)
 
     # X image -> X on its legs (h on Z, sdg on Y) -> single X on wire c.
-    x, z = _inverse_row(work, r)
+    x, z = _wire_masks(work, r)
     for j in _bits(z):
         emit(sdg(j) if x >> j & 1 else h(j))
     steiner_ladder(topo, x | z, c, act, False, emit)
 
     # Z image -> single Z on wire c, leaving X_c intact (gates with c as CNOT
     # target or diagonal-preserving on c only).
-    x, z = _inverse_row(work, q + r)
+    x, z = _wire_masks(work, q + r)
     if x >> c & 1:  # Y on the root, emitted before the other wires
         emit(v(c))
     elif not z >> c & 1:
@@ -327,11 +289,11 @@ def _reduce_pair(work: CliffordTableau, r: int, c: int, act: int,
         emit(v(j) if z >> j & 1 else h(j))
     steiner_ladder(topo, x | z, c, act, True, emit)
 
-    # Clear residual signs on the finished pair, acting on the new register.
-    if work.signs[c]:
+    # Clear the pair's residual signs: Z_c flips X_c, X_c flips Z_c.
+    if work.signs >> r & 1:
         emit(s(c))
         emit(s(c))
-    if work.signs[q + c]:
+    if work.signs >> (q + r) & 1:
         emit(v(c))
         emit(v(c))
 
@@ -341,10 +303,9 @@ def synthesize_tableau(t: CliffordTableau, topo: Topology,
                        ) -> tuple[Circuit, QubitPermutation]:
     """Emit a conforming circuit E and permutation with W_t = P(perm) * U(E).
 
-    Gates are generated by peeling a copy of t down to a permutation matrix
-    with all-zero signs (the identity when ``allow_permutation=False``):
-    the copy takes ``prepend(gate.adjoint())`` for each gate of E in order.
-    t itself is left unchanged.
+    The rows of ``t.inverse()`` are pushed through each gate of E in turn
+    until they are a permutation of the generators with + signs (the
+    identity if ``allow_permutation=False``).  t is left unchanged.
     """
     q = t.num_qubits
     if topo.num_qubits != q:
@@ -353,16 +314,16 @@ def synthesize_tableau(t: CliffordTableau, topo: Topology,
         raise ValueError(f"allow_permutation must be a bool, got {allow_permutation!r}")
     if not t.is_symplectic():
         raise ValueError("tableau matrix is not symplectic")
-    work = t.copy()
+    work = _inverse_columns(t)
     gates: list[Gate] = []
 
     def emit(gate: Gate) -> None:
         gates.append(gate)
-        work._prepend(gate.adjoint())
+        work.conjugate(gate)
 
     act = rows_left = (1 << q) - 1  # bit c: wire c active, bit r: row pair r left
     while rows_left:
-        supp = _inverse_supports(work)
+        supp = _supports(work)
         # min keeps the first, so ties go to the lowest index.
         free = [j for j in _bits(act) if topo.is_non_cutting(j, act)]
         if allow_permutation:
@@ -374,7 +335,9 @@ def synthesize_tableau(t: CliffordTableau, topo: Topology,
         act ^= 1 << c
         rows_left ^= 1 << r
 
-    perm = work.residual_permutation()
-    if perm is None:
+    # Wire c holds X and Z of the row pair perm[c], with + signs.
+    perm = [x.bit_length() - 1 for x in work.x]
+    if (work.signs or work.x != [1 << r for r in perm]
+            or work.z != [1 << (q + r) for r in perm] or sorted(perm) != list(range(q))):
         raise AssertionError("tableau reduction did not reach a clean permutation")
     return Circuit(q, tuple(gates)), QubitPermutation(tuple(perm))

@@ -64,20 +64,25 @@ class Topology:
 
     @classmethod
     def complete(cls, q: int) -> "Topology":
+        _check_int("num_qubits", q, 1)
         return cls(q, [(i, j) for i in range(q) for j in range(i + 1, q)])
 
     @classmethod
     def line(cls, q: int) -> "Topology":
+        _check_int("num_qubits", q, 1)
         return cls(q, [(i, i + 1) for i in range(q - 1)])
 
     @classmethod
     def cycle(cls, q: int) -> "Topology":
+        _check_int("num_qubits", q, 1)
         if q < 3:
             return cls.line(q)
         return cls(q, [(i, (i + 1) % q) for i in range(q)])
 
     @classmethod
     def grid(cls, rows: int, cols: int) -> "Topology":
+        _check_int("rows", rows, 1)
+        _check_int("cols", cols, 1)
         edges = []
         for r in range(rows):
             for c in range(cols):

@@ -63,6 +63,45 @@ def dense_check(poly, result, tol=1e-9):
     return verify.equivalent(u_poly, u_circ, result.permutation.mapping, tol)
 
 
+def pauli_row(letters):
+    """Row int of a Pauli word: X bit j, then Z bit q+j."""
+    q = len(letters)
+    return sum((p in (ps.Pauli.X, ps.Pauli.Y)) << j | (p in (ps.Pauli.Y, ps.Pauli.Z)) << (q + j)
+               for j, p in enumerate(letters))
+
+
+def replay_rotations(num_qubits, gates, gadgets, tol):
+    """Row-rule reference for ``bench.check_result``: match a Clifford+Rz
+    gate list against a gadget product, exactly, with tableau row products.
+
+    The gates equal ``C * prod_i exp(-i*a_i/2 * P_i)`` (first rotation acting
+    first): ``prepend(g.adjoint())`` per Clifford gate builds the tableau of
+    ``C^`` so far, and an ``rz(theta)`` on wire j is ``P_i`` = row q+j at that
+    point with ``a_i = theta * (row sign)``.  The rotations must be the
+    non-identity ``gadgets`` one for one and in order, letters exactly and
+    angles within ``tol``.  Returns the tableau of ``C^``, or None on a
+    mismatch.
+    """
+    q = num_qubits
+    targets = [g for g in gadgets if g.string.legs()]
+    rows = [pauli_row(g.string.letters) for g in targets]
+    t = ps.CliffordTableau(q)
+    k = 0
+    for g in gates:
+        if g.is_clifford:
+            t.prepend(g.adjoint())
+            continue
+        if k == len(targets):
+            return None
+        row = q + g.qubits[0]
+        angle = -g.angle if t.signs[row] else g.angle
+        # Compared with <= so that a NaN angle fails too.
+        if not (t.rows[row] == rows[k] and abs(angle - targets[k].angle) <= tol):
+            return None
+        k += 1
+    return t if k == len(targets) else None
+
+
 def random_connected_topology(q, rng, extra_edge_prob=0.3):
     """Random spanning tree plus extra edges."""
     edges = []

@@ -1,5 +1,6 @@
 """``bench.check_result`` (one pass over bit columns) against the dense
-oracle, and against the row-product replay it replaced.
+oracle, and against the row-product replay it replaced
+(``conftest.replay_rotations``, the row-rule reference).
 
 The corpus mixes naive and proposed synthesis, both modes and both
 permutation settings, polynomials with all-identity gadgets, and six kinds
@@ -17,9 +18,8 @@ import pytest
 
 import paulisynth as ps
 from paulisynth.bench import check_result
-from paulisynth.tableau import replay_rotations
 
-from conftest import dense_check, random_connected_topology
+from conftest import dense_check, random_connected_topology, replay_rotations
 
 SPECS = ("line:2", "line:3", "cycle:3", "line:4", "cycle:4", "grid:2x2",
          "complete:4", "line:5", "cycle:5", "complete:5")
@@ -184,6 +184,23 @@ def test_check_result_rejects_an_appended_clifford_that_fixes_every_x():
     broken = _with_gates(result, result.circuit.gates + extra)
     assert not check_result(poly, broken)
     assert not dense_check(poly, broken)
+
+
+def test_check_result_rejects_a_rotation_about_a_wrong_pauli_or_an_extra_one():
+    # cx(0,1) rz(1) cx(0,1) is exp(-i*0.3/2 * ZZ).  The rz alone leaves the
+    # same Clifford part but rotates about IZ, so only the rotation's Pauli,
+    # Z on wire 1 and on wire 0, tells them apart.
+    poly = ps.PauliPolynomial(2, (ps.PauliGadget(0.3, ps.PauliString.from_str("ZZ")),))
+    result = replace(ps.synthesize(poly, ps.Topology.line(2)),
+                     permutation=ps.QubitPermutation.identity(2))
+    good = _with_gates(result, (ps.cx(0, 1), ps.rz(0.3, 1), ps.cx(0, 1)))
+    assert check_result(poly, good) and dense_check(poly, good)
+    for gates in ((ps.rz(0.3, 1),), good.circuit.gates + (ps.rz(0.1, 0),)):
+        broken = _with_gates(result, gates)
+        assert not check_result(poly, broken) and not dense_check(poly, broken)
+    poly = ps.random_polynomial(ps.RandomSpec(4, 12, seed=1))
+    result = ps.synthesize(poly, ps.Topology.line(4))
+    assert not check_result(poly, _with_gates(result, result.circuit.gates + (ps.rz(0.1, 2),)))
 
 
 def test_check_result_at_64_qubits():

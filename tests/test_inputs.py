@@ -1,0 +1,75 @@
+"""The input contract of the public entry points: a bad value gives a
+``ValueError`` that names it, and the accepted forms (numpy integers for
+counts and indices, plain integers for letters) still work.
+
+One row per case: an id, the call, and a fragment of the expected message.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+import paulisynth as ps
+
+X = ps.Pauli.X
+BAD = [
+    ("line-float", lambda: ps.Topology.line(2.5), "num_qubits must be an integer >= 1, got 2.5"),
+    ("line-bool", lambda: ps.Topology.line(True), "num_qubits must be an integer >= 1, got True"),
+    ("line-zero", lambda: ps.Topology.line(0), "num_qubits must be an integer >= 1, got 0"),
+    ("cycle-str", lambda: ps.Topology.cycle("3"), "num_qubits must be an integer >= 1, got '3'"),
+    ("cycle-float", lambda: ps.Topology.cycle(2.0), "num_qubits must be an integer >= 1, got 2.0"),
+    ("complete-none", lambda: ps.Topology.complete(None),
+     "num_qubits must be an integer >= 1, got None"),
+    ("complete-neg", lambda: ps.Topology.complete(-1), "num_qubits must be an integer >= 1"),
+    ("grid-bool-rows", lambda: ps.Topology.grid(True, 3), "rows must be an integer >= 1, got True"),
+    ("grid-float-cols", lambda: ps.Topology.grid(2, 2.5), "cols must be an integer >= 1, got 2.5"),
+    ("grid-zero-rows", lambda: ps.Topology.grid(0, 3), "rows must be an integer >= 1, got 0"),
+    ("row-letter-row-past-end", lambda: ps.CliffordTableau(3).row_letter(7, 0),
+     "row in 0..5 and a wire in 0..2, got (7, 0)"),
+    ("row-letter-negative-wire", lambda: ps.CliffordTableau(3).row_letter(0, -1),
+     "got (0, -1)"),
+    ("row-letter-wire-past-end", lambda: ps.CliffordTableau(3).row_letter(0, 3), "got (0, 3)"),
+    ("row-letter-negative-row", lambda: ps.CliffordTableau(3).row_letter(-1, 0), "got (-1, 0)"),
+    ("row-letter-bool-row", lambda: ps.CliffordTableau(3).row_letter(True, 0), "got (True, 0)"),
+    ("row-letter-float-wire", lambda: ps.CliffordTableau(3).row_letter(0, 1.0), "got (0, 1.0)"),
+    ("spec-angle-set-int", lambda: ps.RandomSpec(3, 3, 7),
+     "angle_set must be a non-empty sequence of finite angles, got 7"),
+    ("spec-angle-set-empty", lambda: ps.RandomSpec(3, 3, ()), "got ()"),
+    ("spec-angle-set-str", lambda: ps.RandomSpec(3, 3, "0.5"), "got '0.5'"),
+    ("spec-angle-set-none", lambda: ps.RandomSpec(3, 3, None), "got None"),
+    ("spec-angle-set-nan", lambda: ps.RandomSpec(3, 3, (0.5, math.nan)), "got (0.5, nan)"),
+    ("spec-angle-set-text-entry", lambda: ps.RandomSpec(3, 3, ("0.5",)), "got ('0.5',)"),
+    ("spec-angle-set-bool-entry", lambda: ps.RandomSpec(3, 3, (True,)), "got (True,)"),
+    ("string-letter-text", lambda: ps.PauliString(("X", 7)), "invalid Pauli letter 'X'"),
+    ("string-letter-out-of-range", lambda: ps.PauliString((X, 7)), "invalid Pauli letter 7"),
+    ("string-letter-negative", lambda: ps.PauliString((-1,)), "invalid Pauli letter -1"),
+    ("string-letter-bool", lambda: ps.PauliString((True,)), "invalid Pauli letter True"),
+    ("string-letter-float", lambda: ps.PauliString((1.0,)), "invalid Pauli letter 1.0"),
+    ("string-letter-none", lambda: ps.PauliString((None,)), "invalid Pauli letter None"),
+    ("string-text", lambda: ps.PauliString("XZ"), "invalid Pauli letter 'X'"),
+    ("config-k-float", lambda: ps.SynthConfig(k=2.5), "k must be an integer >= 1, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("call, message", [row[1:] for row in BAD], ids=[row[0] for row in BAD])
+def test_bad_values_raise_a_named_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_accepted_forms():
+    assert ps.Topology.line(np.int64(3)).edges == ps.Topology.line(3).edges
+    assert ps.Topology.grid(np.int64(2), 3).num_qubits == 6
+    assert ps.Topology.cycle(2).edges == ps.Topology.line(2).edges
+    assert ps.CliffordTableau(2).row_letter(np.int64(3), np.int64(1)) == ps.Pauli.Z
+    assert type(ps.SynthConfig(k=np.int64(3)).k) is int
+    spec = ps.RandomSpec(3, 3, [0.5, np.float64(0.25)])
+    assert spec.angle_set == (0.5, 0.25) and hash(spec) == hash(ps.RandomSpec(3, 3, (0.5, 0.25)))
+    letters = ps.PauliString([0, 1, np.int64(2), ps.Pauli.Z]).letters
+    assert letters == (ps.Pauli.I, ps.Pauli.X, ps.Pauli.Y, ps.Pauli.Z)
+    assert all(type(p) is ps.Pauli for p in letters)
+    assert str(ps.PauliString((3, 2, 1, 0))) == "ZYXI"
+    assert str(ps.PauliString(())) == ""
+    assert ps.PauliString((1, 3)) == ps.PauliString.from_str("XZ")

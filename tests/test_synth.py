@@ -83,6 +83,14 @@ def _state(poly, topo, cfg=None):
     return _State(poly, topo, cfg or ps.SynthConfig())
 
 
+def flip_bit(state, i, part, qubit=0):
+    """Corrupt gadget i's ``"x"`` or ``"z"`` bit on ``qubit``, or its ``"sign"``."""
+    if part == "sign":
+        state.signs ^= 1 << i
+    else:
+        getattr(state, part)[qubit] ^= 1 << i
+
+
 def _mask(qubits):
     """Bitmask of a set of qubits or gadgets."""
     return sum(1 << i for i in qubits)
@@ -738,6 +746,49 @@ def test_debug_invariant_grid_3x3(monkeypatch):
     assert checked and set(checked) == {9}
 
 
+def test_debug_invariant_on_a_tree_and_a_sparse_graph(monkeypatch):
+    # On a tree every inner qubit is a cut vertex, and sparse graphs have
+    # many; the checks run after every frame, in both modes.
+    monkeypatch.setenv("PAULISYNTH_DEBUG", "1")
+    checked = []
+
+    def counted(state):
+        checked.append(len(state.emitted))
+        _check_invariant(state)
+
+    monkeypatch.setattr(ps.synth, "_check_invariant", counted)
+    rng = np.random.default_rng(1610)
+    for extra_edge_prob in (0.0, 0.2):
+        topo = random_connected_topology(10, rng, extra_edge_prob)
+        assert (len(topo.edges) == 9) == (extra_edge_prob == 0.0)
+        poly = ps.random_polynomial(ps.RandomSpec(10, 40, seed=int(rng.integers(1 << 40))))
+        for mode in ("arbitrary", "commuting-sets"):
+            checked.clear()
+            res = ps.synthesize(poly, topo, ps.SynthConfig(mode=mode))
+            assert check_result(poly, res) and ps.conforms(res.circuit, topo)
+            assert len(checked) > 10 and checked[-1] == len(poly)
+
+
+def test_debug_invariant_catches_a_changed_generator_part_or_an_extra_rotation():
+    # Before any gate U is the identity.  Prepending sdg(0) to the tableau of
+    # U^ turns U's image of X_0 into +Y_0 (only a Z bit changes); s(2) twice
+    # turns its image of X_2 into -X_2 (only a sign changes).
+    poly = ps.random_polynomial(ps.RandomSpec(4, 6, seed=2))
+    st = _state(poly, ps.Topology.line(4))
+    _check_invariant(st)
+    for corruption in ((ps.sdg(0),), (ps.s(2), ps.s(2))):
+        for g in corruption:
+            st.tableau.prepend(g)
+        with pytest.raises(AssertionError, match="emitted gates"):
+            _check_invariant(st)
+        for g in reversed(corruption):
+            st.tableau.prepend(g.adjoint())
+        _check_invariant(st)
+    st.gates.append(ps.rz(0.1, 0))  # a rotation with no emitted gadget
+    with pytest.raises(AssertionError, match="emitted gates"):
+        _check_invariant(st)
+
+
 def test_debug_invariant_catches_corrupted_letters(monkeypatch):
     topo = ps.Topology.from_spec("grid:2x3")
     poly = ps.random_polynomial(ps.RandomSpec(6, 8, seed=3))
@@ -758,12 +809,12 @@ def test_debug_invariant_catches_corrupted_letters(monkeypatch):
     # One flipped bit anywhere in a live gadget is caught: its x bit, its z
     # bit, or its sign.
     for part in ("x", "z", "sign"):
-        st.flip_bit(live[0], part, 5)
+        flip_bit(st, live[0], part, 5)
         with pytest.raises(AssertionError, match="live gadget"):
             _check_invariant(st)
-        st.flip_bit(live[0], part, 5)
+        flip_bit(st, live[0], part, 5)
         _check_invariant(st)
-    st.flip_bit(live[0], "x", 5)
+    flip_bit(st, live[0], "x", 5)
     with pytest.raises(AssertionError, match="live gadget"):
         _check_invariant(st)
 
@@ -776,7 +827,7 @@ def test_debug_invariant_catches_corrupted_letters(monkeypatch):
         disconnect(state, pivot, neighbor, g)
         if not corrupted:  # once, so the recursion ends even unchecked
             corrupted.append(max(i for i in range(len(poly)) if i not in state.emitted))
-            state.flip_bit(corrupted[0], "z", pivot)
+            flip_bit(state, corrupted[0], "z", pivot)
 
     monkeypatch.setattr(ps.synth, "disconnect", corrupting)
     with pytest.raises(AssertionError, match="invariant"):

@@ -7,8 +7,8 @@ import paulisynth as ps
 from paulisynth import verify
 from paulisynth.circuit import Circuit
 from paulisynth.paulis import conjugate_bits
-from paulisynth.tableau import (CliffordTableau, QubitPermutation, _inverse_row,
-                                _inverse_supports, _row_supports, column_distance_cost,
+from paulisynth.tableau import (CliffordTableau, QubitPermutation, _inverse_columns,
+                                _row_supports, _supports, _wire_masks, column_distance_cost,
                                 row_interaction_cost, steiner_ladder, synthesize_tableau)
 
 from conftest import random_clifford_circuit, random_connected_topology, tableau_matches_unitary
@@ -87,22 +87,28 @@ def test_prepend_append_preserve_symplecticity(rng):
 
 
 def test_peel_reads_match_the_inverse_rows(rng):
-    # The peel reads the inverse's rows (as X and Z wire masks) and supports
-    # from t's rows; the reference is t.inverse(), which checks each of its
-    # rows by conjugating it back through t.
+    # The peel reads the inverse's rows from t's rows as bit columns (with
+    # the signs of one inverse() call), each row as X and Z wire masks, and
+    # the supports by one transpose of the columns; the reference is
+    # t.inverse(), which checks each of its rows by conjugating it back
+    # through t.
     for q in range(1, 11):
         for _ in range(3):
             t = CliffordTableau(q)
             for g in random_clifford_circuit(q, int(rng.integers(1, 12 * q)), rng).gates:
                 t.prepend(g)
             inv = t.inverse()
-            # x and z are bits j < q and q+j of the row, so every letter of
-            # every row is compared.
-            assert [x | z << q for x, z in (_inverse_row(t, k) for k in range(2 * q))] \
+            cols = _inverse_columns(t)
+            # Bit k of column j is row k's letter on wire j, so every letter
+            # of every row is compared.
+            assert [[cols.letter(k, j) for j in range(q)] for k in range(2 * q)] \
+                == [[inv.row_letter(k, j) for j in range(q)] for k in range(2 * q)]
+            assert [x | z << q for x, z in (_wire_masks(cols, k) for k in range(2 * q))] \
                 == inv.rows
+            assert cols.signs == sum(sign << k for k, sign in enumerate(inv.signs))
             supports = [sum((inv.row_letter(k, j) != ps.Pauli.I) << j for j in range(q))
                         for k in range(2 * q)]
-            assert _inverse_supports(t) == _row_supports(inv) == supports
+            assert _supports(cols) == _row_supports(inv) == supports
 
 
 def test_steiner_ladder_folds_the_legs_into_the_root(rng):

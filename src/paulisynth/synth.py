@@ -7,11 +7,15 @@ plus CNOTs on topology edges.  Every emitted Clifford is propagated through
 all gadgets while its adjoint accumulates in a Clifford tableau that is
 synthesized at the very end, up to an output permutation.
 
-Gadget store (``_State``, a ``paulis.PauliColumns``): the Aaronson-Gottesman
-column layout.  For each qubit j, ``x[j]`` and ``z[j]`` are Python-int
-bitsets whose bit i is the X and Z part of gadget i's letter on j, and bit i
-of ``signs`` is gadget i's accumulated sign.  An emitted Clifford is a few
-bitwise operations on whole columns, with no live-gadget mask: emitted
+One column layout serves the gadgets and the tableau
+(``paulis.PauliColumns``, after Aaronson-Gottesman).  For each qubit j,
+``x[j]`` and ``z[j]`` are Python-int bitsets whose bit i is the X and Z part
+of Pauli i's letter on j, and bit i of ``signs`` is its accumulated sign.
+In the gadget store (``_State``) Pauli i is gadget i.  The tableau W = U^,
+with U the Clifford emitted so far, keeps U's images of X_r and Z_r as its
+Paulis r and q+r; ``CliffordTableau.prepend`` of an emitted gate's adjoint
+is conjugation by that gate, as for the gadgets.  An emitted Clifford is a
+few bitwise operations on whole columns, with no live-gadget mask: emitted
 gadgets keep being conjugated and are never read again.  The sign is folded
 into the angle when the gadget's ``rz`` is emitted.  A frame is ``(g, gm,
 pivot, act)``: its gadgets in frame order (column costs read runs in that
@@ -440,9 +444,9 @@ def _check_invariant(state: _State) -> None:
 
     ``PauliColumns.push_through`` pushes the original gadgets and the
     generators X_r, Z_r through ``state.gates``, matching the rotations to
-    the emitted gadgets.  The generators must land on the rows of
-    ``state.tableau.inverse()`` (U, the Clifford emitted so far, by the row
-    rules), and every live gadget on its bits and sign in the store.
+    the emitted gadgets.  The generators must land on ``state.tableau``'s
+    columns (U's images of X_r and Z_r, kept by ``prepend``), and every live
+    gadget on its bits and sign in the store.
     """
     q, gadgets, n = state.poly.num_qubits, state.poly.gadgets, len(state.poly)
     cols = PauliColumns.with_generators([str(g.string) for g in gadgets], q)

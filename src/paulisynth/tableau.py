@@ -1,27 +1,32 @@
 """Clifford tableaus over GF(2) and their architecture-aware synthesis.
 
-One layout: 2q rows as Python ints plus 2q sign bits for a Clifford W.
-Row r < q stores the image ``W X_r W^`` and row q+r stores ``W Z_r W^`` as a
-signed Pauli; bit j < q of a row is the X component on wire j, bit q+j the Z
-component (I=(0,0), X=(1,0), Z=(0,1), Y=(1,1)).
+One layout: a Clifford W is stored as the images of the generators under
+its inverse, Paulis 0..2q-1 of one ``paulis.PauliColumns``: Pauli r < q is
+``W^ X_r W`` and Pauli q+r is ``W^ Z_r W``, with signs.  Bit k of the X (Z)
+column of wire j is Pauli k's X (Z) component there (I=(0,0), X=(1,0),
+Z=(0,1), Y=(1,1)).
 
-``prepend(g)`` realizes ``W -> W * W_g`` (gate applied before the tableau)
-as row products, O(1) per gate (Aaronson-Gottesman, quant-ph/0406196).
-With ``P(x, z) = i^|x&z| X^x Z^z`` (Hermitian, Y = iXZ),
+``prepend(g)`` realizes ``W -> W * W_g`` (gate applied before the tableau):
+``W^`` becomes ``g^ W^``, so every stored Pauli is conjugated by g^, one
+``paulis.conjugate_bits`` call on whole columns.
+
+W's own images are read-only views.  By ``M^-1 = Omega M^T Omega``, row j
+(``W X_j W^``) is wire j's Z column with its halves swapped and row q+j
+(``W Z_j W^``) is wire j's X column swapped; bit j < q of a row is the X
+component on wire j, bit q+j the Z component.  Their signs follow from the
+row product rule: with ``P(x, z) = i^|x&z| X^x Z^z`` (Hermitian, Y = iXZ),
 
     P(x1, z1) * P(x2, z2) = i^(|x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3|) * P(x3, z3)
 
 for ``(x3, z3) = (x1^x2, z1^z2)``, so a row product costs four popcounts.
 
 ``synthesize_tableau`` emits a conforming circuit E and a permutation with
-``W_t = P(perm) * U(E)``.  It peels the rows of ``U(E) * W_t^`` as Paulis in
-bit columns: by ``M^-1 = Omega M^T Omega``, wire j's X and Z columns start as
-rows q+j and j of t with their halves swapped (``_inverse_columns``; only the
-signs need ``inverse``), and each emitted gate g maps P to ``g P g^`` by
-``paulis.conjugate_bits``.  Row r, bit r of every column, is folded onto one
-wire by a ``steiner_ladder`` of CNOTs on device edges (Kissinger and
-Meijer-van de Griend, arXiv:1904.00633); at the end wire c holds row pair
-``perm[c]`` with + signs.
+``W_t = P(perm) * U(E)``.  It pushes a copy of t's columns, the images
+``U(E) W_t^ P W_t U(E)^``, through each emitted gate g (``P -> g P g^``).
+Pauli pair r, bit r of every column, is folded onto one wire by a
+``steiner_ladder`` of CNOTs on device edges (Kissinger and Meijer-van de
+Griend, arXiv:1904.00633); at the end wire c holds pair ``perm[c]`` with +
+signs.
 """
 
 from __future__ import annotations
@@ -34,12 +39,22 @@ from .paulis import (XZ_LETTER, Gate, Pauli, PauliColumns, _check_int, _is_int, 
 from .topology import Topology, _bits, tree_postorder
 
 
-def _product_phase(r1: int, r2: int, q: int) -> int:
-    """Power of i in P(r1) * P(r2) = i^p * P(r1 ^ r2), for rows of q wires
-    (2q bits, so ``r >> q`` is the Z part and needs no mask)."""
-    r3 = r1 ^ r2
-    return ((r1 & (r1 >> q)).bit_count() + (r2 & (r2 >> q)).bit_count()
-            + 2 * ((r1 >> q) & r2).bit_count() - (r3 & (r3 >> q)).bit_count())
+def _conjugate_row(rows: list[int], signs: list[int], row: int, q: int) -> tuple[int, bool]:
+    """Image of the sign-free Pauli ``row`` under the Clifford with generator
+    images ``rows`` and ``signs``, by row products: (row, sign).  Rows have
+    2q bits, so ``r >> q`` is the Z part and needs no mask."""
+    phase = (row & (row >> q)).bit_count()
+    acc = 0
+    for b in _bits(row):  # X^x first, then Z^z
+        r2 = rows[b]
+        r3 = acc ^ r2
+        phase += ((acc & (acc >> q)).bit_count() + (r2 & (r2 >> q)).bit_count()
+                  + 2 * ((acc >> q) & r2).bit_count() - (r3 & (r3 >> q)).bit_count()
+                  + 2 * signs[b])
+        acc = r3
+    if phase & 1:
+        raise AssertionError("non-Hermitian conjugation result")
+    return acc, bool(phase & 2)
 
 
 @dataclass(frozen=True)
@@ -76,11 +91,13 @@ class QubitPermutation:
 
 
 class CliffordTableau:
+    """A Clifford W, kept as its inverse's generator images in bit columns
+    (see the module docstring); ``rows`` and ``signs`` are W's own."""
+
     def __init__(self, num_qubits: int):
         _check_int("num_qubits", num_qubits, 1)
-        self.num_qubits = num_qubits
-        self.rows = [1 << r for r in range(2 * num_qubits)]
-        self.signs = [0] * (2 * num_qubits)
+        self.num_qubits = q = int(num_qubits)  # masks need Python ints
+        self._cols = PauliColumns([1 << j for j in range(q)], [1 << (q + j) for j in range(q)])
 
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "CliffordTableau":
@@ -91,50 +108,45 @@ class CliffordTableau:
 
     def copy(self) -> "CliffordTableau":
         t = CliffordTableau(self.num_qubits)
-        t.rows = list(self.rows)
-        t.signs = list(self.signs)
+        t._cols = _inverse_columns(self)
         return t
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, CliffordTableau)
-                and self.num_qubits == other.num_qubits
-                and self.rows == other.rows and self.signs == other.signs)
-
-    def _row_product(self, dest: int, a: int, b: int, extra: int) -> None:
-        """dest := i^extra * image(a) * image(b); extra makes the result Hermitian."""
-        rows, signs = self.rows, self.signs
-        p = (extra + _product_phase(rows[a], rows[b], self.num_qubits)
-             + 2 * (signs[a] + signs[b]))
-        if p & 1:
-            raise AssertionError("non-Hermitian image in tableau row update")
-        rows[dest] = rows[a] ^ rows[b]
-        signs[dest] = (p >> 1) & 1
+        if not isinstance(other, CliffordTableau):
+            return False
+        a, b = self._cols, other._cols
+        return self.num_qubits == other.num_qubits and (a.x, a.z, a.signs) == (b.x, b.z, b.signs)
 
     # -- gate actions --------------------------------------------------------
 
     def prepend(self, gate: Gate) -> None:
-        """Row action of applying ``gate`` before this Clifford."""
-        if not gate.is_clifford:
-            raise ValueError("tableaus track Clifford gates only")
-        q = self.num_qubits
-        k = gate.kind
-        if k == "h":
-            i = gate.qubits[0]
-            rows, signs = self.rows, self.signs
-            rows[i], rows[q + i] = rows[q + i], rows[i]
-            signs[i], signs[q + i] = signs[q + i], signs[i]
-        elif k in ("s", "sdg"):
-            i = gate.qubits[0]
-            self._row_product(i, i, q + i, extra=1 if k == "s" else 3)
-        elif k in ("v", "vdg"):
-            i = gate.qubits[0]
-            self._row_product(q + i, i, q + i, extra=3 if k == "v" else 1)
-        else:  # cx
-            c, t = gate.qubits
-            self._row_product(c, c, t, extra=0)
-            self._row_product(q + t, q + c, q + t, extra=0)
+        """Apply ``gate`` before this Clifford: conjugate the columns by its
+        adjoint (a rotation is rejected there)."""
+        self._cols.conjugate(gate.adjoint())
 
     # -- queries -------------------------------------------------------------
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Row r < q is ``W X_r W^`` and row q+r is ``W Z_r W^``, sign-free."""
+        q = self.num_qubits
+        m = (1 << q) - 1
+        return tuple(col >> q | (col & m) << q for col in self._cols.z + self._cols.x)
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        """Sign bit of each row: conjugating row r back by W^ gives the
+        generator r with that sign.  Derived on each access, so read once."""
+        q, cols = self.num_qubits, self._cols
+        back = [x | z << q for x, z in (_wire_masks(cols, k) for k in range(2 * q))]
+        back_signs = [cols.signs >> k & 1 for k in range(2 * q)]
+        signs = []
+        for r, row in enumerate(self.rows):
+            img, sign = _conjugate_row(back, back_signs, row, q)
+            if img != 1 << r:
+                raise AssertionError("tableau columns are inconsistent")
+            signs.append(int(sign))
+        return tuple(signs)
 
     def row_letter(self, r: int, wire: int) -> Pauli:
         """Letter of row r (image of X_r, or of Z_{r-q} for r >= q) on ``wire``."""
@@ -142,8 +154,8 @@ class CliffordTableau:
         if not (_is_int(r) and 0 <= r < 2 * q and _is_int(wire) and 0 <= wire < q):
             raise ValueError(f"row_letter needs a row in 0..{2 * q - 1} and a wire in "
                              f"0..{q - 1}, got ({r!r}, {wire!r})")
-        row = self.rows[r]
-        return XZ_LETTER[(row >> wire & 1) | (row >> (q + wire) & 1) << 1]
+        col = self._cols.z[r] if r < q else self._cols.x[r - q]  # row r, halves swapped
+        return XZ_LETTER[(col >> (q + wire) & 1) | (col >> wire & 1) << 1]
 
     def is_symplectic(self) -> bool:
         """Rows r and q+r anticommute; every other pair commutes."""
@@ -159,40 +171,29 @@ class CliffordTableau:
 
     def conjugate_vector(self, row: int) -> tuple[int, bool]:
         """Image of the sign-free Pauli with row int ``row``: (row, sign)."""
-        q = self.num_qubits
-        m = (1 << q) - 1
-        phase = (row & m & (row >> q)).bit_count()
-        acc = 0
-        for b in [b for b in range(2 * q) if row >> b & 1]:  # X^x first, then Z^z
-            phase += _product_phase(acc, self.rows[b], q) + 2 * self.signs[b]
-            acc ^= self.rows[b]
-        if phase & 1:
-            raise AssertionError("non-Hermitian conjugation result")
-        return acc, bool(phase & 2)
+        return _conjugate_row(self.rows, self.signs, row, self.num_qubits)
 
     def inverse(self) -> "CliffordTableau":
-        """Tableau of the adjoint Clifford: the symplectic transpose, with
-        signs from conjugating each new row back."""
+        """Tableau of the adjoint Clifford: its columns are this one's rows."""
         q = self.num_qubits
-        swap = [r + q if r < q else r - q for r in range(2 * q)]
+        rows = self.rows
         inv = CliffordTableau(q)
-        for r in range(2 * q):
-            bit = swap[r]
-            inv.rows[r] = sum((self.rows[swap[c]] >> bit & 1) << c for c in range(2 * q))
-            img, sign = self.conjugate_vector(inv.rows[r])
-            if img != 1 << r:
-                raise AssertionError("tableau inverse is inconsistent")
-            inv.signs[r] = int(sign)
+        inv._cols = PauliColumns(
+            [sum((row >> j & 1) << k for k, row in enumerate(rows)) for j in range(q)],
+            [sum((row >> (q + j) & 1) << k for k, row in enumerate(rows)) for j in range(q)],
+            sum(sign << k for k, sign in enumerate(self.signs)))
         return inv
 
     def residual_permutation(self) -> list[int] | None:
         """If this tableau is a permutation with zero signs, return row->wire."""
         q = self.num_qubits
-        if any(self.signs):
+        # A permutation maps X_c to +-X_r and back with the same sign, so its
+        # rows have no sign exactly when its columns have none.
+        if self._cols.signs:
             return None
-        perm = [max(self.rows[r].bit_length() - 1, 0) for r in range(q)]
-        if any(self.rows[r] != 1 << c or self.rows[q + r] != 1 << (q + c)
-               for r, c in enumerate(perm)):
+        rows = self.rows
+        perm = [max(rows[r].bit_length() - 1, 0) for r in range(q)]
+        if any(rows[r] != 1 << c or rows[q + r] != 1 << (q + c) for r, c in enumerate(perm)):
             return None
         return perm if sorted(perm) == list(range(q)) else None
 
@@ -206,9 +207,11 @@ def _interaction_cost(supp: list[int], r: int) -> int:
 
 
 def _distance_cost(supp: list[int], c: int, topo: Topology) -> int:
-    d = topo.dist[c].tolist()
-    return sum(d[j] for row in (supp[c], supp[len(supp) // 2 + c]) for j in range(len(d))
-               if row >> j & 1)
+    """Sum of the distances from wire c to the wires of row pair c, one
+    popcount per distance ring of c."""
+    x, z = supp[c], supp[len(supp) // 2 + c]
+    return sum(d * ((ring & x).bit_count() + (ring & z).bit_count())
+               for d, ring in enumerate(topo._rings[c]))
 
 
 def _row_supports(t: CliffordTableau) -> list[int]:
@@ -218,12 +221,9 @@ def _row_supports(t: CliffordTableau) -> list[int]:
 
 
 def _inverse_columns(t: CliffordTableau) -> PauliColumns:
-    """The rows of ``t.inverse()`` as Paulis 0..2q-1 in bit columns: wire j's
-    X (Z) column is row q+j (j) of t with its halves swapped."""
-    q = t.num_qubits
-    swapped = [row >> q | (row & (1 << q) - 1) << q for row in t.rows]
-    signs = sum(sign << k for k, sign in enumerate(t.inverse().signs))
-    return PauliColumns(swapped[q:], swapped[:q], signs)
+    """A copy of t's columns: Paulis r and q+r are ``W^ X_r W`` and ``W^ Z_r W``."""
+    cols = t._cols
+    return PauliColumns(list(cols.x), list(cols.z), cols.signs)
 
 
 def _wire_masks(work: PauliColumns, r: int) -> tuple[int, int]:
@@ -303,9 +303,9 @@ def synthesize_tableau(t: CliffordTableau, topo: Topology,
                        ) -> tuple[Circuit, QubitPermutation]:
     """Emit a conforming circuit E and permutation with W_t = P(perm) * U(E).
 
-    The rows of ``t.inverse()`` are pushed through each gate of E in turn
-    until they are a permutation of the generators with + signs (the
-    identity if ``allow_permutation=False``).  t is left unchanged.
+    A copy of t's columns is pushed through each gate of E in turn until it
+    is a permutation of the generators with + signs (the identity if
+    ``allow_permutation=False``).  t is left unchanged.
     """
     q = t.num_qubits
     if topo.num_qubits != q:

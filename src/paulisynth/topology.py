@@ -1,4 +1,5 @@
-"""Connectivity graphs: all-pairs distances, cut-vertex queries, Steiner trees.
+"""Connectivity graphs: all-pairs distances by BFS rings, cut-vertex queries,
+Steiner trees.
 
 A topology never changes its graph; recursion over shrinking qubit sets is
 expressed through ``active`` subsets passed to the queries.  It does cache
@@ -31,7 +32,7 @@ class Topology:
 
     def __init__(self, num_qubits: int, edges: Iterable[Edge]):
         _check_int("num_qubits", num_qubits, 1)
-        self.num_qubits = num_qubits
+        self.num_qubits = num_qubits = int(num_qubits)  # masks need Python ints
         edge_set: set[Edge] = set()
         for u, v in edges:
             if not (_is_int(u) and _is_int(v) and 0 <= u < num_qubits and 0 <= v < num_qubits):
@@ -39,26 +40,38 @@ class Topology:
                                  f"integers in 0..{num_qubits - 1}")
             if u == v:
                 raise ValueError(f"self-loop on qubit {u}")
-            edge_set.add(_norm_edge(u, v))
+            edge_set.add(_norm_edge(int(u), int(v)))
         self.edges = frozenset(edge_set)
         self._nbr_mask = [0] * num_qubits  # bit w of entry u: (u, w) is an edge
         for u, v in edge_set:
             self._nbr_mask[u] |= 1 << v
             self._nbr_mask[v] |= 1 << u
         self._connected: tuple[int, ...] = ()  # active masks proven connected
-        self.dist = self._floyd_warshall()
-        if num_qubits > 1 and int(self.dist.max()) >= _UNREACHABLE:
+        # _rings[c][d]: the qubits at distance d from c, by one BFS per qubit.
+        self._rings = [self._bfs_rings(c) for c in range(num_qubits)]
+        if sum(self._rings[0]) != (1 << num_qubits) - 1:
             raise ValueError("topology graph must be connected")
+        dist = [[0] * num_qubits for _ in range(num_qubits)]
+        for row, rings in zip(dist, self._rings):
+            for d, ring in enumerate(rings):
+                while ring:
+                    low = ring & -ring
+                    row[low.bit_length() - 1] = d
+                    ring ^= low
+        self.dist = np.array(dist, dtype=np.int64)
 
-    def _floyd_warshall(self) -> np.ndarray:
-        n = self.num_qubits
-        d = np.full((n, n), _UNREACHABLE, dtype=np.int64)
-        np.fill_diagonal(d, 0)
-        for u, v in self.edges:
-            d[u, v] = d[v, u] = 1
-        for k in range(n):
-            d = np.minimum(d, d[:, k, None] + d[None, k, :])
-        return d
+    def _bfs_rings(self, source: int) -> list[int]:
+        nbr, seen, rings = self._nbr_mask, 1 << source, [1 << source]
+        while True:
+            reached, ring = 0, rings[-1]
+            while ring:
+                low = ring & -ring
+                reached |= nbr[low.bit_length() - 1]
+                ring ^= low
+            if not reached & ~seen:
+                return rings
+            rings.append(reached & ~seen)
+            seen |= reached
 
     # -- presets ---------------------------------------------------------
 
@@ -268,9 +281,6 @@ def _mask(qubits: Iterable[int]) -> int:
 def _bits(mask: int) -> list[int]:
     """Set bits of ``mask``, ascending."""
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
-
-
-_UNREACHABLE = 10 ** 9
 
 
 def tree_postorder(edges: Iterable[Edge], root: int) -> list[tuple[int, int]]:

@@ -25,7 +25,7 @@ def random_clifford_circuit(q, n, rng):
 
 def tableau_matches_unitary(t, u):
     """Every generator image of the tableau must equal dense conjugation exactly."""
-    q = t.num_qubits
+    q, signs = t.num_qubits, t.signs
     for r in range(2 * q):
         gen = [ps.Pauli.I] * q
         if r < q:
@@ -34,7 +34,7 @@ def tableau_matches_unitary(t, u):
             gen[r - q] = ps.Pauli.Z
         lhs = u @ verify.pauli_matrix(ps.PauliString(tuple(gen))) @ u.conj().T
         letters = tuple(t.row_letter(r, j) for j in range(q))
-        rhs = (-1 if t.signs[r] else 1) * verify.pauli_matrix(ps.PauliString(letters))
+        rhs = (-1 if signs[r] else 1) * verify.pauli_matrix(ps.PauliString(letters))
         if not np.allclose(lhs, rhs, atol=1e-10):
             return False
     return True
@@ -70,22 +70,71 @@ def pauli_row(letters):
                for j, p in enumerate(letters))
 
 
+class RowTableau:
+    """Row-rule reference tableau of a Clifford W (Aaronson-Gottesman,
+    quant-ph/0406196), independent of ``conjugate_bits``: ``rows[r]`` is the
+    image of X_r (of Z_{r-q} for r >= q) as a row int, ``signs[r]`` its sign.
+    With ``P(x, z) = i^|x&z| X^x Z^z``, a row product costs four popcounts."""
+
+    def __init__(self, q):
+        self.q = q
+        self.rows = [1 << r for r in range(2 * q)]
+        self.signs = [0] * (2 * q)
+
+    def _product(self, dest, a, b, extra):
+        """dest := i^extra * image(a) * image(b); extra makes the result Hermitian."""
+        q, r1, r2 = self.q, self.rows[a], self.rows[b]
+        r3 = r1 ^ r2
+        p = (extra + (r1 & r1 >> q).bit_count() + (r2 & r2 >> q).bit_count()
+             + 2 * (r1 >> q & r2).bit_count() - (r3 & r3 >> q).bit_count()
+             + 2 * (self.signs[a] + self.signs[b]))
+        assert p % 2 == 0, "non-Hermitian image in tableau row update"
+        self.rows[dest], self.signs[dest] = r3, p >> 1 & 1
+
+    def prepend(self, gate):
+        """``W -> W * W_g``: the row action of applying ``gate`` first."""
+        q, i, kind = self.q, gate.qubits[0], gate.kind
+        if kind == "h":
+            rows, signs = self.rows, self.signs
+            rows[i], rows[q + i] = rows[q + i], rows[i]
+            signs[i], signs[q + i] = signs[q + i], signs[i]
+        elif kind in ("s", "sdg"):
+            self._product(i, i, q + i, 1 if kind == "s" else 3)
+        elif kind in ("v", "vdg"):
+            self._product(q + i, i, q + i, 3 if kind == "v" else 1)
+        else:
+            assert kind == "cx", kind
+            t = gate.qubits[1]
+            self._product(i, i, t, 0)
+            self._product(q + t, q + i, q + t, 0)
+
+    def residual_permutation(self):
+        """If W is a permutation with zero signs, return row->wire."""
+        q, rows = self.q, self.rows
+        if any(self.signs):
+            return None
+        perm = [max(rows[r].bit_length() - 1, 0) for r in range(q)]
+        if any(rows[r] != 1 << c or rows[q + r] != 1 << (q + c) for r, c in enumerate(perm)):
+            return None
+        return perm if sorted(perm) == list(range(q)) else None
+
+
 def replay_rotations(num_qubits, gates, gadgets, tol):
     """Row-rule reference for ``bench.check_result``: match a Clifford+Rz
     gate list against a gadget product, exactly, with tableau row products.
 
     The gates equal ``C * prod_i exp(-i*a_i/2 * P_i)`` (first rotation acting
-    first): ``prepend(g.adjoint())`` per Clifford gate builds the tableau of
-    ``C^`` so far, and an ``rz(theta)`` on wire j is ``P_i`` = row q+j at that
-    point with ``a_i = theta * (row sign)``.  The rotations must be the
-    non-identity ``gadgets`` one for one and in order, letters exactly and
-    angles within ``tol``.  Returns the tableau of ``C^``, or None on a
-    mismatch.
+    first): ``prepend(g.adjoint())`` per Clifford gate builds the
+    ``RowTableau`` of ``C^`` so far, and an ``rz(theta)`` on wire j is
+    ``P_i`` = row q+j at that point with ``a_i = theta * (row sign)``.  The
+    rotations must be the non-identity ``gadgets`` one for one and in order,
+    letters exactly and angles within ``tol``.  Returns the ``RowTableau`` of
+    ``C^``, or None on a mismatch.
     """
     q = num_qubits
     targets = [g for g in gadgets if g.string.legs()]
     rows = [pauli_row(g.string.letters) for g in targets]
-    t = ps.CliffordTableau(q)
+    t = RowTableau(q)
     k = 0
     for g in gates:
         if g.is_clifford:
@@ -114,6 +163,26 @@ def random_connected_topology(q, rng, extra_edge_prob=0.3):
             if rng.random() < extra_edge_prob:
                 edges.append((u, w))
     return ps.Topology(q, edges)
+
+
+def star_topology(q, center):
+    """Every qubit joined to ``center`` alone."""
+    return ps.Topology(q, [(center, j) for j in range(q) if j != center])
+
+
+def heavy_hex_topology(rows, cols):
+    """Heavy-hex lattice (Chamberland et al., PRX 10, 011022, 2020): a
+    brick-wall honeycomb of rows x cols qubits, with one more qubit on each
+    of its edges.  Qubit r*cols + c is honeycomb vertex (r, c); the edge
+    qubits follow."""
+    honeycomb = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    honeycomb += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1)
+                  for c in range(r % 2, cols, 2)]
+    q = rows * cols
+    edges = []
+    for k, (u, w) in enumerate(honeycomb):
+        edges += [(u, q + k), (q + k, w)]
+    return ps.Topology(q + len(honeycomb), edges)
 
 
 @pytest.fixture

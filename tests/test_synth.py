@@ -9,7 +9,8 @@ from paulisynth.synth import (_State, _check_invariant, _lone_gadget, _p_step, _
                               pick_pivot)
 from paulisynth.topology import tree_postorder
 
-from conftest import dense_conjugate, random_connected_topology
+from conftest import (dense_conjugate, heavy_hex_topology, random_connected_topology,
+                      star_topology)
 
 
 def gadget(angle, text):
@@ -767,6 +768,33 @@ def test_debug_invariant_on_a_tree_and_a_sparse_graph(monkeypatch):
             res = ps.synthesize(poly, topo, ps.SynthConfig(mode=mode))
             assert check_result(poly, res) and ps.conforms(res.circuit, topo)
             assert len(checked) > 10 and checked[-1] == len(poly)
+
+
+def test_synthesis_on_random_devices():
+    # Trees, stars and sparse graphs up to q=64, and a 60-qubit heavy-hex
+    # lattice: every mode and permutation setting gives an exact, conforming
+    # circuit that emits each gadget once.
+    hexes = heavy_hex_topology(3, 9)
+    degrees = sorted(len(hexes.neighbors(j)) for j in range(hexes.num_qubits))
+    assert hexes.num_qubits == 60 and degrees[-1] == 3 and degrees.count(2) >= 33
+    rng = np.random.default_rng(1616)
+    topos = [hexes]
+    for q in (2, 3, 5, 9, 16, 24, 40, 64):
+        topos.append(random_connected_topology(q, rng, 0.0))
+        topos.append(star_topology(q, int(rng.integers(q))))
+        topos.append(random_connected_topology(q, rng, 2 / q))
+    for topo in topos:
+        q = topo.num_qubits
+        n = int(rng.integers(1, 41))
+        poly = ps.random_polynomial(ps.RandomSpec(q, n, seed=int(rng.integers(1 << 40))))
+        for mode in ("arbitrary", "commuting-sets"):
+            for allow_permutation in (True, False):
+                cfg = ps.SynthConfig(mode=mode, allow_permutation=allow_permutation)
+                res = ps.synthesize(poly, topo, cfg)
+                tag = (sorted(topo.edges), n, cfg)
+                assert sorted(res.emitted_order) == list(range(n)), tag
+                assert check_result(poly, res) and ps.conforms(res.circuit, topo), tag
+                assert allow_permutation or res.permutation.is_identity, tag
 
 
 def test_debug_invariant_catches_a_changed_generator_part_or_an_extra_rotation():

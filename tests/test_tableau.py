@@ -87,11 +87,10 @@ def test_prepend_append_preserve_symplecticity(rng):
 
 
 def test_peel_reads_match_the_inverse_rows(rng):
-    # The peel reads the inverse's rows from t's rows as bit columns (with
-    # the signs of one inverse() call), each row as X and Z wire masks, and
-    # the supports by one transpose of the columns; the reference is
-    # t.inverse(), which checks each of its rows by conjugating it back
-    # through t.
+    # The peel reads the inverse's rows from a copy of t's columns, each row
+    # as X and Z wire masks, and the supports by one transpose of the
+    # columns; the reference is t.inverse(), built from t's rows and signs,
+    # which checks each row by conjugating it back through the columns.
     for q in range(1, 11):
         for _ in range(3):
             t = CliffordTableau(q)
@@ -104,7 +103,7 @@ def test_peel_reads_match_the_inverse_rows(rng):
             assert [[cols.letter(k, j) for j in range(q)] for k in range(2 * q)] \
                 == [[inv.row_letter(k, j) for j in range(q)] for k in range(2 * q)]
             assert [x | z << q for x, z in (_wire_masks(cols, k) for k in range(2 * q))] \
-                == inv.rows
+                == list(inv.rows)
             assert cols.signs == sum(sign << k for k, sign in enumerate(inv.signs))
             supports = [sum((inv.row_letter(k, j) != ps.Pauli.I) << j for j in range(q))
                         for k in range(2 * q)]
@@ -296,7 +295,9 @@ def test_qubit_permutation_applies_the_integer_rule():
 def test_residual_permutation_detects_signs():
     t = CliffordTableau(2)
     assert t.residual_permutation() == [0, 1]
-    t.signs[0] = True
+    t.prepend(ps.s(0))
+    t.prepend(ps.s(0))  # W = Z_0 flips the sign of X_0 and keeps every letter
+    assert t.rows == CliffordTableau(2).rows and t.signs == (1, 0, 0, 0)
     assert t.residual_permutation() is None
 
 

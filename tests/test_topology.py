@@ -80,6 +80,16 @@ def test_numpy_integers_are_integers():
     assert t.edges == Topology.line(3).edges
 
 
+def test_numpy_integer_edges_past_63_qubits():
+    # Qubit masks are Python ints, so numpy endpoints must not make them
+    # fixed-width: bit 64 and up would overflow.
+    line = Topology.line(70)
+    t = Topology(np.int64(70), [(np.int64(u), np.int64(v)) for u, v in sorted(line.edges)])
+    assert t._nbr_mask == line._nbr_mask and all(type(m) is int for m in t._nbr_mask)
+    assert t.is_non_cutting(69, (1 << 70) - 1) and not t.is_non_cutting(64, (1 << 70) - 1)
+    assert (t.dist == line.dist).all() and t.dist[0, 69] == 69
+
+
 def test_duplicate_edges_are_idempotent():
     a = Topology(3, [(0, 1), (1, 2)])
     b = Topology(3, [(0, 1), (1, 0), (1, 2), (1, 2)])

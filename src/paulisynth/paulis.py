@@ -3,7 +3,8 @@ rules (``conjugate_bits``, applied to bit columns by ``PauliColumns``), and
 the package's integer rule for counts, seeds and indices (``_check_int``).
 
 The Clifford gate factories intern their gates: equal arguments of equal
-types give the same frozen ``Gate``, built once.
+types give the same frozen ``Gate``, built once, and a Clifford gate keeps
+its adjoint after the first ``adjoint()`` call.
 
 Conventions used throughout the package:
 
@@ -78,15 +79,38 @@ class Gate:
         return self.kind in CLIFFORD_KINDS
 
     def adjoint(self) -> "Gate":
-        if self.kind == "rz":
-            return Gate("rz", self.qubits, -self.angle)
-        return _ADJOINT[self.kind](*self.qubits)
+        """The inverse gate; a Clifford gate keeps its factory's adjoint after
+        the first call (outside the fields, so equality, hash, repr and
+        pickling ignore it)."""
+        try:
+            return self._adjoint
+        except AttributeError:
+            if self.kind == "rz":
+                return Gate("rz", self.qubits, -self.angle)
+        adj = _ADJOINT[self.kind](*self.qubits)
+        object.__setattr__(self, "_adjoint", adj)
+        return adj
+
+    def __reduce__(self):
+        return Gate, (self.kind, self.qubits, self.angle)
+
+
+_GATE_CACHES = []
+
+
+def _clear_gate_caches() -> None:
+    """Clear every Clifford factory's cache, so that a gate built after the
+    clear keeps only an adjoint built after it."""
+    for cached in _GATE_CACHES:
+        cached.cache_clear()
 
 
 def _interned(factory):
     """Cache ``factory``'s gates per argument type, as True == 1 with equal
-    hashes; an unhashable wire gets an uncached gate, for ``Circuit`` to reject."""
+    hashes; an unhashable wire gets an uncached gate, for ``Circuit`` to reject.
+    ``cache_clear`` clears the caches of all Clifford factories."""
     cached = lru_cache(maxsize=None, typed=True)(factory)
+    _GATE_CACHES.append(cached)
 
     @wraps(factory)
     def gate(*wires):
@@ -95,7 +119,7 @@ def _interned(factory):
         except TypeError:
             return factory(*wires)
 
-    gate.cache_clear = cached.cache_clear
+    gate.cache_clear = _clear_gate_caches
     return gate
 
 
@@ -286,6 +310,7 @@ class PauliPolynomial:
 
     def __post_init__(self):
         _check_int("num_qubits", self.num_qubits, 1)
+        object.__setattr__(self, "num_qubits", int(self.num_qubits))  # masks need Python ints
         for i, g in enumerate(self.gadgets):
             if len(g.string) != self.num_qubits:
                 raise ValueError(

@@ -324,13 +324,17 @@ def synthesize_tableau(t: CliffordTableau, topo: Topology,
     act = rows_left = (1 << q) - 1  # bit c: wire c active, bit r: row pair r left
     while rows_left:
         supp = _supports(work)
-        # min keeps the first, so ties go to the lowest index.
-        free = [j for j in _bits(act) if topo.is_non_cutting(j, act)]
+        # min and the stable sort keep index order among equal costs, so ties
+        # go to the lowest index; wires are cut-tested in cost order, up to
+        # the first non-cutting one.
         if allow_permutation:
             r = min(_bits(rows_left), key=lambda rr: _interaction_cost(supp, rr))
-            c = min(free, key=lambda cc: _distance_cost(supp, cc, topo))
+            wires = sorted(_bits(act), key=lambda cc: _distance_cost(supp, cc, topo))
         else:  # rows_left == act
-            r = c = min(free, key=lambda rr: _interaction_cost(supp, rr))
+            wires = sorted(_bits(act), key=lambda rr: _interaction_cost(supp, rr))
+        c = next(j for j in wires if topo.is_non_cutting(j, act))
+        if not allow_permutation:
+            r = c
         _reduce_pair(work, r, c, act, topo, emit)
         act ^= 1 << c
         rows_left ^= 1 << r

@@ -173,23 +173,11 @@ class Topology:
 
     def is_non_cutting(self, q: int, active: Iterable[int] | int) -> bool:
         """Whether removing ``q`` keeps the induced subgraph on ``active`` (an
-        iterable of qubits, or an int with bit j set for active qubit j) connected."""
-        if not isinstance(active, int):
-            active = frozenset(active)  # no copy for a frozenset
-            # A bool or a float hashes like the int it equals, so check the type.
-            bad = [j for j in active if not (_is_int(j) and 0 <= j < self.num_qubits)]
-            if bad:
-                raise ValueError(f"active qubits {sorted(bad)} not in 0..{self.num_qubits - 1}")
-            active = _mask(active)
-        elif isinstance(active, bool) or active < 0:
-            raise ValueError(f"active mask must be a non-negative int, got {active!r}")
-        elif active >> self.num_qubits:
-            bad = [j for j in range(self.num_qubits, active.bit_length()) if active >> j & 1]
-            raise ValueError(f"active qubits {bad} not in 0..{self.num_qubits - 1}")
-        if type(q) is not int and _is_int(q):  # plain ints skip both checks
-            q = int(q)
-        if type(q) is not int or not 0 <= q < self.num_qubits or not active >> q & 1:
-            raise ValueError(f"qubit {q} is not in the active set")
+        iterable of qubits, or an integer with bit j set for active qubit j) connected."""
+        # A plain-int qubit in a plain-int mask of device qubits needs no other check.
+        if not (type(q) is int and type(active) is int and q >= 0
+                and not active >> self.num_qubits and active >> q & 1):
+            q, active = self._cut_args(q, active)
         rest, nbr = active & ~(1 << q), self._nbr_mask
         need = nbr[q] & active
         # If active is connected, every part of rest holds a neighbour of q, so
@@ -210,6 +198,29 @@ class Topology:
         if need:  # rest is connected and q touches it, so active is too
             self._connected = (active, rest)
         return True
+
+    def _cut_args(self, q, active) -> tuple[int, int]:
+        """``is_non_cutting``'s checked path: (q, active mask) as Python ints,
+        or a ValueError naming the bad value."""
+        if isinstance(active, bool) or _is_int(active) and active < 0:
+            raise ValueError(f"active mask must be a non-negative int, got {active!r}")
+        if _is_int(active):
+            active = int(active)  # masks need Python ints
+            if active >> self.num_qubits:
+                bad = [j for j in range(self.num_qubits, active.bit_length()) if active >> j & 1]
+                raise ValueError(f"active qubits {bad} not in 0..{self.num_qubits - 1}")
+        else:
+            active = frozenset(active)  # no copy for a frozenset
+            # A bool or a float hashes like the int it equals, so check the type.
+            bad = [j for j in active if not (_is_int(j) and 0 <= j < self.num_qubits)]
+            if bad:
+                raise ValueError(f"active qubits {sorted(bad)} not in 0..{self.num_qubits - 1}")
+            active = _mask(active)
+        if type(q) is not int and _is_int(q):
+            q = int(q)
+        if type(q) is not int or not 0 <= q < self.num_qubits or not active >> q & 1:
+            raise ValueError(f"qubit {q} is not in the active set")
+        return q, active
 
     def _check_qubits(self, **roles: Iterable) -> None:
         for role, qubits in roles.items():

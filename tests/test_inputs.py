@@ -73,3 +73,16 @@ def test_accepted_forms():
     assert str(ps.PauliString((3, 2, 1, 0))) == "ZYXI"
     assert str(ps.PauliString(())) == ""
     assert ps.PauliString((1, 3)) == ps.PauliString.from_str("XZ")
+    assert ps.Topology.line(3).is_non_cutting(0, np.int64(7))
+    assert not ps.Topology.line(3).is_non_cutting(np.int64(1), np.uint8(7))
+
+
+def test_numpy_qubit_counts_synthesize():
+    topo = ps.Topology.line(4)
+    poly = ps.random_polynomial(ps.RandomSpec(4, 12, seed=3))
+    for p in (ps.PauliPolynomial(np.int64(4), poly.gadgets),
+              ps.random_polynomial(ps.RandomSpec(np.int64(4), 12, seed=3))):
+        assert type(p.num_qubits) is int and p == poly
+        result = ps.synthesize(p, topo)
+        assert result.circuit == ps.synthesize(poly, topo).circuit
+        assert ps.bench.check_result(p, result)

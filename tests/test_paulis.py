@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import paulisynth as ps
 from paulisynth import verify
-from paulisynth.paulis import TO_Z, XZ_LETTER, Pauli, conjugate_bits
+from paulisynth.paulis import CLIFFORD_KINDS, TO_Z, XZ_LETTER, Pauli, conjugate_bits
 
 from conftest import dense_conjugate
 
@@ -245,3 +246,36 @@ def test_clifford_gates_are_interned_per_argument_type():
         ps.Circuit(2, (adj,))
     assert ps.h(0) is ps.h(0)
     assert ps.s(0).adjoint() is ps.sdg(0) and ps.cx(0, 1).adjoint() is ps.cx(0, 1)
+
+
+def test_clifford_adjoints_are_kept_interned_gates():
+    for kind in CLIFFORD_KINDS:
+        g = getattr(ps, kind)(*((0, 1) if kind == "cx" else (1,)))
+        assert g.adjoint().adjoint() is g and g.adjoint() is g.adjoint()
+    # A gate built without its factory gets the interned adjoint, and does
+    # not become that gate's adjoint.
+    direct = ps.Gate("s", (0,))
+    assert direct.adjoint() is ps.sdg(0) and ps.sdg(0).adjoint() is ps.s(0) is not direct
+    # Clearing one factory clears them all, so no gate built afterwards
+    # keeps an adjoint that is no longer the interned one.
+    for factory in (ps.sdg, ps.vdg, ps.h):
+        ps.s(0).adjoint(), ps.v(1).adjoint()
+        factory.cache_clear()
+        assert ps.s(0).adjoint() is ps.sdg(0) and ps.v(1).adjoint() is ps.vdg(1)
+
+
+def test_rz_adjoint_is_built_per_call():
+    g = ps.rz(0.3, 0)
+    assert g.adjoint() == ps.rz(-0.3, 0) and g.adjoint() is not g.adjoint()
+    assert "_adjoint" not in vars(g)
+
+
+def test_a_kept_adjoint_is_not_gate_state():
+    for g in (ps.cx(2, 0), ps.v(3)):
+        g.adjoint()
+        fresh = ps.Gate(g.kind, g.qubits)
+        assert "_adjoint" in vars(g) and "_adjoint" not in vars(fresh)
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and "_adjoint" not in vars(back)
+        assert back.adjoint() == g.adjoint()

@@ -224,13 +224,14 @@ def test_non_cutting_requires_active_vertex():
 @pytest.mark.parametrize("active,bad", [({0, 5}, "[5]"), ({0, 1, 5}, "[5]"),
                                         ({0, 1, -1}, "[-1]"), ({-2, 0, 3}, "[-2, 3]"),
                                         (0b100001, "[5]"), (0b100011, "[5]"),
-                                        (0b11011, "[3, 4]"), (0b1001, "[3]")])
+                                        (0b11011, "[3, 4]"), (0b1001, "[3]"),
+                                        (np.int64(0b1001), "[3]")])
 def test_non_cutting_rejects_active_qubits_out_of_range(active, bad):
     with pytest.raises(ValueError, match=re.escape(f"active qubits {bad} not in 0..2")):
         Topology.line(3).is_non_cutting(0, active)
 
 
-@pytest.mark.parametrize("mask", [-1, -0b101, True, False])
+@pytest.mark.parametrize("mask", [-1, -0b101, True, False, np.int64(-1)])
 def test_non_cutting_rejects_bad_masks(mask):
     with pytest.raises(ValueError, match=re.escape(f"active mask must be a non-negative int, "
                                                    f"got {mask!r}")):
@@ -248,12 +249,31 @@ def test_non_cutting_applies_the_integer_rule(q, active, msg):
     assert Topology.line(3).is_non_cutting(np.int64(0), [np.int64(0), 1, 2])
 
 
+def test_non_cutting_mask_forms_agree(rng):
+    # A plain-int mask takes the unchecked path; a numpy-int mask and an
+    # iterable take the checked one.  All three give the same verdict.
+    for _ in range(12):
+        q = int(rng.integers(2, 8))
+        t = random_connected_topology(q, rng, extra_edge_prob=0.3)
+        for mask in range(1, 1 << q):
+            active = [j for j in range(q) if mask >> j & 1]
+            for v in active:
+                ans = t.is_non_cutting(v, mask)
+                assert ans == brute_force_connected(t, set(active) - {v}), (t.edges, mask, v)
+                assert t.is_non_cutting(v, np.int64(mask)) == ans
+                assert t.is_non_cutting(np.int64(v), np.uint64(mask)) == ans
+                assert t.is_non_cutting(v, active) == ans
+
+
 def test_non_cutting_mask_requires_active_vertex():
     line3 = Topology.line(3)
     for q, mask in ((2, 0b011), (0, 0), (-1, 0b111), (3, 0b111), ("1", 0b111)):
         with pytest.raises(ValueError, match=f"qubit {q} is not in the active set"):
             line3.is_non_cutting(q, mask)
     assert not line3.is_non_cutting(1, 0b111) and line3.is_non_cutting(2, 0b111)
+    for q, mask in ((2, np.int64(0b011)), (np.int64(3), np.int64(0b111))):
+        with pytest.raises(ValueError, match=f"qubit {q} is not in the active set"):
+            line3.is_non_cutting(q, mask)
 
 
 def test_neighbors():

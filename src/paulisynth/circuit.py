@@ -21,6 +21,7 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        object.__setattr__(self, "gates", tuple(self.gates))  # frozen: no caller's list
         n = self.num_qubits
         if not _is_int(n):
             raise ValueError(f"num_qubits must be an integer, got {n!r}")

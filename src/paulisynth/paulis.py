@@ -1,6 +1,11 @@
 """Pauli letters, strings, gadgets, polynomials, the Clifford conjugation
-rules (``conjugate_bits``, applied to bit columns by ``PauliColumns``), and
-the package's integer rule for counts, seeds and indices (``_check_int``).
+rules, and the package's integer rule for counts, seeds and indices
+(``_check_int``).
+
+``PauliColumns.conjugate`` is the one rule set: every gate action in the
+package (the recursion's gadget store and tableau, the final peel, the
+exact check and the debug invariant) is that method on bit columns.
+``conjugate_bits`` is its adapter for single Paulis given as bits.
 
 The Clifford gate factories intern their gates: equal arguments of equal
 types give the same frozen ``Gate``, built once, and a Clifford gate keeps
@@ -160,32 +165,6 @@ def rz(angle: float, q: int) -> Gate:
     return Gate("rz", (q,), angle)
 
 
-def conjugate_bits(kind: str, x: int, z: int, xt: int = 0, zt: int = 0):
-    """``g P g^`` for each Pauli P in x/z bitsets, with g the Clifford gate
-    ``kind``: the action of an emitted gate on the Paulis pushed through it
-    (Aaronson-Gottesman column rules, quant-ph/0406196).
-
-    Bit i of ``x``/``z`` is the X/Z part of Pauli i on the gate's wire (the
-    control for ``cx``; ``xt``/``zt`` are the target's), with I=(0,0),
-    X=(1,0), Y=(1,1), Z=(0,1).  Returns the conjugated ``(x, z, xt, zt,
-    flips)``; bit i of ``flips`` is set where Pauli i gains a minus sign.
-    The same rules serve whole columns of many Paulis and single bits.
-    """
-    if kind == "cx":
-        return x, z ^ zt, xt ^ x, zt, x & zt & ~(xt ^ z)
-    if kind == "h":
-        return z, x, xt, zt, x & z
-    if kind == "s":
-        return x, z ^ x, xt, zt, x & z
-    if kind == "sdg":
-        return x, z ^ x, xt, zt, x & ~z
-    if kind == "v":
-        return x ^ z, z, xt, zt, z & ~x
-    if kind == "vdg":
-        return x ^ z, z, xt, zt, x & z
-    raise ValueError(f"not a Clifford gate kind: {kind!r}")
-
-
 I, X, Y, Z = Pauli.I, Pauli.X, Pauli.Y, Pauli.Z
 
 # XZ_LETTER[x + 2z] is the Pauli with those bits.
@@ -197,8 +176,9 @@ TO_Z = {X: h, Y: v}
 
 class PauliColumns:
     """Signed Paulis in bit columns: bit i of ``x[j]``/``z[j]`` is Pauli i's
-    X/Z part on wire j and bit i of ``signs`` its sign, so a gate is one
-    ``conjugate_bits`` call on whole columns."""
+    X/Z part on wire j (I=(0,0), X=(1,0), Y=(1,1), Z=(0,1)) and bit i of
+    ``signs`` its sign.  ``conjugate`` is the package's one set of Clifford
+    conjugation rules: a gate is a few bitwise operations on whole columns."""
 
     def __init__(self, x: list[int], z: list[int], signs: int = 0):
         self.x, self.z, self.signs = x, z, signs
@@ -219,14 +199,35 @@ class PauliColumns:
                    [c | 1 << (m + q + r) for r, c in enumerate(cols.z)])
 
     def conjugate(self, gate: Gate) -> None:
-        """Every Pauli P becomes ``g P g^``."""
-        x, z, a = self.x, self.z, gate.qubits[0]
-        if gate.kind == "cx":
+        """Every Pauli P becomes ``g P g^`` for the Clifford gate g
+        (Aaronson-Gottesman column rules, quant-ph/0406196).  Each touched
+        column is read once and ``signs`` gains the flips, the bits of the
+        Paulis that pick up a minus sign; a rotation is a ValueError."""
+        x, z, kind, a = self.x, self.z, gate.kind, gate.qubits[0]
+        if kind == "cx":  # a control, b target
             b = gate.qubits[1]
-            x[a], z[a], x[b], z[b], flips = conjugate_bits("cx", x[a], z[a], x[b], z[b])
+            xa, za, xb, zb = x[a], z[a], x[b], z[b]
+            self.signs ^= xa & zb & ~(xb ^ za)
+            z[a], x[b] = za ^ zb, xb ^ xa
+            return
+        xa, za = x[a], z[a]
+        if kind == "v":
+            self.signs ^= za & ~xa
+            x[a] = xa ^ za
+        elif kind == "s":
+            self.signs ^= xa & za
+            z[a] = za ^ xa
+        elif kind == "h":
+            self.signs ^= xa & za
+            x[a], z[a] = za, xa
+        elif kind == "sdg":
+            self.signs ^= xa & ~za
+            z[a] = za ^ xa
+        elif kind == "vdg":
+            self.signs ^= xa & za
+            x[a] = xa ^ za
         else:
-            x[a], z[a], _, _, flips = conjugate_bits(gate.kind, x[a], z[a])
-        self.signs ^= flips
+            raise ValueError(f"not a Clifford gate kind: {kind!r}")
 
     def letter(self, i: int, wire: int) -> Pauli:
         """Letter of Pauli i on ``wire``."""
@@ -237,10 +238,10 @@ class PauliColumns:
         ``rz``, on wire j, must find Pauli ``order[k]`` exactly +-Z_j, and its
         angle times that sign must be ``angles[k]`` within ``tol``.  False at
         a mismatch, or unless there is exactly one rz per entry of ``order``."""
-        x, z, k = self.x, self.z, 0
+        x, z, k, conjugate = self.x, self.z, 0, self.conjugate
         for g in gates:
-            if g.is_clifford:
-                self.conjugate(g)
+            if g.kind != "rz":
+                conjugate(g)
                 continue
             if k == len(order):
                 return False
@@ -254,6 +255,17 @@ class PauliColumns:
                 return False
             k += 1
         return k == len(order)
+
+
+def conjugate_bits(kind: str, x: int, z: int, xt: int = 0, zt: int = 0):
+    """``PauliColumns.conjugate`` by the Clifford gate ``kind`` on Paulis
+    given as bits: bit i of ``x``/``z`` is the X/Z part of Pauli i on the
+    gate's wire (the control for ``cx``; ``xt``/``zt`` are the target's).
+    Returns the conjugated ``(x, z, xt, zt, flips)``; bit i of ``flips`` is
+    set where Pauli i gains a minus sign."""
+    cols = PauliColumns([x, xt], [z, zt])
+    cols.conjugate(Gate(kind, (0, 1) if kind == "cx" else (0,)))
+    return cols.x[0], cols.z[0], cols.x[1], cols.z[1], cols.signs
 
 
 @dataclass(frozen=True)

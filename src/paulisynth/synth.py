@@ -14,13 +14,15 @@ of Pauli i's letter on j, and bit i of ``signs`` is its accumulated sign.
 In the gadget store (``_State``) Pauli i is gadget i.  The tableau W = U^,
 with U the Clifford emitted so far, keeps U's images of X_r and Z_r as its
 Paulis r and q+r; ``CliffordTableau.prepend`` of an emitted gate's adjoint
-is conjugation by that gate, as for the gadgets.  An emitted Clifford is a
-few bitwise operations on whole columns, with no live-gadget mask: emitted
-gadgets keep being conjugated and are never read again.  The sign is folded
-into the angle when the gadget's ``rz`` is emitted.  A frame is ``(g, gm,
-pivot, act)``: its gadgets in frame order (column costs read runs in that
-order), their bitmask (bit i for gadget i), its pivot, and its active
-qubits as a bitmask.  All other frame reads are bitwise on columns under
+is conjugation by that gate, as for the gadgets.  ``PauliColumns.conjugate``
+is the package's one set of conjugation rules: it moves the store, the
+tableau, the final peel, ``bench.check_result`` and the debug invariant
+alike.  An emitted Clifford is a few bitwise operations on whole columns,
+with no live-gadget mask: emitted gadgets keep being conjugated and are
+never read again.  The sign is folded into the angle when the gadget's
+``rz`` is emitted.  A frame is ``(g, gm, pivot, act)``: its gadgets in frame
+order (column costs read runs in that order), their bitmask (bit i for
+gadget i), its pivot, and its active qubits as a bitmask.  All other frame reads are bitwise on columns under
 these masks, from the sweep to ``_split`` and ``disconnect``.
 
 The recursion runs on an explicit stack of non-empty pivot frames, so deep
@@ -103,6 +105,7 @@ class _State(PauliColumns):
         self.k = cfg.k
         self.poly = poly
         self.debug = os.environ.get(DEBUG_ENV_VAR) == "1"
+        self._invariant = None  # _check_invariant's pushed columns and cursor
 
     def angle(self, i: int) -> float:
         """Current angle of gadget i, its accumulated sign folded in."""
@@ -447,20 +450,40 @@ def _check_invariant(state: _State) -> None:
     the emitted gadgets.  The generators must land on ``state.tableau``'s
     columns (U's images of X_r and Z_r, kept by ``prepend``), and every live
     gadget on its bits and sign in the store.
+
+    The pushed columns persist on the state with a cursor: the gates pushed,
+    the ``state.emitted`` entries matched, the last pushed gate and the mask
+    of those entries.  So each check pushes only the gates emitted since the
+    last one.  It starts again from the original Paulis when ``state.gates``
+    (or ``state.emitted``) is shorter than the cursor, when the gate at the
+    cursor is not the very object pushed last, or when the last check raised
+    (a check that raises leaves no cursor behind).
     """
     q, gadgets, n = state.poly.num_qubits, state.poly.gadgets, len(state.poly)
-    cols = PauliColumns.with_generators([str(g.string) for g in gadgets], q)
+    gates, emitted = state.gates, state.emitted
+    cursor, state._invariant = state._invariant, None
+    if cursor is not None:
+        cols, pushed, matched, last, done = cursor
+        if (len(gates) < pushed or len(emitted) < matched
+                or pushed and gates[pushed - 1] is not last):
+            cursor = None
+    if cursor is None:
+        cols = PauliColumns.with_generators([str(g.string) for g in gadgets], q)
+        pushed = matched = done = 0
+    new = emitted[matched:]
     # Pauli.I is 0, so any() skips the identity gadgets, which emit no rz.
-    order = [i for i in state.emitted if any(gadgets[i].string.letters)]
+    order = [i for i in new if any(gadgets[i].string.letters)]
     inv = _inverse_columns(state.tableau)
-    if not (cols.push_through(state.gates, order, [gadgets[i].angle for i in order], 1e-9)
+    if not (cols.push_through(gates[pushed:], order, [gadgets[i].angle for i in order], 1e-9)
             and [col >> n for col in cols.x] == inv.x and [col >> n for col in cols.z] == inv.z
             and cols.signs >> n == inv.signs):
         raise AssertionError("synthesis invariant violated: emitted gates")
+    done |= sum(1 << i for i in new)
     bad = cols.signs ^ state.signs
     for j in range(q):
         bad |= cols.x[j] ^ state.x[j] | cols.z[j] ^ state.z[j]
-    bad &= (1 << n) - 1 - sum(1 << i for i in state.emitted)
+    bad &= (1 << n) - 1 & ~done
     if bad:
         raise AssertionError(
             f"synthesis invariant violated: live gadget {(bad & -bad).bit_length() - 1}")
+    state._invariant = (cols, len(gates), len(emitted), gates[-1] if gates else None, done)

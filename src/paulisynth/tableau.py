@@ -8,7 +8,7 @@ Z=(0,1), Y=(1,1)).
 
 ``prepend(g)`` realizes ``W -> W * W_g`` (gate applied before the tableau):
 ``W^`` becomes ``g^ W^``, so every stored Pauli is conjugated by g^, one
-``paulis.conjugate_bits`` call on whole columns.
+``PauliColumns.conjugate`` call (the package's one rule set) on whole columns.
 
 W's own images are read-only views.  By ``M^-1 = Omega M^T Omega``, row j
 (``W X_j W^``) is wire j's Z column with its halves swapped and row q+j
@@ -255,7 +255,7 @@ def steiner_ladder(topo: Topology, legs: int, root: int, act: int, z: bool, emit
     on every wire of mask ``legs`` (Z if ``z``) into X (Z) on ``root`` alone.
     In postorder along a Steiner tree of the legs and the root, each leg is
     copied onto its parent if that has none, then cleared; none is read again."""
-    tree = topo.steiner_tree(_bits(legs | 1 << root), _bits(act))
+    tree = topo.steiner_tree(legs | 1 << root, act)
     for child, parent in tree_postorder(tree, root):
         if not legs >> child & 1:
             continue

@@ -202,13 +202,8 @@ class Topology:
     def _cut_args(self, q, active) -> tuple[int, int]:
         """``is_non_cutting``'s checked path: (q, active mask) as Python ints,
         or a ValueError naming the bad value."""
-        if isinstance(active, bool) or _is_int(active) and active < 0:
-            raise ValueError(f"active mask must be a non-negative int, got {active!r}")
-        if _is_int(active):
-            active = int(active)  # masks need Python ints
-            if active >> self.num_qubits:
-                bad = [j for j in range(self.num_qubits, active.bit_length()) if active >> j & 1]
-                raise ValueError(f"active qubits {bad} not in 0..{self.num_qubits - 1}")
+        if isinstance(active, bool) or _is_int(active):
+            active = self._int_mask("active", active)
         else:
             active = frozenset(active)  # no copy for a frozenset
             # A bool or a float hashes like the int it equals, so check the type.
@@ -221,6 +216,17 @@ class Topology:
         if type(q) is not int or not 0 <= q < self.num_qubits or not active >> q & 1:
             raise ValueError(f"qubit {q} is not in the active set")
         return q, active
+
+    def _int_mask(self, role: str, mask) -> int:
+        """A Python or numpy integer mask of device qubits (bit j: qubit j) as
+        a Python int, or a ValueError naming what is wrong with it."""
+        if isinstance(mask, bool) or mask < 0:
+            raise ValueError(f"{role} mask must be a non-negative int, got {mask!r}")
+        mask = int(mask)  # masks need Python ints
+        if mask >> self.num_qubits:
+            bad = [j for j in range(self.num_qubits, mask.bit_length()) if mask >> j & 1]
+            raise ValueError(f"{role} qubits {bad} not in 0..{self.num_qubits - 1}")
+        return mask
 
     def _check_qubits(self, **roles: Iterable) -> None:
         for role, qubits in roles.items():
@@ -261,27 +267,44 @@ class Topology:
                 fresh ^= low
         raise ValueError("targets unreachable inside the active set")
 
-    def steiner_tree(self, terminals: Iterable[int], active: Iterable[int]) -> list[Edge]:
-        """Edges of a connected subgraph of the active graph spanning ``terminals``.
+    def steiner_tree(self, terminals: Iterable[int] | int,
+                     active: Iterable[int] | int) -> list[Edge]:
+        """Edges of a connected subgraph of the active graph spanning ``terminals``
+        (each an iterable of qubits, or an integer with bit j set for qubit j).
 
         Nearest-terminal shortest-path merging; every leaf of the result is a
         terminal.  Returns [] for a single terminal.
         """
-        term_set, active_set = set(terminals), set(active)
-        self._check_qubits(terminal=term_set, active=active_set)
-        if not term_set:
-            raise ValueError("terminals must be non-empty")
-        if not term_set <= active_set:
-            raise ValueError("terminals must lie inside the active set")
-        remaining, act = _mask(term_set), _mask(active_set)
-        tree = remaining & -remaining
+        # Plain-int masks of device qubits, with active terminals, need no other check.
+        if not (type(terminals) is int and type(active) is int and terminals > 0
+                and not active >> self.num_qubits and not terminals & ~active):
+            terminals, active = self._steiner_args(terminals, active)
+        remaining, tree = terminals, terminals & -terminals
         edges: list[Edge] = []
         while remaining := remaining & ~tree:
             # Grow from the tree to the nearest uncovered terminal.
-            path = self._path((remaining & -remaining).bit_length() - 1, tree, act)
+            path = self._path((remaining & -remaining).bit_length() - 1, tree, active)
             edges.extend(map(_norm_edge, path, path[1:]))  # tree -> terminal
             tree |= _mask(path)
         return edges
+
+    def _steiner_args(self, terminals, active) -> tuple[int, int]:
+        """``steiner_tree``'s checked path: (terminals, active) as Python-int
+        masks, or a ValueError naming the bad value."""
+        masks = []
+        for role, qubits in (("terminal", terminals), ("active", active)):
+            if isinstance(qubits, bool) or _is_int(qubits):
+                masks.append(self._int_mask(role, qubits))
+            else:
+                qubits = set(qubits)
+                self._check_qubits(**{role: qubits})
+                masks.append(_mask(qubits))
+        terminals, active = masks
+        if not terminals:
+            raise ValueError("terminals must be non-empty")
+        if terminals & ~active:
+            raise ValueError("terminals must lie inside the active set")
+        return terminals, active
 
 
 def _mask(qubits: Iterable[int]) -> int:

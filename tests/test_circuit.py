@@ -71,6 +71,18 @@ def test_names_the_first_bad_gate():
     assert Circuit(np.int64(2), (ps.Gate("cx", (np.int64(1), 0)),)).num_qubits == 2
 
 
+def test_stores_the_gates_as_a_tuple():
+    # A list is copied into a tuple: the frozen circuit hashes, equals the one
+    # built from a tuple, and a later change to the caller's list (here a wire
+    # outside 0..1) does not reach it.
+    gates = [ps.h(0), ps.cx(0, 1)]
+    c = Circuit(2, gates)
+    assert type(c.gates) is tuple
+    assert c == Circuit(2, tuple(gates)) and hash(c) == hash(Circuit(2, tuple(gates)))
+    gates.append(ps.cx(0, 7))
+    assert c.gates == (ps.h(0), ps.cx(0, 1))
+
+
 def test_metrics_empty():
     assert ps.metrics(Circuit(3)) == Metrics(0, 0, 0)
 

@@ -50,6 +50,26 @@ BAD = [
     ("string-letter-none", lambda: ps.PauliString((None,)), "invalid Pauli letter None"),
     ("string-text", lambda: ps.PauliString("XZ"), "invalid Pauli letter 'X'"),
     ("config-k-float", lambda: ps.SynthConfig(k=2.5), "k must be an integer >= 1, got 2.5"),
+    ("steiner-negative-terminal-mask", lambda: ps.Topology.line(3).steiner_tree(-1, 0b111),
+     "terminal mask must be a non-negative int, got -1"),
+    ("steiner-negative-active-mask", lambda: ps.Topology.line(3).steiner_tree(0b1, -2),
+     "active mask must be a non-negative int, got -2"),
+    ("steiner-numpy-negative-mask",
+     lambda: ps.Topology.line(3).steiner_tree(0b1, np.int64(-1)),
+     "active mask must be a non-negative int, got"),
+    ("steiner-bool-terminal-mask", lambda: ps.Topology.line(3).steiner_tree(True, 0b111),
+     "terminal mask must be a non-negative int, got True"),
+    ("steiner-terminal-mask-off-device", lambda: ps.Topology.line(3).steiner_tree(0b1001, 0b111),
+     "terminal qubits [3] not in 0..2"),
+    ("steiner-active-mask-off-device", lambda: ps.Topology.line(3).steiner_tree(0b1, 0b10111),
+     "active qubits [4] not in 0..2"),
+    ("steiner-terminal-mask-outside-active",
+     lambda: ps.Topology.line(3).steiner_tree(0b101, 0b011),
+     "terminals must lie inside the active set"),
+    ("steiner-empty-terminal-mask", lambda: ps.Topology.line(3).steiner_tree(0, 0b111),
+     "terminals must be non-empty"),
+    ("steiner-set-outside-active-mask", lambda: ps.Topology.line(3).steiner_tree({0, 2}, 0b011),
+     "terminals must lie inside the active set"),
 ]
 
 
@@ -75,6 +95,9 @@ def test_accepted_forms():
     assert ps.PauliString((1, 3)) == ps.PauliString.from_str("XZ")
     assert ps.Topology.line(3).is_non_cutting(0, np.int64(7))
     assert not ps.Topology.line(3).is_non_cutting(np.int64(1), np.uint8(7))
+    line3 = ps.Topology.line(3)
+    assert line3.steiner_tree(np.int64(0b101), np.uint8(0b111)) == [(0, 1), (1, 2)]
+    assert line3.steiner_tree({0, 2}, 0b111) == line3.steiner_tree(0b101, [0, 1, 2])
 
 
 def test_numpy_qubit_counts_synthesize():

@@ -4,6 +4,7 @@ import pytest
 import paulisynth as ps
 from paulisynth import verify
 from paulisynth.bench import check_result
+from paulisynth.paulis import PauliColumns
 from paulisynth.synth import (_State, _check_invariant, _lone_gadget, _p_step, _split,
                               column_cost, diagonalize_qubit, disconnect, pick_neighbor,
                               pick_pivot)
@@ -768,6 +769,85 @@ def test_debug_invariant_on_a_tree_and_a_sparse_graph(monkeypatch):
             res = ps.synthesize(poly, topo, ps.SynthConfig(mode=mode))
             assert check_result(poly, res) and ps.conforms(res.circuit, topo)
             assert len(checked) > 10 and checked[-1] == len(poly)
+
+
+def _count_pushed(monkeypatch):
+    """Record the number of gates each ``PauliColumns.push_through`` call pushes."""
+    push_through, pushed = PauliColumns.push_through, []
+
+    def counted(self, gates, *args):
+        gates = list(gates)
+        pushed.append(len(gates))
+        return push_through(self, gates, *args)
+
+    monkeypatch.setattr(PauliColumns, "push_through", counted)
+    return pushed
+
+
+def test_debug_invariant_pushes_each_gate_once(monkeypatch):
+    # The invariant keeps its pushed columns between checks, so each check
+    # pushes only the gates emitted since the last one: over a debug
+    # synthesis every recursion gate is pushed once.
+    topo = ps.Topology.from_spec("grid:6x6")
+    poly = ps.random_polynomial(ps.RandomSpec(36, 100, seed=1))
+    plain = ps.synthesize(poly, topo)
+    pushed = _count_pushed(monkeypatch)
+    monkeypatch.setenv("PAULISYNTH_DEBUG", "1")
+    res = ps.synthesize(poly, topo)
+    assert res.circuit == plain.circuit
+    assert len(pushed) > 100 and sum(pushed) == res.recursion_gate_count
+
+
+def test_debug_invariant_rebuilds_after_a_changed_gate_list_or_a_failed_check(monkeypatch):
+    topo = ps.Topology.from_spec("grid:2x3")
+    poly = ps.random_polynomial(ps.RandomSpec(6, 8, seed=3))
+    st = _state(poly, topo)
+    disconnect(st, 0, 1, sum(1 << i for i in range(8) if st.letter(i, 0) == ps.Pauli.Z))
+    _check_invariant(st)
+    pushed = _count_pushed(monkeypatch)
+    st.emit_clifford(ps.h(2))
+    _check_invariant(st)
+    assert pushed == [1]
+    # A different gate in place of the last pushed one, at the same length.
+    st.gates[-1] = ps.s(2)
+    with pytest.raises(AssertionError, match="emitted gates"):
+        _check_invariant(st)
+    # The failed check left no cursor: the next one pushes every gate again,
+    # and passes once the gate is restored.
+    st.gates[-1] = ps.h(2)
+    _check_invariant(st)
+    assert pushed[-1] == len(st.gates)
+    # A shorter gate list starts again too; it passes once the store and the
+    # tableau drop h(2) as well (h is its own adjoint).
+    st.gates.pop()
+    with pytest.raises(AssertionError, match="emitted gates"):
+        _check_invariant(st)
+    st.conjugate(ps.h(2))
+    st.tableau.prepend(ps.h(2))
+    _check_invariant(st)
+    assert pushed[-1] == len(st.gates)
+
+
+def test_debug_invariant_reads_only_live_gadgets_across_checks():
+    # Emitted gadgets are never read again, so the invariant skips them, also
+    # in a check that pushes from the kept columns.
+    st = _state(poly_of((0.3, "ZII"), (0.5, "XXI")), ps.Topology.line(3))
+    st.emit_rotation(0, 0b111)
+    _check_invariant(st)
+    st.emit_clifford(ps.h(1))
+    flip_bit(st, 0, "x", 2)
+    _check_invariant(st)
+    flip_bit(st, 1, "x", 2)
+    with pytest.raises(AssertionError, match="live gadget 1"):
+        _check_invariant(st)
+
+
+def test_debug_synthesis_of_a_large_grid_matches_plain(monkeypatch):
+    topo = ps.Topology.from_spec("grid:8x8")
+    poly = ps.random_polynomial(ps.RandomSpec(64, 300, seed=1))
+    plain = ps.synthesize(poly, topo)
+    monkeypatch.setenv("PAULISYNTH_DEBUG", "1")
+    assert ps.synthesize(poly, topo).circuit == plain.circuit
 
 
 def test_synthesis_on_random_devices():

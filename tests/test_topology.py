@@ -494,6 +494,27 @@ def test_mask_paths_and_trees_match_the_set_reference(rng):
                 assert tree_postorder(tree, root) == _postorder_ref(tree, root), (trial, tree)
 
 
+def test_steiner_masks_match_the_sets(rng):
+    # On random instances of the reference corpus above, integer masks take
+    # the unchecked path and give the same edges, or the same failure, as
+    # sets; so does a numpy mask, which takes the checked path.
+    for trial in range(300):
+        t = Topology.grid(8, 8) if trial % 5 == 0 else \
+            random_connected_topology(int(rng.integers(2, 13)), rng)
+        q = t.num_qubits
+        adj = [sorted(w for e in t.edges if u in e for w in e if w != u) for u in range(q)]
+        density = rng.uniform(0.4, 1.0)
+        active = {j for j in range(q) if rng.random() < density}
+        if not active:
+            continue
+        terms = {int(j) for j in rng.choice(sorted(active), int(rng.integers(1, len(active) + 1)))}
+        tree = _outcome(_steiner_ref, adj, terms, active)
+        tmask, amask = sum(1 << j for j in terms), sum(1 << j for j in active)
+        assert _outcome(t.steiner_tree, terms, active) == tree, (trial, terms, active)
+        assert _outcome(t.steiner_tree, tmask, amask) == tree, (trial, terms, active)
+        assert _outcome(t.steiner_tree, np.uint64(tmask), amask) == tree, (trial, terms, active)
+
+
 def test_steiner_respects_active_subset():
     t = Topology.cycle(4)
     # with vertex 1 inactive, the 0..2 route must go the long way

@@ -210,8 +210,6 @@ def _split(state: _State, g: list[int], gm: int,
     on = xs | zs
     if not on:
         return [], 0, g, gm
-    if xs in (0, gm) and zs in (0, gm):  # one letter on every gadget
-        return g, gm, [], 0
     groups = ([], [], [], [])  # by x + 2z: I, X, Z, Y
     for i in g:
         groups[(xs >> i & 1) | (zs >> i & 1) << 1].append(i)

@@ -169,10 +169,6 @@ class CliffordTableau:
                     return False
         return True
 
-    def conjugate_vector(self, row: int) -> tuple[int, bool]:
-        """Image of the sign-free Pauli with row int ``row``: (row, sign)."""
-        return _conjugate_row(self.rows, self.signs, row, self.num_qubits)
-
     def inverse(self) -> "CliffordTableau":
         """Tableau of the adjoint Clifford: its columns are this one's rows."""
         q = self.num_qubits

@@ -7,8 +7,12 @@ connectivity facts about that fixed graph (``is_non_cutting`` keeps the last
 two active sets it proved connected), and those never go stale.
 
 Inside, a set of qubits is an int bitmask (bit j for qubit j), the graph is
-one neighbour mask per qubit, and every query runs on masks once it has
-checked its input.
+one neighbour mask per qubit, and every query runs on masks.  A query that
+takes a set of qubits accepts any iterable of device qubits or a Python or
+numpy integer mask, and checks it in one place, ``Topology._qubit_mask``.
+The only unchecked entry is the plain-int guard of ``is_non_cutting`` and
+``steiner_tree``: Python-int masks already inside the device, as the
+recursion and the peel pass them.
 """
 
 from __future__ import annotations
@@ -158,26 +162,29 @@ class Topology:
     # -- queries ---------------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_qubits(edge=(u, v))
+        self._qubit_mask("edge", (u, v))
         return bool(self._nbr_mask[u] >> int(v) & 1)
 
-    def neighbors(self, q: int, active: Iterable[int] | None = None) -> list[int]:
+    def neighbors(self, q: int, active: Iterable[int] | int | None = None) -> list[int]:
+        """Neighbours of ``q`` in ascending order, only those in ``active`` if
+        given (an iterable of qubits, or an integer with bit j set for qubit j)."""
         if not (_is_int(q) and 0 <= q < self.num_qubits):
             raise ValueError(f"qubit {q!r} not in 0..{self.num_qubits - 1}")
         near = self._nbr_mask[q]
         if active is not None:
-            active = list(active)
-            self._check_qubits(active=active)
-            near &= _mask(set(active))
+            near &= self._qubit_mask("active", active)
         return _bits(near)
 
     def is_non_cutting(self, q: int, active: Iterable[int] | int) -> bool:
         """Whether removing ``q`` keeps the induced subgraph on ``active`` (an
-        iterable of qubits, or an integer with bit j set for active qubit j) connected."""
+        iterable of qubits, or an integer with bit j set for qubit j) connected."""
         # A plain-int qubit in a plain-int mask of device qubits needs no other check.
         if not (type(q) is int and type(active) is int and q >= 0
                 and not active >> self.num_qubits and active >> q & 1):
-            q, active = self._cut_args(q, active)
+            active = self._qubit_mask("active", active)
+            if not (_is_int(q) and q >= 0 and active >> int(q) & 1):
+                raise ValueError(f"qubit {q} is not in the active set")
+            q = int(q)
         rest, nbr = active & ~(1 << q), self._nbr_mask
         need = nbr[q] & active
         # If active is connected, every part of rest holds a neighbour of q, so
@@ -199,48 +206,39 @@ class Topology:
             self._connected = (active, rest)
         return True
 
-    def _cut_args(self, q, active) -> tuple[int, int]:
-        """``is_non_cutting``'s checked path: (q, active mask) as Python ints,
-        or a ValueError naming the bad value."""
-        if isinstance(active, bool) or _is_int(active):
-            active = self._int_mask("active", active)
+    def _qubit_mask(self, role: str, qubits: Iterable[int] | int) -> int:
+        """``qubits`` as a Python-int mask (bit j: qubit j), or a ValueError
+        naming what is wrong with it.  ``qubits`` is an iterable of device
+        qubits, read once, repeats allowed, or a Python or numpy integer mask."""
+        n = self.num_qubits
+        if not isinstance(qubits, Iterable):
+            if not _is_int(qubits) or qubits < 0:  # a bool too
+                raise ValueError(f"{role} mask must be a non-negative int, got {qubits!r}")
+            mask = int(qubits)  # masks need Python ints
+            bad = _bits(mask >> n << n)
         else:
-            active = frozenset(active)  # no copy for a frozenset
-            # A bool or a float hashes like the int it equals, so check the type.
-            bad = [j for j in active if not (_is_int(j) and 0 <= j < self.num_qubits)]
-            if bad:
-                raise ValueError(f"active qubits {sorted(bad)} not in 0..{self.num_qubits - 1}")
-            active = _mask(active)
-        if type(q) is not int and _is_int(q):
-            q = int(q)
-        if type(q) is not int or not 0 <= q < self.num_qubits or not active >> q & 1:
-            raise ValueError(f"qubit {q} is not in the active set")
-        return q, active
-
-    def _int_mask(self, role: str, mask) -> int:
-        """A Python or numpy integer mask of device qubits (bit j: qubit j) as
-        a Python int, or a ValueError naming what is wrong with it."""
-        if isinstance(mask, bool) or mask < 0:
-            raise ValueError(f"{role} mask must be a non-negative int, got {mask!r}")
-        mask = int(mask)  # masks need Python ints
-        if mask >> self.num_qubits:
-            bad = [j for j in range(self.num_qubits, mask.bit_length()) if mask >> j & 1]
-            raise ValueError(f"{role} qubits {bad} not in 0..{self.num_qubits - 1}")
+            mask, bad = 0, []
+            for j in qubits:
+                # A bool or a float compares like the int it equals, so check the type.
+                if _is_int(j) and 0 <= j < n:
+                    mask |= 1 << int(j)
+                else:
+                    bad.append(j)
+            bad = sorted(j for j in bad if _is_int(j)) + [j for j in bad if not _is_int(j)]
+        if bad:
+            raise ValueError(f"{role} qubits {bad} not in 0..{n - 1}")
         return mask
 
-    def _check_qubits(self, **roles: Iterable) -> None:
-        for role, qubits in roles.items():
-            bad = [j for j in qubits if not (_is_int(j) and 0 <= j < self.num_qubits)]
-            if bad:
-                raise ValueError(f"{role} qubits {bad} not in 0..{self.num_qubits - 1}")
-
-    def shortest_path(self, source: int, targets: set[int], active: set[int]) -> list[int]:
-        """BFS path inside ``active`` from ``source`` to the nearest of ``targets``.
+    def shortest_path(self, source: int, targets: Iterable[int] | int,
+                      active: Iterable[int] | int) -> list[int]:
+        """BFS path inside ``active`` from ``source`` to the nearest of ``targets``
+        (each an iterable of qubits, or an integer with bit j set for qubit j).
 
         Deterministic: neighbors are scanned in ascending order.
         """
-        self._check_qubits(source=[source], target=targets, active=active)
-        return self._path(int(source), _mask(set(targets)), _mask(set(active)))[::-1]
+        source = self._qubit_mask("source", (source,)).bit_length() - 1
+        return self._path(source, self._qubit_mask("target", targets),
+                          self._qubit_mask("active", active))[::-1]
 
     def _path(self, source: int, targets: int, active: int) -> list[int]:
         """``shortest_path`` on masks (bit j: qubit j), from the target to ``source``."""
@@ -278,38 +276,20 @@ class Topology:
         # Plain-int masks of device qubits, with active terminals, need no other check.
         if not (type(terminals) is int and type(active) is int and terminals > 0
                 and not active >> self.num_qubits and not terminals & ~active):
-            terminals, active = self._steiner_args(terminals, active)
+            terminals = self._qubit_mask("terminal", terminals)
+            active = self._qubit_mask("active", active)
+            if not terminals:
+                raise ValueError("terminals must be non-empty")
+            if terminals & ~active:
+                raise ValueError("terminals must lie inside the active set")
         remaining, tree = terminals, terminals & -terminals
         edges: list[Edge] = []
         while remaining := remaining & ~tree:
             # Grow from the tree to the nearest uncovered terminal.
             path = self._path((remaining & -remaining).bit_length() - 1, tree, active)
             edges.extend(map(_norm_edge, path, path[1:]))  # tree -> terminal
-            tree |= _mask(path)
+            tree |= sum(1 << j for j in path)
         return edges
-
-    def _steiner_args(self, terminals, active) -> tuple[int, int]:
-        """``steiner_tree``'s checked path: (terminals, active) as Python-int
-        masks, or a ValueError naming the bad value."""
-        masks = []
-        for role, qubits in (("terminal", terminals), ("active", active)):
-            if isinstance(qubits, bool) or _is_int(qubits):
-                masks.append(self._int_mask(role, qubits))
-            else:
-                qubits = set(qubits)
-                self._check_qubits(**{role: qubits})
-                masks.append(_mask(qubits))
-        terminals, active = masks
-        if not terminals:
-            raise ValueError("terminals must be non-empty")
-        if terminals & ~active:
-            raise ValueError("terminals must lie inside the active set")
-        return terminals, active
-
-
-def _mask(qubits: Iterable[int]) -> int:
-    """Bitmask of distinct integer qubits: bit j for qubit j."""
-    return sum(1 << int(j) for j in qubits)
 
 
 def _bits(mask: int) -> list[int]:

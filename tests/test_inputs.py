@@ -68,6 +68,14 @@ BAD = [
      "terminals must lie inside the active set"),
     ("steiner-empty-terminal-mask", lambda: ps.Topology.line(3).steiner_tree(0, 0b111),
      "terminals must be non-empty"),
+    ("non-cutting-mixed-members", lambda: ps.Topology.line(3).is_non_cutting(0, [0, "a", 7]),
+     "active qubits [7, 'a'] not in 0..2"),
+    ("non-cutting-float-mask", lambda: ps.Topology.line(3).is_non_cutting(0, 2.5),
+     "active mask must be a non-negative int, got 2.5"),
+    ("path-none-targets", lambda: ps.Topology.line(3).shortest_path(0, None, 0b111),
+     "target mask must be a non-negative int, got None"),
+    ("neighbors-negative-mask", lambda: ps.Topology.line(3).neighbors(1, -1),
+     "active mask must be a non-negative int, got -1"),
     ("steiner-set-outside-active-mask", lambda: ps.Topology.line(3).steiner_tree({0, 2}, 0b011),
      "terminals must lie inside the active set"),
 ]

@@ -515,6 +515,78 @@ def test_steiner_masks_match_the_sets(rng):
         assert _outcome(t.steiner_tree, np.uint64(tmask), amask) == tree, (trial, terms, active)
 
 
+def _qubit_forms(qubits):
+    """Every accepted form of a set of device qubits, each made fresh by a call."""
+    qs, mask = sorted(qubits), sum(1 << j for j in qubits)
+    return {"set": lambda: set(qs), "list": lambda: list(qs), "tuple": lambda: tuple(qs[::-1]),
+            "generator": lambda: (j for j in qs), "repeats": lambda: qs + qs[::-1] + qs[:1],
+            "numpy members": lambda: [np.int64(j) for j in qs], "mask": lambda: mask,
+            "numpy mask": lambda: np.int64(mask), "unsigned numpy mask": lambda: np.uint8(mask)}
+
+
+def test_every_query_accepts_every_qubit_form(rng):
+    # Every query gives the set reference's answer, or its error, for each
+    # form of the same qubits: one checked boundary serves them all.  The
+    # Python-int mask is the unchecked guard path of is_non_cutting and
+    # steiner_tree; the other forms take the checked one.
+    for trial in range(60):
+        q = int(rng.integers(2, 8))
+        t = random_connected_topology(q, rng, extra_edge_prob=0.3)
+        adj = [sorted(w for e in t.edges if u in e for w in e if w != u) for u in range(q)]
+        active = {j for j in range(q) if rng.random() < 0.7} or {int(rng.integers(q))}
+        terms = {j for j in active if rng.random() < 0.5} or {min(active)}
+        want = ([[w for w in adj[u] if w in active] for u in range(q)],
+                [brute_force_connected(t, active - {u}) if u in active
+                 else f"qubit {u} is not in the active set" for u in range(q)],
+                [_outcome(_path_ref, adj, u, terms, active) for u in range(q)],
+                _outcome(_steiner_ref, adj, terms, active))
+        acts, tms = _qubit_forms(active), _qubit_forms(terms)
+        for form, act in acts.items():
+            got = ([t.neighbors(u, act()) for u in range(q)],
+                   [_outcome(t.is_non_cutting, u, act()) for u in range(q)],
+                   [_outcome(t.shortest_path, u, tms[form](), act()) for u in range(q)],
+                   _outcome(t.steiner_tree, tms[form](), act()))
+            assert got == want, (trial, form, t.edges, active, terms)
+        for u, v in combinations(range(q), 2):
+            assert t.has_edge(np.int64(u), np.uint8(v)) == t.has_edge(v, u) == ((u, v) in t.edges)
+
+
+def test_shortest_path_reads_one_shot_iterables_once():
+    line3 = Topology.line(3)
+    assert line3.shortest_path(0, iter([2]), {0, 1, 2}) == [0, 1, 2]
+    assert line3.shortest_path(0, {2}, (j for j in range(3))) == [0, 1, 2]
+    assert line3.shortest_path(2, (j for j in [0, 0]), iter(range(3))) == [2, 1, 0]
+
+
+def test_mixed_bad_members_give_one_named_error():
+    # Integer members come first, ascending, then the others in the order
+    # given; no query sorts a str against an int.
+    line3 = Topology.line(3)
+    bad = [0, "a", 7]
+    for call in (lambda: line3.is_non_cutting(0, bad), lambda: line3.neighbors(1, bad),
+                 lambda: line3.shortest_path(0, {2}, bad), lambda: line3.steiner_tree({0}, bad)):
+        with pytest.raises(ValueError, match=re.escape("active qubits [7, 'a'] not in 0..2")):
+            call()
+    with pytest.raises(ValueError, match=re.escape("edge qubits [7, 'a'] not in 0..2")):
+        line3.has_edge("a", 7)
+
+
+@pytest.mark.parametrize("allow_permutation", [False, True])
+@pytest.mark.parametrize("mode", ["arbitrary", "commuting-sets"])
+def test_synthesize_takes_only_the_plain_int_guards(monkeypatch, mode, allow_permutation):
+    # The recursion and the peel pass Python-int masks of device qubits, so
+    # they never reach the checked boundary.
+    poly = ps.random_polynomial(ps.RandomSpec(16, 60, seed=5))
+    cfg = ps.SynthConfig(mode=mode, allow_permutation=allow_permutation)
+    want = ps.synthesize(poly, Topology.grid(4, 4), cfg).circuit
+
+    def refuse(self, role, qubits):
+        raise AssertionError(f"synthesize checked {role} qubits {qubits!r}")
+
+    monkeypatch.setattr(Topology, "_qubit_mask", refuse)
+    assert ps.synthesize(poly, Topology.grid(4, 4), cfg).circuit == want
+
+
 def test_steiner_respects_active_subset():
     t = Topology.cycle(4)
     # with vertex 1 inactive, the 0..2 route must go the long way

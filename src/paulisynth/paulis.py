@@ -4,8 +4,8 @@ rules, and the package's integer rule for counts, seeds and indices
 
 ``PauliColumns.conjugate`` is the one rule set: every gate action in the
 package (the recursion's gadget store and tableau, the final peel, the
-exact check and the debug invariant) is that method on bit columns.
-``conjugate_bits`` is its adapter for single Paulis given as bits.
+exact check and the debug invariant) is that method on bit columns, and it
+is the only code that changes a Pauli's sign under a Clifford.
 
 The Clifford gate factories intern their gates: equal arguments of equal
 types give the same frozen ``Gate``, built once, and a Clifford gate keeps
@@ -255,17 +255,6 @@ class PauliColumns:
                 return False
             k += 1
         return k == len(order)
-
-
-def conjugate_bits(kind: str, x: int, z: int, xt: int = 0, zt: int = 0):
-    """``PauliColumns.conjugate`` by the Clifford gate ``kind`` on Paulis
-    given as bits: bit i of ``x``/``z`` is the X/Z part of Pauli i on the
-    gate's wire (the control for ``cx``; ``xt``/``zt`` are the target's).
-    Returns the conjugated ``(x, z, xt, zt, flips)``; bit i of ``flips`` is
-    set where Pauli i gains a minus sign."""
-    cols = PauliColumns([x, xt], [z, zt])
-    cols.conjugate(Gate(kind, (0, 1) if kind == "cx" else (0,)))
-    return cols.x[0], cols.z[0], cols.x[1], cols.z[1], cols.signs
 
 
 @dataclass(frozen=True)

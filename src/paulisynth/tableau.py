@@ -13,12 +13,8 @@ Z=(0,1), Y=(1,1)).
 W's own images are read-only views.  By ``M^-1 = Omega M^T Omega``, row j
 (``W X_j W^``) is wire j's Z column with its halves swapped and row q+j
 (``W Z_j W^``) is wire j's X column swapped; bit j < q of a row is the X
-component on wire j, bit q+j the Z component.  Their signs follow from the
-row product rule: with ``P(x, z) = i^|x&z| X^x Z^z`` (Hermitian, Y = iXZ),
-
-    P(x1, z1) * P(x2, z2) = i^(|x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3|) * P(x3, z3)
-
-for ``(x3, z3) = (x1^x2, z1^z2)``, so a row product costs four popcounts.
+component on wire j, bit q+j the Z component.  Their signs are those of
+``inverse()``, which pushes the generators through W's own peel.
 
 ``synthesize_tableau`` emits a conforming circuit E and a permutation with
 ``W_t = P(perm) * U(E)``.  It pushes a copy of t's columns, the images
@@ -37,24 +33,6 @@ from .circuit import Circuit
 from .paulis import (XZ_LETTER, Gate, Pauli, PauliColumns, _check_int, _is_int, cx, h, s,
                      sdg, v)
 from .topology import Topology, _bits, tree_postorder
-
-
-def _conjugate_row(rows: list[int], signs: list[int], row: int, q: int) -> tuple[int, bool]:
-    """Image of the sign-free Pauli ``row`` under the Clifford with generator
-    images ``rows`` and ``signs``, by row products: (row, sign).  Rows have
-    2q bits, so ``r >> q`` is the Z part and needs no mask."""
-    phase = (row & (row >> q)).bit_count()
-    acc = 0
-    for b in _bits(row):  # X^x first, then Z^z
-        r2 = rows[b]
-        r3 = acc ^ r2
-        phase += ((acc & (acc >> q)).bit_count() + (r2 & (r2 >> q)).bit_count()
-                  + 2 * ((acc >> q) & r2).bit_count() - (r3 & (r3 >> q)).bit_count()
-                  + 2 * signs[b])
-        acc = r3
-    if phase & 1:
-        raise AssertionError("non-Hermitian conjugation result")
-    return acc, bool(phase & 2)
 
 
 @dataclass(frozen=True)
@@ -135,18 +113,9 @@ class CliffordTableau:
 
     @property
     def signs(self) -> tuple[int, ...]:
-        """Sign bit of each row: conjugating row r back by W^ gives the
-        generator r with that sign.  Derived on each access, so read once."""
-        q, cols = self.num_qubits, self._cols
-        back = [x | z << q for x, z in (_wire_masks(cols, k) for k in range(2 * q))]
-        back_signs = [cols.signs >> k & 1 for k in range(2 * q)]
-        signs = []
-        for r, row in enumerate(self.rows):
-            img, sign = _conjugate_row(back, back_signs, row, q)
-            if img != 1 << r:
-                raise AssertionError("tableau columns are inconsistent")
-            signs.append(int(sign))
-        return tuple(signs)
+        """Sign bit of each row, from ``inverse()``: a peel per access, so read once."""
+        signs = self.inverse()._cols.signs
+        return tuple(signs >> r & 1 for r in range(2 * self.num_qubits))
 
     def row_letter(self, r: int, wire: int) -> Pauli:
         """Letter of row r (image of X_r, or of Z_{r-q} for r >= q) on ``wire``."""
@@ -170,14 +139,12 @@ class CliffordTableau:
         return True
 
     def inverse(self) -> "CliffordTableau":
-        """Tableau of the adjoint Clifford: its columns are this one's rows."""
+        """Tableau of the adjoint: W's peel with no permutation gives W = U(E), and
+        the generators pushed through E are ``W X_r W^``, ``W Z_r W^``, signed."""
         q = self.num_qubits
-        rows = self.rows
         inv = CliffordTableau(q)
-        inv._cols = PauliColumns(
-            [sum((row >> j & 1) << k for k, row in enumerate(rows)) for j in range(q)],
-            [sum((row >> (q + j) & 1) << k for k, row in enumerate(rows)) for j in range(q)],
-            sum(sign << k for k, sign in enumerate(self.signs)))
+        for g in synthesize_tableau(self, Topology.complete(q), False)[0].gates:
+            inv._cols.conjugate(g)
         return inv
 
     def residual_permutation(self) -> list[int] | None:

@@ -209,8 +209,11 @@ class Topology:
     def _qubit_mask(self, role: str, qubits: Iterable[int] | int) -> int:
         """``qubits`` as a Python-int mask (bit j: qubit j), or a ValueError
         naming what is wrong with it.  ``qubits`` is an iterable of device
-        qubits, read once, repeats allowed, or a Python or numpy integer mask."""
+        qubits, read once, repeats allowed, or a Python or numpy integer mask
+        (a 0-d integer array too)."""
         n = self.num_qubits
+        if isinstance(qubits, np.ndarray) and not qubits.ndim:
+            qubits = qubits[()]  # a 0-d array cannot be iterated: take its scalar
         if not isinstance(qubits, Iterable):
             if not _is_int(qubits) or qubits < 0:  # a bool too
                 raise ValueError(f"{role} mask must be a non-negative int, got {qubits!r}")

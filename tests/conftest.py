@@ -6,6 +6,7 @@ import pytest
 
 import paulisynth as ps
 from paulisynth import verify
+from paulisynth.paulis import PauliColumns
 
 
 def random_clifford_circuit(q, n, rng):
@@ -61,6 +62,17 @@ def dense_check(poly, result, tol=1e-9):
     u_circ = verify.circuit_unitary(result.circuit)
     u_poly = verify.polynomial_unitary(poly, result.emitted_order)
     return verify.equivalent(u_poly, u_circ, result.permutation.mapping, tol)
+
+
+def conjugate_bits(kind, x, z, xt=0, zt=0):
+    """``PauliColumns.conjugate`` by the Clifford gate ``kind`` on Paulis
+    given as bits: bit i of ``x``/``z`` is the X/Z part of Pauli i on the
+    gate's wire (the control for ``cx``; ``xt``/``zt`` are the target's).
+    Returns the conjugated ``(x, z, xt, zt, flips)``; bit i of ``flips`` is
+    set where Pauli i gains a minus sign."""
+    cols = PauliColumns([x, xt], [z, zt])
+    cols.conjugate(ps.Gate(kind, (0, 1) if kind == "cx" else (0,)))
+    return cols.x[0], cols.z[0], cols.x[1], cols.z[1], cols.signs
 
 
 def pauli_row(letters):

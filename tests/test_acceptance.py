@@ -11,10 +11,10 @@ import numpy as np
 import paulisynth as ps
 from paulisynth import bench, verify
 from paulisynth.bench import check_result
-from paulisynth.paulis import XZ_LETTER, conjugate_bits
+from paulisynth.paulis import XZ_LETTER
 from paulisynth.tableau import CliffordTableau, synthesize_tableau
 
-from conftest import dense_check, random_clifford_circuit
+from conftest import conjugate_bits, dense_check, random_clifford_circuit
 
 
 def _report(name, ok, detail=""):

@@ -78,6 +78,25 @@ BAD = [
      "active mask must be a non-negative int, got -1"),
     ("steiner-set-outside-active-mask", lambda: ps.Topology.line(3).steiner_tree({0, 2}, 0b011),
      "terminals must lie inside the active set"),
+    ("non-cutting-0d-float-mask", lambda: ps.Topology.line(3).is_non_cutting(0, np.array(1.5)),
+     "active mask must be a non-negative int, got"),
+    ("non-cutting-0d-bool-mask", lambda: ps.Topology.line(3).is_non_cutting(0, np.array(True)),
+     "active mask must be a non-negative int, got"),
+    ("neighbors-0d-float-mask", lambda: ps.Topology.line(3).neighbors(1, np.array(1.5)),
+     "active mask must be a non-negative int, got"),
+    ("path-0d-bool-targets", lambda: ps.Topology.line(3).shortest_path(0, np.array(True), 0b111),
+     "target mask must be a non-negative int, got"),
+    ("path-0d-negative-active", lambda: ps.Topology.line(3).shortest_path(0, 0b100, np.array(-1)),
+     "active mask must be a non-negative int, got"),
+    ("steiner-0d-float-terminal-mask",
+     lambda: ps.Topology.line(3).steiner_tree(np.array(1.5), 0b111),
+     "terminal mask must be a non-negative int, got"),
+    ("steiner-0d-bool-active-mask", lambda: ps.Topology.line(3).steiner_tree(0b1, np.array(True)),
+     "active mask must be a non-negative int, got"),
+    ("steiner-0d-mask-off-device", lambda: ps.Topology.line(3).steiner_tree(0b1, np.array(0b1011)),
+     "active qubits [3] not in 0..2"),
+    ("has-edge-0d-float-qubit", lambda: ps.Topology.line(3).has_edge(0, np.array(1.5)),
+     "edge qubits [array(1.5)] not in 0..2"),
 ]
 
 
@@ -106,6 +125,11 @@ def test_accepted_forms():
     line3 = ps.Topology.line(3)
     assert line3.steiner_tree(np.int64(0b101), np.uint8(0b111)) == [(0, 1), (1, 2)]
     assert line3.steiner_tree({0, 2}, 0b111) == line3.steiner_tree(0b101, [0, 1, 2])
+    # A 0-d integer array is read as its scalar, like a numpy integer.
+    assert line3.is_non_cutting(0, np.array(7)) and not line3.is_non_cutting(1, np.array(7))
+    assert line3.neighbors(1, np.array(0b101)) == [0, 2]
+    assert line3.shortest_path(0, np.array(0b100), np.array(0b111)) == [0, 1, 2]
+    assert line3.steiner_tree(np.array(0b101), np.array(0b111)) == [(0, 1), (1, 2)]
 
 
 def test_numpy_qubit_counts_synthesize():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import paulisynth as ps
 from paulisynth import verify
-from paulisynth.paulis import CLIFFORD_KINDS, TO_Z, XZ_LETTER, Pauli, conjugate_bits
+from paulisynth.paulis import CLIFFORD_KINDS, TO_Z, XZ_LETTER, Pauli
 
-from conftest import dense_conjugate
+from conftest import conjugate_bits, dense_conjugate
 
 ALL_1Q_KINDS = ("h", "s", "sdg", "v", "vdg")
 

@@ -6,12 +6,12 @@ import pytest
 import paulisynth as ps
 from paulisynth import verify
 from paulisynth.circuit import Circuit
-from paulisynth.paulis import conjugate_bits
 from paulisynth.tableau import (CliffordTableau, QubitPermutation, _inverse_columns,
                                 _row_supports, _supports, _wire_masks, column_distance_cost,
                                 row_interaction_cost, steiner_ladder, synthesize_tableau)
 
-from conftest import random_clifford_circuit, random_connected_topology, tableau_matches_unitary
+from conftest import (RowTableau, conjugate_bits, random_clifford_circuit,
+                      random_connected_topology, tableau_matches_unitary)
 
 
 def test_prepend_h_twice_is_identity():
@@ -89,8 +89,8 @@ def test_prepend_append_preserve_symplecticity(rng):
 def test_peel_reads_match_the_inverse_rows(rng):
     # The peel reads the inverse's rows from a copy of t's columns, each row
     # as X and Z wire masks, and the supports by one transpose of the
-    # columns; the reference is t.inverse(), built from t's rows and signs,
-    # which checks each row by conjugating it back through the columns.
+    # columns; the reference is t.inverse(), whose columns are the
+    # generators pushed through the gates of t's own peel.
     for q in range(1, 11):
         for _ in range(3):
             t = CliffordTableau(q)
@@ -163,6 +163,34 @@ def test_inverse_roundtrip_and_oracle(rng):
         u = verify.circuit_unitary(circ)
         assert tableau_matches_unitary(tinv, u.conj().T)
         assert tinv.inverse() == t
+    # Past the dense oracle's reach: rows, signs and inverse() against the
+    # row-rule reference after the same prepends.
+    for q in (12, 36, 64):
+        gates = random_clifford_circuit(q, 20 * q, rng).gates
+        t, ref, ref_inv = CliffordTableau(q), RowTableau(q), RowTableau(q)
+        for g in gates:
+            t.prepend(g)
+            ref.prepend(g)
+        for g in reversed(gates):
+            ref_inv.prepend(g.adjoint())
+        inv = t.inverse()
+        assert (list(t.rows), list(t.signs)) == (ref.rows, ref.signs)
+        assert (list(inv.rows), list(inv.signs)) == (ref_inv.rows, ref_inv.signs)
+
+
+def test_synthesis_and_check_never_build_the_adjoint(monkeypatch):
+    # inverse() and signs run a peel per call, so no timed path may reach them.
+    def refuse(*_):
+        raise AssertionError("CliffordTableau.inverse or signs was called")
+
+    monkeypatch.setattr(CliffordTableau, "inverse", refuse)
+    monkeypatch.setattr(CliffordTableau, "signs", property(refuse))
+    for spec in ("grid:4x4", "line:8"):
+        topo = ps.Topology.from_spec(spec)
+        poly = ps.random_polynomial(ps.RandomSpec(topo.num_qubits, 60, seed=5))
+        for allow_perm in (True, False):
+            result = ps.synthesize(poly, topo, ps.SynthConfig(allow_permutation=allow_perm))
+            assert ps.bench.check_result(poly, result)
 
 
 def test_row_interaction_cost_examples():

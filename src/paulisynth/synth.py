@@ -85,7 +85,10 @@ class SynthesisResult:
 
 def column_cost(column, k: int) -> int:
     """Cost of a letter column in frame order (0 = I):
-    k * (#identity letters) + largest - smallest contiguous non-I run."""
+    k * (#identity letters) + largest - smallest contiguous non-I run.
+    With m legs (non-I letters) of n, that is k*(n - m) plus 0 for one run,
+    or at most m - 2 for more: ``_by_cost`` calls it only if that range
+    cannot decide."""
     legs = bytes(map(bool, column))
     runs = [len(run) for run in legs.split(b"\0") if run]
     cost = k * (len(legs) - sum(runs))
@@ -153,52 +156,76 @@ def _single_leg_sweep(state: _State, g: list[int], gm: int, act: int) -> tuple[l
     return remaining, gm & many
 
 
-def _costs(state: _State, g: list[int], gm: int, cands: list[int]) -> list[int]:
-    """Column cost of each candidate over ``g`` (mask ``gm``), each distinct column once."""
-    keys = [(state.x[j] | state.z[j]) & gm for j in cands]
-    cost = {key: column_cost(bytes([key >> i & 1 for i in g]), state.k) for key in set(keys)}
-    return [cost[key] for key in keys]
+def _by_cost(g: list[int], cands: list[int], keys: list[int], k: int):
+    """Yield ``cands`` (leg masks ``keys``, bit i for gadget i) by column
+    cost over ``g``, highest first, ties to the lower index, lazily.
+
+    Both ends of a column's cost range (``column_cost``) fall as its leg
+    count m grows, so the candidates left are kept by m, then index; the
+    next is the best of the first and those whose range reaches its lower
+    bound.  The first alone is yielded uncosted; else each distinct mask
+    with m > 2 (a range wider than one value) is costed once.
+    """
+    n, costs = len(g), {}
+    left = sorted(zip(map(int.bit_count, keys), cands, keys))
+    while left:
+        m0, end = left[0][0], 1
+        while end < len(left) and left[end][0] - 2 >= k * (left[end][0] - m0):  # in range
+            end += 1
+        best = 0
+        if end > 1:
+            for m, _, key in left[:end]:
+                if m > 2 and key not in costs:
+                    costs[key] = column_cost(bytes([key >> i & 1 for i in g]), k)
+            best = max(range(end), key=lambda e: (
+                costs.get(left[e][2], k * (n - left[e][0])), -left[e][1]))
+        yield left.pop(best)[1]
 
 
 def pick_pivot(state: _State, g: list[int], gm: int, act: int) -> int:
     """Highest column-cost non-cutting qubit; ties go to the lowest index.
 
     Over the n gadgets of ``g`` a leg-free column costs k*n, and a column
-    with m >= 1 legs at most k*(n - m) + (m - 1) < k*n.  So the leg-free
-    columns come first, in index order, without being costed; only if all
-    of them are cut vertices are the touched columns costed and tested in
-    cost order (index order for one gadget, where each costs 0).  The
-    cut-vertex test stops at the first non-cutting qubit.  So over one gadget
+    with m >= 1 legs at most k*(n - m) + max(m - 2, 0) < k*n.  So the
+    leg-free columns come first, in index order, without being costed; only
+    if all of them are cut vertices are the touched columns tested, in
+    ``_by_cost``'s lazy order, which costs a column only if its range can
+    decide (index order for one gadget, where each costs 0).  The cut-vertex
+    test stops at the first non-cutting qubit.  So over one gadget
     (``_lone_gadget``) the pivot is the lowest leg-free non-cutting qubit,
     else the lowest non-cutting touched one; and ``pick_neighbor`` takes the
     lowest leg-free active neighbour (cost k), else the lowest one (all 0).
     """
-    touched = []
+    x, z, topo = state.x, state.z, state.topo
+    touched, keys = [], []
     for j in _bits(act):
-        if (state.x[j] | state.z[j]) & gm:
+        key = (x[j] | z[j]) & gm
+        if key:
             touched.append(j)
-        elif state.topo.is_non_cutting(j, act):
+            keys.append(key)
+        elif topo.is_non_cutting(j, act):
             return j
     if len(g) > 1:  # with one gadget every touched column costs 0
-        cost = dict(zip(touched, _costs(state, g, gm, touched)))
-        touched.sort(key=cost.__getitem__, reverse=True)  # stable
+        touched = _by_cost(g, touched, keys, state.k)
     for j in touched:
-        if state.topo.is_non_cutting(j, act):
+        if topo.is_non_cutting(j, act):
             return j
     raise AssertionError("connected active set always has a non-cutting qubit")
 
 
 def pick_neighbor(state: _State, pivot: int, g: list[int], gm: int, act: int) -> int:
     """Highest column-cost active neighbor of ``pivot`` over the gadgets of
-    ``g`` in mask ``gm``; ties go to the lowest index."""
+    ``g`` in mask ``gm``; ties go to the lowest index: the first of
+    ``_by_cost``'s lazy order, which costs only neighbours whose cost range
+    reaches the highest lower bound (a leg-free one costs exactly k*n)."""
     near = state.topo._nbr_mask[pivot] & act
     if not near:
         raise AssertionError("pivot with connected gadgets must have an active neighbor")
     if not near & near - 1:  # nothing to compare, so skip the costs
         return near.bit_length() - 1
     cands = _bits(near)
-    costs = _costs(state, [i for i in g if gm >> i & 1], gm, cands)
-    return cands[costs.index(max(costs))]
+    keys = [(state.x[j] | state.z[j]) & gm for j in cands]
+    return next(_by_cost([i for i in g if gm >> i & 1], cands, keys, state.k))
 
 
 def _split(state: _State, g: list[int], gm: int,

@@ -28,6 +28,7 @@ signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .circuit import Circuit
 from .paulis import (XZ_LETTER, Gate, Pauli, PauliColumns, _check_int, _is_int, cx, h, s,
@@ -143,7 +144,7 @@ class CliffordTableau:
         the generators pushed through E are ``W X_r W^``, ``W Z_r W^``, signed."""
         q = self.num_qubits
         inv = CliffordTableau(q)
-        for g in synthesize_tableau(self, Topology.complete(q), False)[0].gates:
+        for g in synthesize_tableau(self, _complete(q), False)[0].gates:
             inv._cols.conjugate(g)
         return inv
 
@@ -163,6 +164,12 @@ class CliffordTableau:
     @property
     def is_identity(self) -> bool:
         return self.residual_permutation() == list(range(self.num_qubits))
+
+
+@lru_cache(maxsize=16)
+def _complete(q: int) -> Topology:
+    """The complete device on q wires, built once per q for ``inverse``'s peel."""
+    return Topology.complete(q)
 
 
 def _interaction_cost(supp: list[int], r: int) -> int:

@@ -168,6 +168,7 @@ class Topology:
     def neighbors(self, q: int, active: Iterable[int] | int | None = None) -> list[int]:
         """Neighbours of ``q`` in ascending order, only those in ``active`` if
         given (an iterable of qubits, or an integer with bit j set for qubit j)."""
+        q = _qubit(q)
         if not (_is_int(q) and 0 <= q < self.num_qubits):
             raise ValueError(f"qubit {q!r} not in 0..{self.num_qubits - 1}")
         near = self._nbr_mask[q]
@@ -181,7 +182,7 @@ class Topology:
         # A plain-int qubit in a plain-int mask of device qubits needs no other check.
         if not (type(q) is int and type(active) is int and q >= 0
                 and not active >> self.num_qubits and active >> q & 1):
-            active = self._qubit_mask("active", active)
+            active, q = self._qubit_mask("active", active), _qubit(q)
             if not (_is_int(q) and q >= 0 and active >> int(q) & 1):
                 raise ValueError(f"qubit {q} is not in the active set")
             q = int(q)
@@ -210,7 +211,7 @@ class Topology:
         """``qubits`` as a Python-int mask (bit j: qubit j), or a ValueError
         naming what is wrong with it.  ``qubits`` is an iterable of device
         qubits, read once, repeats allowed, or a Python or numpy integer mask
-        (a 0-d integer array too)."""
+        (a 0-d integer array too, as a member may be)."""
         n = self.num_qubits
         if isinstance(qubits, np.ndarray) and not qubits.ndim:
             qubits = qubits[()]  # a 0-d array cannot be iterated: take its scalar
@@ -221,13 +222,13 @@ class Topology:
             bad = _bits(mask >> n << n)
         else:
             mask, bad = 0, []
-            for j in qubits:
+            for j in map(_qubit, qubits):
                 # A bool or a float compares like the int it equals, so check the type.
                 if _is_int(j) and 0 <= j < n:
                     mask |= 1 << int(j)
                 else:
                     bad.append(j)
-            bad = sorted(j for j in bad if _is_int(j)) + [j for j in bad if not _is_int(j)]
+            bad = sorted(int(j) for j in bad if _is_int(j)) + [j for j in bad if not _is_int(j)]
         if bad:
             raise ValueError(f"{role} qubits {bad} not in 0..{n - 1}")
         return mask
@@ -293,6 +294,14 @@ class Topology:
             edges.extend(map(_norm_edge, path, path[1:]))  # tree -> terminal
             tree |= sum(1 << j for j in path)
         return edges
+
+
+def _qubit(value):
+    """``value``, or its scalar if it is a 0-d integer array, so that it reads
+    as a numpy integer does."""
+    if isinstance(value, np.ndarray) and not value.ndim and value.dtype.kind in "iu":
+        return value[()]
+    return value
 
 
 def _bits(mask: int) -> list[int]:

@@ -97,6 +97,19 @@ BAD = [
      "active qubits [3] not in 0..2"),
     ("has-edge-0d-float-qubit", lambda: ps.Topology.line(3).has_edge(0, np.array(1.5)),
      "edge qubits [array(1.5)] not in 0..2"),
+    ("has-edge-0d-qubit-off-device", lambda: ps.Topology.line(3).has_edge(np.array(3), 0),
+     "edge qubits [3] not in 0..2"),
+    ("neighbors-0d-qubit-off-device", lambda: ps.Topology.line(3).neighbors(np.array(3)),
+     "not in 0..2"),
+    ("neighbors-0d-bool-qubit", lambda: ps.Topology.line(3).neighbors(np.array(True)),
+     "qubit array(True) not in 0..2"),
+    ("non-cutting-0d-qubit-inactive", lambda: ps.Topology.line(3).is_non_cutting(np.array(2), 3),
+     "qubit 2 is not in the active set"),
+    ("non-cutting-0d-member-off-device",
+     lambda: ps.Topology.line(3).is_non_cutting(0, [0, np.array(4)]),
+     "active qubits [4] not in 0..2"),
+    ("path-0d-source-off-device", lambda: ps.Topology.line(3).shortest_path(np.array(5), 1, 7),
+     "source qubits [5] not in 0..2"),
 ]
 
 
@@ -130,6 +143,13 @@ def test_accepted_forms():
     assert line3.neighbors(1, np.array(0b101)) == [0, 2]
     assert line3.shortest_path(0, np.array(0b100), np.array(0b111)) == [0, 1, 2]
     assert line3.steiner_tree(np.array(0b101), np.array(0b111)) == [(0, 1), (1, 2)]
+    # So is a 0-d integer array given as one qubit or as a member.
+    assert line3.has_edge(0, np.array(1)) and not line3.has_edge(np.array(0), np.uint8(2))
+    assert line3.neighbors(np.array(1)) == [0, 2] == line3.neighbors(np.array(1), np.array(7))
+    assert line3.is_non_cutting(np.array(0), 7) and not line3.is_non_cutting(np.array(1), 7)
+    assert line3.is_non_cutting(0, [0, np.array(1)])
+    assert line3.shortest_path(np.array(0), [np.array(2)], 7) == [0, 1, 2]
+    assert line3.steiner_tree([np.array(0), 2], (0, np.array(1), 2)) == [(0, 1), (1, 2)]
 
 
 def test_numpy_qubit_counts_synthesize():

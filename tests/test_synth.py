@@ -5,7 +5,8 @@ import paulisynth as ps
 from paulisynth import verify
 from paulisynth.bench import check_result
 from paulisynth.paulis import PauliColumns
-from paulisynth.synth import (_State, _check_invariant, _lone_gadget, _p_step, _split,
+from paulisynth import synth
+from paulisynth.synth import (_by_cost, _State, _check_invariant, _lone_gadget, _p_step, _split,
                               column_cost, diagonalize_qubit, disconnect, pick_neighbor,
                               pick_pivot)
 from paulisynth.topology import tree_postorder
@@ -209,8 +210,8 @@ def test_pick_pivot_and_neighbor_match_brute_force(rng):
         poly = poly_of(*((0.1, "".join(letters[x] for x in row)) for row in rows))
         st = _state(poly, topo, ps.SynthConfig(k=k))
 
-        def column_text(qb):
-            return "".join(letters[st.letter(i, qb)] for i in g)
+        def column_text(qb, group=g):
+            return "".join(letters[st.letter(i, qb)] for i in group)
 
         free = [qb for qb in active if _brute_non_cutting(topo, qb, active)]
         pivot = pick_pivot(st, g, _mask(g), _mask(active))
@@ -219,6 +220,10 @@ def test_pick_pivot_and_neighbor_match_brute_force(rng):
         if near:
             assert pick_neighbor(st, pivot, g, _mask(g), _mask(active)) == \
                 _brute_best(near, column_text, k), (tag, pivot)
+            # Over a letter group: the gadgets of g in a sub-mask, in frame order.
+            group = g[::2]
+            assert pick_neighbor(st, pivot, g, _mask(group), _mask(active)) == \
+                _brute_best(near, lambda qb: column_text(qb, group), k), (tag, pivot)
         return pivot
 
     for trial in range(120):
@@ -263,6 +268,119 @@ def test_pick_pivot_and_neighbor_match_brute_force(rng):
         pivot = check(topo, rows, g, frozenset(path), int(rng.integers(1, 21)),
                       ("path", trial))
         assert pivot in (path[0], path[-1])
+
+    # Frames of 8-40 gadgets at k = 1-3, where the cost ranges of different
+    # leg counts overlap, so the lazy order must cost columns to decide.
+    for trial in range(90):
+        topo = _random_topology(trial % 4, int(rng.integers(2, 10)), rng)
+        q = topo.num_qubits
+        n = int(rng.integers(8, 41))
+        rows = rng.choice(4, size=(n, q), p=[0.5, 0.2, 0.15, 0.15])
+        rows[:, rng.random(q) < 0.2] = 0  # leg-free columns
+        if trial % 2:
+            rows[:, rng.random(q) < 0.5] = rows[:, [int(rng.integers(q))]]
+        g = [int(i) for i in rng.permutation(n)[:int(rng.integers(2, n + 1))]]
+        check(topo, rows, g, _random_connected_subset(topo, rng), 1 + trial % 3,
+              ("large", trial))
+
+
+def _random_frame(rng, k):
+    """Random ``(g, cands, keys)``: gadgets in frame order and candidate
+    columns in index order with their leg masks, some of them empty or
+    repeated, over 1-40 gadgets."""
+    n = int(rng.integers(1, 41))
+    g = [int(i) for i in rng.permutation(n + 5)[:n]]
+    full = sum(1 << i for i in g)
+    keys = []
+    for _ in range(int(rng.integers(1, 13))):
+        draw = rng.random()
+        if draw < 0.15:
+            keys.append(0)
+        elif draw < 0.35 and keys:
+            keys.append(keys[int(rng.integers(len(keys)))])
+        else:  # legs on a random share of the gadgets, in runs or scattered
+            dense = rng.random()
+            keys.append(sum(1 << i for i in g if rng.random() < dense) & full)
+    cands = sorted(int(j) for j in rng.permutation(64)[:len(keys)])
+    return g, cands, keys
+
+
+def _column_text(g, key):
+    return "".join("X" if key >> i & 1 else "I" for i in g)
+
+
+def test_lazy_cost_order_is_a_stable_sort(rng, monkeypatch):
+    calls = []
+
+    def counted(column, k):
+        calls.append(bytes(column))
+        return column_cost(column, k)
+
+    monkeypatch.setattr(synth, "column_cost", counted)
+    for trial in range(600):
+        k = (1, 2, 3)[trial % 3] if trial < 450 else int(rng.integers(4, 21))
+        g, cands, keys = _random_frame(rng, k)
+        cost = {j: cost_oracle(_column_text(g, key), k) for j, key in zip(cands, keys)}
+        calls.clear()
+        assert list(_by_cost(g, cands, keys, k)) == sorted(cands, key=lambda j: -cost[j]), \
+            (trial, k)
+        # Each distinct mask is costed at most once, and only one with a
+        # range wider than one value (three or more legs).
+        assert len(calls) == len(set(calls))
+        assert all(sum(column) >= 3 for column in calls)
+
+
+def test_every_decisive_cost_comes_from_column_cost(rng, monkeypatch):
+    # A column_cost patched to another cost inside the proved range
+    # [k*(n - m), k*(n - m) + max(m - 2, 0)] must steer the order: the
+    # order reads the module's column_cost, as the tracer wraps it.
+    for trial in range(300):
+        k = int(rng.integers(1, 4))
+        g, cands, keys = _random_frame(rng, k)
+        n, draws = len(g), {}
+
+        def other(column, k, draws=draws, n=n):
+            m = sum(column)
+            if column not in draws:
+                draws[column] = k * (n - m) + int(rng.integers(max(m - 2, 0) + 1))
+            return draws[column]
+
+        monkeypatch.setattr(synth, "column_cost", other)
+        order = list(_by_cost(g, cands, keys, k))
+        monkeypatch.undo()
+        cost = {j: other(bytes([key >> i & 1 for i in g]), k) for j, key in zip(cands, keys)}
+        assert order == sorted(cands, key=lambda j: -cost[j]), trial
+
+
+def test_unique_fewest_leg_column_is_picked_without_costing(monkeypatch):
+    # Five gadgets on a complete device, every column touched.  Qubit 2 has
+    # the fewest legs, the others four in one or two runs.  Its range alone
+    # reaches the top unless it has three legs and k <= 2: then a four-leg
+    # column may spread 2 >= k*(4 - 3), so every candidate is costed, each
+    # distinct mask once (qubits 1 and 4 share theirs).
+    calls = []
+
+    def counted(column, k):
+        calls.append(bytes(column))
+        return column_cost(column, k)
+
+    monkeypatch.setattr(synth, "column_cost", counted)
+    for k, fewest, costed in [(1, "IIZII", (0, 0)), (2, "IIZII", (0, 0)),
+                              (10, "IIZII", (0, 0)), (3, "XIZXI", (0, 0)),
+                              (10, "XIZXI", (0, 0)), (1, "XIZXI", (4, 3)),
+                              (2, "XIZXI", (4, 3))]:
+        columns = ["XIZYX", "ZXZIY", fewest, "ZYXZI", "YZXIZ"]
+        poly = poly_of(*((0.1, "".join(col[i] for col in columns)) for i in range(5)))
+        st = _state(poly, ps.Topology.complete(5), ps.SynthConfig(k=k))
+        calls.clear()
+        best = _brute_best(range(5), columns.__getitem__, k)
+        assert best == 2 or costed != (0, 0)
+        assert pick_pivot(st, [0, 1, 2, 3, 4], 0b11111, 0b11111) == best
+        pivot_calls = len(calls)
+        calls.clear()
+        assert pick_neighbor(st, 0, [0, 1, 2, 3, 4], 0b11111, 0b11111) == \
+            _brute_best(range(1, 5), columns.__getitem__, k)
+        assert (pivot_calls, len(calls)) == costed, (k, fewest)
 
 
 def test_lone_gadget_matches_frame_steps(rng):

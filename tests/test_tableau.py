@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import paulisynth as ps
-from paulisynth import verify
+from paulisynth import tableau, verify
 from paulisynth.circuit import Circuit
 from paulisynth.tableau import (CliffordTableau, QubitPermutation, _inverse_columns,
                                 _row_supports, _supports, _wire_masks, column_distance_cost,
@@ -176,6 +176,17 @@ def test_inverse_roundtrip_and_oracle(rng):
         inv = t.inverse()
         assert (list(t.rows), list(t.signs)) == (ref.rows, ref.signs)
         assert (list(inv.rows), list(inv.signs)) == (ref_inv.rows, ref_inv.signs)
+
+
+def test_inverse_builds_one_complete_device_per_size(monkeypatch, rng):
+    built, complete = [], ps.Topology.complete
+    monkeypatch.setattr(ps.Topology, "complete",
+                        staticmethod(lambda q: built.append(q) or complete(q)))
+    tableau._complete.cache_clear()
+    for q in (5, 7, 5, 7, 5):
+        t = CliffordTableau.from_circuit(random_clifford_circuit(q, 30, rng))
+        assert t.inverse().inverse() == t and t.signs == t.inverse().inverse().signs
+    assert built == [5, 7]
 
 
 def test_synthesis_and_check_never_build_the_adjoint(monkeypatch):

@@ -284,7 +284,7 @@ def test_pick_pivot_and_neighbor_match_brute_force(rng):
               ("large", trial))
 
 
-def _random_frame(rng, k):
+def _random_frame(rng):
     """Random ``(g, cands, keys)``: gadgets in frame order and candidate
     columns in index order with their leg masks, some of them empty or
     repeated, over 1-40 gadgets."""
@@ -298,7 +298,7 @@ def _random_frame(rng, k):
             keys.append(0)
         elif draw < 0.35 and keys:
             keys.append(keys[int(rng.integers(len(keys)))])
-        else:  # legs on a random share of the gadgets, in runs or scattered
+        else:  # legs on a random share of the gadgets
             dense = rng.random()
             keys.append(sum(1 << i for i in g if rng.random() < dense) & full)
     cands = sorted(int(j) for j in rng.permutation(64)[:len(keys)])
@@ -319,7 +319,7 @@ def test_lazy_cost_order_is_a_stable_sort(rng, monkeypatch):
     monkeypatch.setattr(synth, "column_cost", counted)
     for trial in range(600):
         k = (1, 2, 3)[trial % 3] if trial < 450 else int(rng.integers(4, 21))
-        g, cands, keys = _random_frame(rng, k)
+        g, cands, keys = _random_frame(rng)
         cost = {j: cost_oracle(_column_text(g, key), k) for j, key in zip(cands, keys)}
         calls.clear()
         assert list(_by_cost(g, cands, keys, k)) == sorted(cands, key=lambda j: -cost[j]), \
@@ -336,7 +336,7 @@ def test_every_decisive_cost_comes_from_column_cost(rng, monkeypatch):
     # order reads the module's column_cost, as the tracer wraps it.
     for trial in range(300):
         k = int(rng.integers(1, 4))
-        g, cands, keys = _random_frame(rng, k)
+        g, cands, keys = _random_frame(rng)
         n, draws = len(g), {}
 
         def other(column, k, draws=draws, n=n):

@@ -170,7 +170,8 @@ def _by_cost(g: list[int], cands: list[int], keys: list[int], k: int):
     left = sorted(zip(map(int.bit_count, keys), cands, keys))
     while left:
         m0, end = left[0][0], 1
-        while end < len(left) and left[end][0] - 2 >= k * (left[end][0] - m0):  # in range
+        # In range: k*(n - m) + m - 2 >= k*(n - m0); ties at m0 <= 1 lose on index.
+        while end < len(left) and left[end][0] - 2 >= k * (left[end][0] - m0):
             end += 1
         best = 0
         if end > 1:

@@ -344,40 +344,45 @@ def parse_token(convert, token: str, lineno: int, what: str):
         raise ValueError(f"line {lineno}: invalid {what} {token!r}") from None
 
 
-def parse_polynomial(text: str) -> PauliPolynomial:
-    """Parse the polynomial file format.
-
-    First non-comment line is ``qubits <q>``; every following non-empty,
-    non-``#`` line is ``<angle> <string>`` with a decimal angle and a word of
-    q letters over IXYZ.
-    """
-    num_qubits = None
-    gadgets = []
+def read_records(text: str, record: str) -> tuple[int, list[tuple[int, list[str]]]]:
+    """``(q, records)`` from the ``qubits <q>`` text format: blank and ``#``
+    lines are skipped, the first other line is the header, and each later
+    line is a record of two tokens, kept as ``(line number, tokens)``;
+    ``record`` names that form in the error for a line of another length."""
+    num_qubits, records = None, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
         if num_qubits is None:
-            parts = line.split()
             if len(parts) != 2 or parts[0] != "qubits":
                 raise ValueError(f"line {lineno}: expected 'qubits <q>' header, got {raw!r}")
             num_qubits = parse_token(int, parts[1], lineno, "qubit count")
             if num_qubits <= 0:
                 raise ValueError(f"line {lineno}: qubit count must be positive")
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected '<angle> <string>', got {raw!r}")
-        angle = parse_token(float, parts[0], lineno, "angle")
-        if not math.isfinite(angle):
-            raise ValueError(f"line {lineno}: angle must be finite, got {parts[0]!r}")
-        if len(parts[1]) != num_qubits:
-            raise ValueError(
-                f"line {lineno}: string {parts[1]!r} has {len(parts[1])} letters, "
-                f"expected {num_qubits}")
-        gadgets.append(PauliGadget(angle, PauliString.from_str(parts[1])))
+        elif len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected {record}, got {raw!r}")
+        else:
+            records.append((lineno, parts))
     if num_qubits is None:
         raise ValueError("missing 'qubits <q>' header")
+    return num_qubits, records
+
+
+def parse_polynomial(text: str) -> PauliPolynomial:
+    """Parse the polynomial file format (``read_records``): each record is
+    ``<angle> <string>`` with a decimal angle and a word of q letters over
+    IXYZ."""
+    num_qubits, records = read_records(text, "'<angle> <string>'")
+    gadgets = []
+    for lineno, (angle_text, word) in records:
+        angle = parse_token(float, angle_text, lineno, "angle")
+        if not math.isfinite(angle):
+            raise ValueError(f"line {lineno}: angle must be finite, got {angle_text!r}")
+        if len(word) != num_qubits:
+            raise ValueError(f"line {lineno}: string {word!r} has {len(word)} letters, "
+                             f"expected {num_qubits}")
+        gadgets.append(PauliGadget(angle, PauliString.from_str(word)))
     return PauliPolynomial(num_qubits, tuple(gadgets))
 
 

@@ -20,23 +20,25 @@ tableau, the final peel, ``bench.check_result`` and the debug invariant
 alike.  An emitted Clifford is a few bitwise operations on whole columns,
 with no live-gadget mask: emitted gadgets keep being conjugated and are
 never read again.  The sign is folded into the angle when the gadget's
-``rz`` is emitted.  A frame is ``(g, gm, pivot, act)``: its gadgets in frame
-order (column costs read runs in that order), their bitmask (bit i for
-gadget i), its pivot, and its active qubits as a bitmask.  All other frame reads are bitwise on columns under
-these masks, from the sweep to ``_split`` and ``disconnect``.
+``rz`` is emitted.  A frame is ``(g, gm, pivot, act)``: its gadgets in
+frame order (column costs read runs in that order), their bitmask (bit i for
+gadget i), its pivot, and its active qubits as a bitmask.  All other frame
+reads are bitwise on columns under these masks, from the sweep to ``_split``
+and ``disconnect``.
 
 The recursion runs on an explicit stack of non-empty pivot frames, so deep
 polynomials do not hit the interpreter recursion limit.  The id step
-(``_id_step``) sweeps, then peels pivots in a loop, pushing a pivot frame
-per pivot.  A pivot frame (``_p_step``) sweeps, disconnects one letter
-group, pushes itself again and runs the id step on the gadgets it freed
-from the pivot at once, since that step would be popped next anyway.  A
-frame's gadgets are live and have legs only on its active qubits, which are
-all the sweep reads.  A frame of one gadget (most frames on sparse devices)
-runs in ``_lone_gadget`` until the gadget is emitted: nothing else is pushed
-or popped meanwhile, so it emits the same gates from bitmasks of the
-gadget's legs and the active set, and keeps the cut-vertex verdicts that
-still hold.
+(``_id_step``) sweeps, then peels pivots in a loop while two or more gadgets
+are left, pushing a pivot frame per pivot.  A pivot frame (``_p_step``)
+sweeps, disconnects one letter group, pushes itself again and runs the id
+step on the gadgets it freed from the pivot at once, since that step would
+be popped next anyway.  A frame's gadgets are live and have legs only on its
+active qubits, which are all the sweep reads.  Every frame of one gadget
+(most frames on sparse devices: popped, left by a pivot frame's sweep, or
+last in an id step's peel) runs in ``_lone_gadget`` until the gadget is
+emitted: nothing else is pushed or popped meanwhile, so it works on bitmasks
+of the gadget's legs and the active set, and keeps the cut-vertex verdicts
+that still hold.
 """
 
 from __future__ import annotations
@@ -186,29 +188,15 @@ def _by_cost(g: list[int], cands: list[int], keys: list[int], k: int):
 def pick_pivot(state: _State, g: list[int], gm: int, act: int) -> int:
     """Highest column-cost non-cutting qubit; ties go to the lowest index.
 
-    Over the n gadgets of ``g`` a leg-free column costs k*n, and a column
-    with m >= 1 legs at most k*(n - m) + max(m - 2, 0) < k*n.  So the
-    leg-free columns come first, in index order, without being costed; only
-    if all of them are cut vertices are the touched columns tested, in
-    ``_by_cost``'s lazy order, which costs a column only if its range can
-    decide (index order for one gadget, where each costs 0).  The cut-vertex
-    test stops at the first non-cutting qubit.  So over one gadget
-    (``_lone_gadget``) the pivot is the lowest leg-free non-cutting qubit,
-    else the lowest non-cutting touched one; and ``pick_neighbor`` takes the
-    lowest leg-free active neighbour (cost k), else the lowest one (all 0).
+    The active qubits are cut-tested in ``_by_cost``'s lazy order, which
+    costs a column only if its range can decide, and the test stops at the
+    first non-cutting one.  Over the n gadgets of ``g`` a leg-free column
+    costs exactly k*n, the top, so those come first, in index order and
+    uncosted.  Frames of one gadget never reach here (``_lone_gadget``).
     """
     x, z, topo = state.x, state.z, state.topo
-    touched, keys = [], []
-    for j in _bits(act):
-        key = (x[j] | z[j]) & gm
-        if key:
-            touched.append(j)
-            keys.append(key)
-        elif topo.is_non_cutting(j, act):
-            return j
-    if len(g) > 1:  # with one gadget every touched column costs 0
-        touched = _by_cost(g, touched, keys, state.k)
-    for j in touched:
+    cands = _bits(act)
+    for j in _by_cost(g, cands, [(x[j] | z[j]) & gm for j in cands], state.k):
         if topo.is_non_cutting(j, act):
             return j
     raise AssertionError("connected active set always has a non-cutting qubit")
@@ -245,14 +233,19 @@ def _split(state: _State, g: list[int], gm: int,
 
 
 def _id_step(state: _State, g: list[int], gm: int, act: int, stack: list) -> None:
+    """Sweep the frame, then peel pivots while two or more gadgets are left,
+    pushing the frame of the gadgets on each pivot.  A last gadget goes to
+    ``_lone_gadget`` with no pivot: its pivot's frame would be popped next."""
     g, gm = _single_leg_sweep(state, g, gm, act)
     # Peel the id child in place: it is popped next and its sweep emits nothing.
-    while g:
+    while len(g) > 1:
         pivot = pick_pivot(state, g, gm, act)
         rest, rm, g, gm = _split(state, g, gm, pivot)
         if rest:
             stack.append((rest, rm, pivot, act))
         act ^= 1 << pivot
+    if g:
+        _lone_gadget(state, g[0], -1, act)
 
 
 def diagonalize_qubit(state: _State, gm: int, qubit: int) -> None:
@@ -307,7 +300,13 @@ def disconnect(state: _State, pivot: int, neighbor: int, gm: int) -> None:
 
 def _p_step(state: _State, g: list[int], gm: int, pivot: int, act: int,
             stack: list) -> None:
-    g, gm = _single_leg_sweep(state, g, gm, act)
+    """A popped pivot frame: ``_lone_gadget`` if it holds one gadget or its
+    sweep leaves one; else disconnect the pivot's largest letter group, push
+    the gadgets still on the pivot and run the others' id step at once."""
+    if len(g) > 1:
+        g, gm = _single_leg_sweep(state, g, gm, act)
+    if len(g) == 1:
+        return _lone_gadget(state, g[0], pivot, act)
     if not g:
         return
     xs, zs = state.x[pivot] & gm, state.z[pivot] & gm
@@ -331,7 +330,15 @@ def _p_step(state: _State, g: list[int], gm: int, pivot: int, act: int,
 
 
 def _lone_gadget(state: _State, i: int, pivot: int, act: int) -> None:
-    """``_p_step`` and ``_id_step`` for a frame of one gadget, run to its end.
+    """Run the frame of one gadget i to its end: the one-gadget rule.
+
+    ``pivot`` is the frame's pivot, or -1 for none.  Until the gadget has at
+    most one active leg (then its rz is emitted, or with none it is dropped),
+    each round drops a pivot from the active set.  With none, that is the
+    lowest leg-free non-cutting active qubit, else the lowest non-cutting one
+    (``pick_pivot``'s order: all touched columns cost 0).  A leg on it is
+    diagonalized and disconnected towards the lowest leg-free active
+    neighbour, else the lowest one (``pick_neighbor``'s: cost k against 0).
 
     The legs and the active set are bitmasks, updated from the two columns
     each ``disconnect`` touches.  Known cut vertices are not tested again:
@@ -385,11 +392,7 @@ def _run_recursion(state: _State, indices: list[int]) -> None:
     if state.debug:
         _check_invariant(state)
     while stack:
-        g, gm, pivot, act = stack.pop()
-        if len(g) == 1:
-            _lone_gadget(state, g[0], pivot, act)
-        else:
-            _p_step(state, g, gm, pivot, act, stack)
+        _p_step(state, *stack.pop(), stack)
         if state.debug:
             _check_invariant(state)
 

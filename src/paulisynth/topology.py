@@ -22,7 +22,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .paulis import _check_int, _is_int, parse_token
+from .paulis import _check_int, _is_int, parse_token, read_records
 
 Edge = tuple[int, int]
 
@@ -118,24 +118,11 @@ class Topology:
 
     @classmethod
     def parse(cls, text: str) -> "Topology":
-        num_qubits = None
-        edges = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if num_qubits is None:
-                if len(parts) != 2 or parts[0] != "qubits":
-                    raise ValueError(f"line {lineno}: expected 'qubits <q>' header")
-                num_qubits = parse_token(int, parts[1], lineno, "qubit count")
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'u v' edge, got {raw!r}")
-            edges.append(tuple(parse_token(int, t, lineno, "edge endpoint") for t in parts))
-        if num_qubits is None:
-            raise ValueError("missing 'qubits <q>' header")
-        return cls(num_qubits, edges)
+        """Parse the topology file format (``paulis.read_records``): each
+        record is a ``u v`` edge."""
+        num_qubits, records = read_records(text, "'u v' edge")
+        return cls(num_qubits, [tuple(parse_token(int, t, lineno, "edge endpoint") for t in parts)
+                                for lineno, parts in records])
 
     @classmethod
     def from_spec(cls, spec: str) -> "Topology":
@@ -170,7 +157,8 @@ class Topology:
         given (an iterable of qubits, or an integer with bit j set for qubit j)."""
         q = _qubit(q)
         if not (_is_int(q) and 0 <= q < self.num_qubits):
-            raise ValueError(f"qubit {q!r} not in 0..{self.num_qubits - 1}")
+            raise ValueError(f"qubit {int(q) if _is_int(q) else repr(q)} not in "
+                             f"0..{self.num_qubits - 1}")
         near = self._nbr_mask[q]
         if active is not None:
             near &= self._qubit_mask("active", active)

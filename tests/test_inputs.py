@@ -101,6 +101,8 @@ BAD = [
      "edge qubits [3] not in 0..2"),
     ("neighbors-0d-qubit-off-device", lambda: ps.Topology.line(3).neighbors(np.array(3)),
      "not in 0..2"),
+    ("neighbors-numpy-qubit-off-device", lambda: ps.Topology.line(3).neighbors(np.int64(3)),
+     "qubit 3 not in 0..2"),
     ("neighbors-0d-bool-qubit", lambda: ps.Topology.line(3).neighbors(np.array(True)),
      "qubit array(True) not in 0..2"),
     ("non-cutting-0d-qubit-inactive", lambda: ps.Topology.line(3).is_non_cutting(np.array(2), 3),

@@ -6,7 +6,7 @@ from paulisynth import verify
 from paulisynth.bench import check_result
 from paulisynth.paulis import PauliColumns
 from paulisynth import synth
-from paulisynth.synth import (_by_cost, _State, _check_invariant, _lone_gadget, _p_step, _split,
+from paulisynth.synth import (_by_cost, _State, _check_invariant, _lone_gadget, _split,
                               column_cost, diagonalize_qubit, disconnect, pick_neighbor,
                               pick_pivot)
 from paulisynth.topology import tree_postorder
@@ -383,9 +383,72 @@ def test_unique_fewest_leg_column_is_picked_without_costing(monkeypatch):
         assert (pivot_calls, len(calls)) == costed, (k, fewest)
 
 
-def test_lone_gadget_matches_frame_steps(rng):
-    # A one-gadget frame run by _lone_gadget against _p_step plus a drain of
-    # the frames it pushes, on two states built from the same polynomial.
+_DENSE = {}
+
+
+def _dense(kind, letters):
+    """``dense_conjugate`` by a gate of ``kind`` on its own wires, memoized."""
+    if (kind, letters) not in _DENSE:
+        wires = (0, 1) if kind == "cx" else (0,)
+        _DENSE[kind, letters] = dense_conjugate(ps.Gate(kind, wires), letters)
+    return _DENSE[kind, letters]
+
+
+def _lone_gadget_ref(topo, rows, i, angle, pivot, active):
+    """List reference of the one-gadget rule on gadget i of ``rows`` (one
+    list of letters per gadget), with no pivot if ``pivot`` < 0.  Gates move
+    every row through ``dense_conjugate``; the cut test is
+    ``_brute_non_cutting``.  Returns the gates, the rows and the sign flips."""
+    I, X, Y, Z = ps.Pauli.I, ps.Pauli.X, ps.Pauli.Y, ps.Pauli.Z
+    rows, active = [list(row) for row in rows], set(active)
+    flips, gates = [False] * len(rows), []
+
+    def emit(gate):
+        gates.append(gate)
+        for r, row in enumerate(rows):
+            letters, flip = _dense(gate.kind, tuple(row[qb] for qb in gate.qubits))
+            for qb, p in zip(gate.qubits, letters):
+                row[qb] = p
+            flips[r] ^= flip
+
+    def diagonalize(qb):  # h X h = Z, v Y v^ = Z
+        if rows[i][qb] in (X, Y):
+            emit((ps.h if rows[i][qb] == X else ps.v)(qb))
+        assert rows[i][qb] == Z
+
+    while True:
+        legs = [qb for qb in sorted(active) if rows[i][qb] != I]
+        if len(legs) < 2:
+            if legs:
+                diagonalize(legs[0])
+                gates.append(ps.rz(-angle if flips[i] else angle, legs[0]))
+            return gates, rows, flips
+        if pivot < 0:
+            free = [qb for qb in sorted(active) if _brute_non_cutting(topo, qb, active)]
+            pivot = ([qb for qb in free if rows[i][qb] == I] or free)[0]
+        if rows[i][pivot] != I:
+            diagonalize(pivot)
+            near = [w for w in topo.neighbors(pivot) if w in active]
+            neighbor = ([w for w in near if rows[i][w] == I] or near)[0]
+            letter = rows[i][neighbor]
+            if letter == I:
+                emit(ps.cx(neighbor, pivot))
+            else:  # the first pair rule, in tie order, that matches the letter
+                for pair, before in (((Z, Y), None), ((Z, X), ps.s), ((X, Y), ps.h)):
+                    if letter in pair:
+                        break
+                if before:
+                    emit(before(neighbor))
+            emit(ps.cx(pivot, neighbor))
+            assert rows[i][pivot] == I
+        active.discard(pivot)
+        pivot = -1
+
+
+def test_lone_gadget_matches_list_reference(rng):
+    # A one-gadget frame run by _lone_gadget, from its pivot and with none,
+    # against the list reference, whose Cliffords are replayed through a
+    # second state built from the same polynomial.
     letters = "IXYZ"
     for trial in range(240):
         topo = _random_topology(trial % 4, int(rng.integers(2, 10)), rng)
@@ -405,17 +468,53 @@ def test_lone_gadget_matches_frame_steps(rng):
         poly = poly_of(*((0.1 * (r + 1), "".join(letters[x] for x in row))
                          for r, row in enumerate(rows)))
         cfg = ps.SynthConfig(k=int(rng.integers(1, 21)))
-        lone, steps = _state(poly, topo, cfg), _state(poly, topo, cfg)
-        _lone_gadget(lone, i, pivot, _mask(active))
-        stack = []
-        _p_step(steps, [i], 1 << i, pivot, _mask(active), stack)
-        while stack:
-            _p_step(steps, *stack.pop(), stack)
-        tag = (trial, topo.edges, sorted(active), pivot, rows.tolist())
-        assert lone.emitted == steps.emitted == [i], tag
-        assert lone.gates == steps.gates, tag
-        assert (lone.signs, lone.x, lone.z) == (steps.signs, steps.x, steps.z), tag
-        assert lone.tableau == steps.tableau, tag
+        paulis = [[ps.Pauli[letters[x]] for x in row] for row in rows]
+        for start in (pivot, -1):
+            lone, replay = _state(poly, topo, cfg), _state(poly, topo, cfg)
+            _lone_gadget(lone, i, start, _mask(active))
+            gates, ref_rows, flips = _lone_gadget_ref(topo, paulis, i, 0.1 * (i + 1), start,
+                                                      active)
+            for gate in gates:
+                if gate.kind != "rz":
+                    replay.emit_clifford(gate)
+            tag = (trial, start, topo.edges, sorted(active), rows.tolist())
+            assert lone.emitted == [i], tag
+            assert lone.gates == gates, tag
+            assert (lone.signs, lone.x, lone.z) == (replay.signs, replay.x, replay.z), tag
+            assert lone.tableau == replay.tableau, tag
+            assert [[lone.letter(r, qb) for qb in range(q)] for r in range(n)] == ref_rows, tag
+            assert lone.signs == _mask(r for r in range(n) if flips[r]), tag
+
+
+def test_pick_pivot_never_gets_a_lone_gadget(monkeypatch):
+    # Every frame of one gadget runs in _lone_gadget, so pick_pivot only
+    # ever sees frames of two or more gadgets.
+    sizes, starts = [], []
+    pick, lone = synth.pick_pivot, synth._lone_gadget
+
+    def counted_pick(state, g, gm, act):
+        sizes.append(len(g))
+        return pick(state, g, gm, act)
+
+    def counted_lone(state, i, pivot, act):
+        starts.append(pivot)
+        return lone(state, i, pivot, act)
+
+    monkeypatch.setattr(synth, "pick_pivot", counted_pick)
+    monkeypatch.setattr(synth, "_lone_gadget", counted_lone)
+    rng = np.random.default_rng(30)
+    topos = [ps.Topology.grid(3, 4), ps.Topology.line(9), ps.Topology.complete(6),
+             random_connected_topology(12, rng, 0.0)]
+    for topo in topos:
+        poly = ps.random_polynomial(ps.RandomSpec(topo.num_qubits, 40, seed=7))
+        for mode in ("arbitrary", "commuting-sets"):
+            sizes.clear()
+            starts.clear()
+            res = ps.synthesize(poly, topo, ps.SynthConfig(mode=mode))
+            tag = (sorted(topo.edges), mode)
+            assert check_result(poly, res), tag
+            assert sizes and min(sizes) >= 2, tag
+            assert len(starts) > 0, tag
 
 
 def _partition_ref(state, g, qubit):

@@ -639,3 +639,5 @@ def test_parse_errors():
         Topology.parse("qubits 3\n# comment\n0 x\n")
     with pytest.raises(ValueError, match="line 2: invalid edge endpoint '1.5'"):
         Topology.parse("qubits 3\n1.5 2\n")
+    with pytest.raises(ValueError, match="line 2: qubit count must be positive"):
+        Topology.parse("# no qubits\nqubits 0\n")

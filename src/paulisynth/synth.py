@@ -38,7 +38,12 @@ active qubits, which are all the sweep reads.  Every frame of one gadget
 last in an id step's peel) runs in ``_lone_gadget`` until the gadget is
 emitted: nothing else is pushed or popped meanwhile, so it works on bitmasks
 of the gadget's legs and the active set, and keeps the cut-vertex verdicts
-that still hold.
+that still hold.  There ``diagonalize_qubit`` and ``disconnect`` reduce to a
+table on the gadget's letters at the pivot p and the neighbour n: p's X
+gives ``h(p)`` and Y ``v(p)``; n's I gives ``cx(n, p)`` then ``cx(p, n)``, X
+gives ``s(n)`` then ``cx(p, n)``, and Y or Z gives ``cx(p, n)``.  One
+post-condition stands for the two functions' asserts: the gadget has no leg
+on p and one on n.
 """
 
 from __future__ import annotations
@@ -47,8 +52,7 @@ import os
 from dataclasses import dataclass
 
 from .circuit import Circuit, Metrics, metrics
-from .paulis import (TO_Z, Gate, Pauli, PauliColumns, PauliPolynomial, _check_int, commutes,
-                     cx, h, rz, s)
+from .paulis import TO_Z, Gate, Pauli, PauliColumns, PauliPolynomial, _check_int, cx, h, rz, s, v
 from .tableau import (CliffordTableau, QubitPermutation, _inverse_columns, steiner_ladder,
                       synthesize_tableau)
 from .topology import Topology, _bits
@@ -271,6 +275,9 @@ def disconnect(state: _State, pivot: int, neighbor: int, gm: int) -> None:
     gadgets have no leg on the neighbor, two CNOTs move their pivot legs over;
     otherwise one CNOT and at most one Clifford on the neighbor apply the pair
     rule matching the most gadgets (ties: Z/Y, then Z/X, then X/Y).
+
+    Its one-gadget case is written again as ``_lone_gadget``'s table;
+    ``test_lone_gadget_round_matches_diagonalize_and_disconnect`` pins both.
     """
     x, z = state.x, state.z
     if gm & (x[pivot] | ~z[pivot]):
@@ -340,12 +347,19 @@ def _lone_gadget(state: _State, i: int, pivot: int, act: int) -> None:
     diagonalized and disconnected towards the lowest leg-free active
     neighbour, else the lowest one (``pick_neighbor``'s: cost k against 0).
 
-    The legs and the active set are bitmasks, updated from the two columns
-    each ``disconnect`` touches.  Known cut vertices are not tested again:
-    removing a non-cutting qubit u keeps every cut vertex cut, except u's
-    only active neighbour if u has exactly one.
+    For one gadget ``diagonalize_qubit`` and ``disconnect`` reduce to a table
+    on its letters at the pivot p and the neighbour n, emitted directly:
+    p's X gives ``h(p)`` and Y gives ``v(p)``; then n's I gives ``cx(n, p)``,
+    ``cx(p, n)``; X gives ``s(n)``, ``cx(p, n)``; Y or Z gives ``cx(p, n)``.
+    After it the gadget must have no leg on p and one on n (else an
+    ``AssertionError``), which replaces the two functions' asserts.
+
+    The legs and the active set are bitmasks: the table moves the pivot's
+    leg to the neighbour, or merges it there.  Known cut vertices are not
+    tested again: removing a non-cutting qubit u keeps every cut vertex cut,
+    except u's only active neighbour if u has exactly one.
     """
-    x, z, topo, bit = state.x, state.z, state.topo, 1 << i
+    x, z, topo, emit = state.x, state.z, state.topo, state.emit_clifford
     legs = sum(1 << j for j in _bits(act) if (x[j] | z[j]) >> i & 1)
     cut = 0  # known cut vertices of the active set
     while True:  # left by the return once the gadget is emitted
@@ -368,13 +382,19 @@ def _lone_gadget(state: _State, i: int, pivot: int, act: int) -> None:
                 raise AssertionError("connected active set always has a non-cutting qubit")
             pivot = low.bit_length() - 1
         if legs >> pivot & 1:
-            diagonalize_qubit(state, bit, pivot)
+            if x[pivot] >> i & 1:  # X or Y: diagonalize_qubit's gate
+                emit((v if z[pivot] >> i & 1 else h)(pivot))
             near = topo._nbr_mask[pivot] & act
             near = near & ~legs or near  # pick_neighbor's choice, lowest first
             neighbor = (near & -near).bit_length() - 1
-            disconnect(state, pivot, neighbor, bit)
-            legs &= ~(1 << pivot | 1 << neighbor)
-            legs |= ((x[neighbor] | z[neighbor]) >> i & 1) << neighbor
+            if not legs >> neighbor & 1:  # disconnect's rules for one gadget
+                emit(cx(neighbor, pivot))
+            elif x[neighbor] >> i & 1 and not z[neighbor] >> i & 1:
+                emit(s(neighbor))
+            emit(cx(pivot, neighbor))
+            if (x[pivot] | z[pivot]) >> i & 1 or not (x[neighbor] | z[neighbor]) >> i & 1:
+                raise AssertionError("one-gadget disconnect left a pivot leg or no neighbor leg")
+            legs ^= 1 << pivot | (0 if legs >> neighbor & 1 else 1 << neighbor)
             if state.debug:
                 _check_invariant(state)
         # The pivot is leg-free now: drop it from the active set.
@@ -402,30 +422,50 @@ def partition_commuting_sets(poly: PauliPolynomial) -> list[list[int]]:
 
     A gadget joins the earliest set such that it commutes with every member
     of that set and of all later sets (so reordering across set boundaries
-    never changes the operator); otherwise it opens a new set.
+    never changes the operator); otherwise it opens a new set.  Gadget i's
+    anticommutation mask, bit j for each gadget j it anticommutes with, is
+    the symplectic product of the bit columns: the XOR of ``z[w]`` over the
+    wires w where i has an X part and of ``x[w]`` where it has a Z part.  So
+    each set scanned costs one AND with its member mask.
     """
+    cols = PauliColumns.from_texts([str(g.string) for g in poly.gadgets], poly.num_qubits)
     sets: list[list[int]] = []
-    for i, gadget in enumerate(poly.gadgets):
-        target = None
-        for sidx in range(len(sets) - 1, -1, -1):
-            if all(commutes(gadget, poly.gadgets[j]) for j in sets[sidx]):
-                target = sidx
-            else:
-                break
-        if target is None:
-            sets.append([i])
-        else:
-            sets[target].append(i)
+    members: list[int] = []  # bit j for gadget j, per set
+    for i in range(len(poly.gadgets)):
+        clash = 0
+        for xw, zw in zip(cols.x, cols.z):
+            if xw >> i & 1:
+                clash ^= zw
+            if zw >> i & 1:
+                clash ^= xw
+        target = len(sets)
+        while target and not members[target - 1] & clash:
+            target -= 1
+        if target == len(sets):
+            sets.append([])
+            members.append(0)
+        sets[target].append(i)
+        members[target] |= 1 << i
     return sets
+
+
+def _check_args(poly, topo, cfg) -> SynthConfig:
+    """``cfg``, after a ``ValueError`` naming an argument of the wrong type,
+    or a polynomial and a topology with different qubit counts."""
+    for name, value, kind in (("poly", poly, PauliPolynomial), ("topo", topo, Topology),
+                              ("cfg", cfg, SynthConfig)):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+    if poly.num_qubits != topo.num_qubits:
+        raise ValueError(
+            f"polynomial has {poly.num_qubits} qubits but topology has {topo.num_qubits}")
+    return cfg
 
 
 def synthesize(poly: PauliPolynomial, topo: Topology,
                cfg: SynthConfig | None = None) -> SynthesisResult:
     """Compile a Pauli polynomial to a conforming circuit plus output permutation."""
-    cfg = cfg or SynthConfig()
-    if poly.num_qubits != topo.num_qubits:
-        raise ValueError(
-            f"polynomial has {poly.num_qubits} qubits but topology has {topo.num_qubits}")
+    cfg = _check_args(poly, topo, SynthConfig() if cfg is None else cfg)
     state = _State(poly, topo, cfg)
     if cfg.mode == "commuting-sets":
         gadget_sets = partition_commuting_sets(poly)
@@ -447,9 +487,7 @@ def naive_synthesize(poly: PauliPolynomial, topo: Topology) -> SynthesisResult:
     Each gadget is diagonalized, fanned into its lowest leg by the Z
     ``steiner_ladder`` over all wires, rotated there, and exactly undone.
     """
-    if poly.num_qubits != topo.num_qubits:
-        raise ValueError(
-            f"polynomial has {poly.num_qubits} qubits but topology has {topo.num_qubits}")
+    _check_args(poly, topo, SynthConfig())
     q = poly.num_qubits
     gates: list[Gate] = []
     for gadget in poly.gadgets:

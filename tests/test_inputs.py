@@ -112,6 +112,17 @@ BAD = [
      "active qubits [4] not in 0..2"),
     ("path-0d-source-off-device", lambda: ps.Topology.line(3).shortest_path(np.array(5), 1, 7),
      "source qubits [5] not in 0..2"),
+    ("synthesize-str-config",
+     lambda: ps.synthesize(ps.random_polynomial(ps.RandomSpec(4, 3)), ps.Topology.line(4), "fast"),
+     "cfg must be a SynthConfig, got 'fast'"),
+    ("synthesize-spec-topology",
+     lambda: ps.synthesize(ps.random_polynomial(ps.RandomSpec(4, 3)), "line:4"),
+     "topo must be a Topology, got 'line:4'"),
+    ("naive-spec-topology",
+     lambda: ps.naive_synthesize(ps.random_polynomial(ps.RandomSpec(4, 3)), "line:4"),
+     "topo must be a Topology, got 'line:4'"),
+    ("synthesize-text-polynomial", lambda: ps.synthesize("XXYZ", ps.Topology.line(4)),
+     "poly must be a PauliPolynomial, got 'XXYZ'"),
 ]
 
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from paulisynth.topology import tree_postorder
 
 from conftest import (dense_conjugate, heavy_hex_topology, random_connected_topology,
                       star_topology)
+from recursion_ref import greedy_sets, reference_recursion
 
 
 def gadget(angle, text):
@@ -486,6 +489,84 @@ def test_lone_gadget_matches_list_reference(rng):
             assert lone.signs == _mask(r for r in range(n) if flips[r]), tag
 
 
+@pytest.mark.parametrize("neighbor_letter", "IXYZ")
+@pytest.mark.parametrize("pivot_letter", "XYZ")
+def test_lone_gadget_round_matches_diagonalize_and_disconnect(monkeypatch, pivot_letter,
+                                                              neighbor_letter):
+    # _lone_gadget's letter table and the group steps on a one-gadget mask
+    # write the same rule twice.  Gadget 0 has its pivot 0 and neighbour 1 on
+    # line:3, and a leg on 2 so that it keeps two legs; four more live
+    # gadgets see every gate.  The round is read at its debug check.
+    others = ["XYZ", "ZZI", "YIX", "IXY"]
+    poly = poly_of((0.3, pivot_letter + neighbor_letter + "Z"),
+                   *((0.1 * (r + 1), text) for r, text in enumerate(others)))
+    lone, ref = _state(poly, ps.Topology.line(3)), _state(poly, ps.Topology.line(3))
+    rounds = []
+    monkeypatch.setattr(synth, "_check_invariant", lambda st: rounds.append(
+        (list(st.gates), list(st.x), list(st.z), st.signs, copy.deepcopy(st.tableau))))
+    lone.debug = True
+    _lone_gadget(lone, 0, 0, 0b111)
+    diagonalize_qubit(ref, 0b1, 0)
+    disconnect(ref, 0, 1, 0b1)
+    assert ref.gates and rounds[0] == (ref.gates, ref.x, ref.z, ref.signs, ref.tableau)
+
+
+def test_debug_invariant_catches_a_letter_corrupted_in_a_one_gadget_frame(monkeypatch):
+    # One-gadget frames call neither disconnect nor diagonalize_qubit.  A bit
+    # of another live gadget, flipped once right after a CNOT that
+    # _lone_gadget emits, is caught by the debug check closing that round.
+    monkeypatch.setenv("PAULISYNTH_DEBUG", "1")
+    emit, lone = synth._State.emit_clifford, synth._lone_gadget
+    inside, corrupted = [], []
+
+    def tracked(state, i, pivot, act):
+        inside.append(i)
+        try:
+            return lone(state, i, pivot, act)
+        finally:
+            inside.pop()
+
+    def corrupting(state, gate):
+        emit(state, gate)
+        live = [j for j in range(len(state.poly)) if j not in state.emitted + inside]
+        if inside and gate.kind == "cx" and live and not corrupted:
+            corrupted.append(live[-1])
+            flip_bit(state, live[-1], "z", gate.qubits[1])
+
+    monkeypatch.setattr(synth, "_lone_gadget", tracked)
+    monkeypatch.setattr(synth._State, "emit_clifford", corrupting)
+    poly = ps.random_polynomial(ps.RandomSpec(6, 8, seed=3))
+    with pytest.raises(AssertionError, match="invariant") as info:
+        ps.synthesize(poly, ps.Topology.from_spec("grid:2x3"))
+    assert corrupted
+    assert "_lone_gadget" in [entry.name for entry in info.traceback]
+
+
+def test_recursion_matches_list_reference():
+    # The recursion's gates and emitted order against the list reference,
+    # on the devices where cut vertices decide the picks: random trees,
+    # stars, sparse and dense graphs, and small heavy hex.
+    rng = np.random.default_rng(19)
+    for case in range(150):
+        q, kind = int(rng.integers(2, 17)), case % 5
+        if kind == 1:
+            topo = star_topology(q, int(rng.integers(q)))
+        elif kind == 4:
+            topo = heavy_hex_topology(2, 3) if case % 10 == 4 else ps.Topology.complete(q)
+        else:
+            topo = random_connected_topology(q, rng, (0.0, None, 0.1, 0.6)[kind])
+        n = int(rng.integers(1, 21))
+        poly = ps.random_polynomial(ps.RandomSpec(topo.num_qubits, n,
+                                                  seed=int(rng.integers(1 << 40))))
+        cfg = ps.SynthConfig(k=int(rng.integers(1, 21)),
+                             mode=("arbitrary", "commuting-sets")[case % 2])
+        res = ps.synthesize(poly, topo, cfg)
+        gates, order = reference_recursion(poly, topo, cfg)
+        tag = (case, sorted(topo.edges), n, cfg)
+        assert list(res.circuit.gates[:res.recursion_gate_count]) == gates, tag
+        assert res.emitted_order == order, tag
+
+
 def test_pick_pivot_never_gets_a_lone_gadget(monkeypatch):
     # Every frame of one gadget runs in _lone_gadget, so pick_pivot only
     # ever sees frames of two or more gadgets.
@@ -811,6 +892,48 @@ def test_commuting_sets_reordering_is_sound(rng):
             for j in range(i):
                 if set_of[i] < set_of[j]:
                     assert ps.commutes(poly.gadgets[i], poly.gadgets[j])
+
+
+def _letter_poly(rng, q, n, weights):
+    """n gadgets on q qubits, letters I, X, Y, Z drawn with ``weights``."""
+    rows = rng.choice(4, size=(n, q), p=weights)
+    return ps.PauliPolynomial(q, tuple(gadget(0.1, "".join("IXYZ"[x] for x in row))
+                                       for row in rows))
+
+
+def test_partition_matches_the_greedy_reference(rng):
+    # Random, sparse, all-commuting ({I, Z} and {I, X}) and identity-heavy
+    # polynomials, so that sets are long, short, single or hold all-I gadgets.
+    kinds = [None, [0.8, 0.1, 0.05, 0.05], [0.5, 0, 0, 0.5], [0.6, 0.4, 0, 0],
+             [0.9, 0, 0.1, 0], [0.25, 0.25, 0.25, 0.25], [0.3, 0.5, 0, 0.2]]
+    for trial in range(140):
+        weights = kinds[trial % len(kinds)]
+        q, n = int(rng.integers(1, 12)), int(rng.integers(0, 60))
+        if weights is None:
+            poly = ps.random_polynomial(ps.RandomSpec(q, n, seed=int(rng.integers(1 << 40))))
+        else:
+            poly = _letter_poly(rng, q, n, weights)
+        assert ps.partition_commuting_sets(poly) == greedy_sets(poly), (trial, poly)
+
+
+def test_commuting_sets_of_many_z_gadgets_call_no_letter_loop(monkeypatch):
+    # 2,000 gadgets over {I, Z} on 8 qubits are one commuting set.  The
+    # partition reads bit columns, so the quadratic letter loop of
+    # ``commutes`` is never entered.
+    poly = _letter_poly(np.random.default_rng(22), 8, 2000, [0.5, 0, 0, 0.5])
+    calls = []
+
+    def refuse(a, b):
+        calls.append((a, b))
+        raise AssertionError("commutes called")
+
+    monkeypatch.setattr(ps.paulis, "commutes", refuse)
+    monkeypatch.setattr(synth, "commutes", refuse, raising=False)
+    assert ps.partition_commuting_sets(poly) == [list(range(2000))]
+    res = ps.synthesize(poly, ps.Topology.line(8), ps.SynthConfig(mode="commuting-sets"))
+    assert calls == []
+    assert res.emitted_order == ps.synthesize(poly, ps.Topology.line(8)).emitted_order
+    assert check_result(poly, res)
 
 
 def test_identity_column_gets_no_recursion_gates():

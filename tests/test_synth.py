@@ -545,7 +545,7 @@ def test_debug_invariant_catches_a_letter_corrupted_in_a_one_gadget_frame(monkey
 def test_recursion_matches_list_reference():
     # The recursion's gates and emitted order against the list reference,
     # on the devices where cut vertices decide the picks: random trees,
-    # stars, sparse and dense graphs, and small heavy hex.
+    # stars, sparse and dense graphs, and small heavy hex, each in both modes.
     rng = np.random.default_rng(19)
     for case in range(150):
         q, kind = int(rng.integers(2, 17)), case % 5
@@ -559,7 +559,7 @@ def test_recursion_matches_list_reference():
         poly = ps.random_polynomial(ps.RandomSpec(topo.num_qubits, n,
                                                   seed=int(rng.integers(1 << 40))))
         cfg = ps.SynthConfig(k=int(rng.integers(1, 21)),
-                             mode=("arbitrary", "commuting-sets")[case % 2])
+                             mode=("arbitrary", "commuting-sets")[case // 10 % 2])
         res = ps.synthesize(poly, topo, cfg)
         gates, order = reference_recursion(poly, topo, cfg)
         tag = (case, sorted(topo.edges), n, cfg)
@@ -921,17 +921,14 @@ def test_commuting_sets_of_many_z_gadgets_call_no_letter_loop(monkeypatch):
     # partition reads bit columns, so the quadratic letter loop of
     # ``commutes`` is never entered.
     poly = _letter_poly(np.random.default_rng(22), 8, 2000, [0.5, 0, 0, 0.5])
-    calls = []
 
     def refuse(a, b):
-        calls.append((a, b))
         raise AssertionError("commutes called")
 
     monkeypatch.setattr(ps.paulis, "commutes", refuse)
     monkeypatch.setattr(synth, "commutes", refuse, raising=False)
     assert ps.partition_commuting_sets(poly) == [list(range(2000))]
     res = ps.synthesize(poly, ps.Topology.line(8), ps.SynthConfig(mode="commuting-sets"))
-    assert calls == []
     assert res.emitted_order == ps.synthesize(poly, ps.Topology.line(8)).emitted_order
     assert check_result(poly, res)
 

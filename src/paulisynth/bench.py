@@ -6,6 +6,7 @@ import csv
 import math
 import numbers
 import time
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, astuple
 
@@ -158,10 +159,22 @@ def run_trotter_error(polys: list[PauliPolynomial], topo: Topology,
     """
     _check_methods(methods)
     _check_int("repetitions", repetitions, 1)
+    if isinstance(polys, PauliPolynomial) or not isinstance(polys, Iterable):
+        raise ValueError(
+            f"polys must be a sequence of PauliPolynomial, got a {type(polys).__name__}")
+    polys = list(polys)
+    for idx, poly in enumerate(polys):
+        if not isinstance(poly, PauliPolynomial):
+            raise ValueError(f"polys[{idx}] must be a PauliPolynomial, got {poly!r}")
+    # A numpy array is a sequence of reals too, so it is read as a list.
+    if isinstance(timesteps, str) or not isinstance(timesteps, Iterable):
+        raise ValueError(f"timesteps must be a sequence of finite reals, got {timesteps!r}")
+    timesteps = list(timesteps)
     if not timesteps:
         raise ValueError("at least one timestep is required")
-    if not all(math.isfinite(t) for t in timesteps):
-        raise ValueError(f"timesteps must be finite, got {list(timesteps)!r}")
+    if not all(isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t)
+               for t in timesteps):
+        raise ValueError(f"timesteps must be finite reals, got {timesteps!r}")
     q = max((poly.num_qubits for poly in polys), default=0)
     if q > verify.MAX_DENSE_QUBITS:
         raise ValueError(f"the Trotter scan is capped at {verify.MAX_DENSE_QUBITS} qubits, got {q}")

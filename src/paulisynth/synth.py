@@ -43,7 +43,11 @@ table on the gadget's letters at the pivot p and the neighbour n: p's X
 gives ``h(p)`` and Y ``v(p)``; n's I gives ``cx(n, p)`` then ``cx(p, n)``, X
 gives ``s(n)`` then ``cx(p, n)``, and Y or Z gives ``cx(p, n)``.  One
 post-condition stands for the two functions' asserts: the gadget has no leg
-on p and one on n.
+on p and one on n.  Every frame's active set is connected: it is the device
+less pivots that were non-cutting when dropped.  So in ``_lone_gadget`` a
+candidate pivot with at most one active neighbour (a leaf) is non-cutting
+without a test, and the others go to ``Topology._non_cutting``, the
+unchecked cut test for a connected set, not to the checked public query.
 """
 
 from __future__ import annotations
@@ -355,12 +359,19 @@ def _lone_gadget(state: _State, i: int, pivot: int, act: int) -> None:
     ``AssertionError``), which replaces the two functions' asserts.
 
     The legs and the active set are bitmasks: the table moves the pivot's
-    leg to the neighbour, or merges it there.  Known cut vertices are not
-    tested again: removing a non-cutting qubit u keeps every cut vertex cut,
-    except u's only active neighbour if u has exactly one.
+    leg to the neighbour, or merges it there.  ``act`` must be connected, as
+    every frame's active set is, and it stays so, since only non-cutting
+    pivots leave it.  That decides each candidate pivot without the public
+    ``is_non_cutting``: one with at most one active neighbour is a leaf, so
+    non-cutting, and any other gets ``Topology._non_cutting``, whose BFS from
+    one neighbour must reach the others.  Known cut vertices are not tested
+    again: removing a non-cutting qubit u keeps every cut vertex cut, except
+    u's only active neighbour if u has exactly one.
     """
-    x, z, topo, emit = state.x, state.z, state.topo, state.emit_clifford
-    legs = sum(1 << j for j in _bits(act) if (x[j] | z[j]) >> i & 1)
+    x, z, emit, debug = state.x, state.z, state.emit_clifford, state.debug
+    nbr, non_cutting = state.topo._nbr_mask, state.topo._non_cutting
+    bit = 1 << i
+    legs = sum(1 << j for j in _bits(act) if (x[j] | z[j]) & bit)
     cut = 0  # known cut vertices of the active set
     while True:  # left by the return once the gadget is emitted
         if not legs & legs - 1:  # the sweep: one leg is emitted, none is a global phase
@@ -370,36 +381,41 @@ def _lone_gadget(state: _State, i: int, pivot: int, act: int) -> None:
                 state.emitted.append(i)
             return
         if pivot < 0:  # pick_pivot's order: leg-free qubits, then touched ones
-            for cands in (act & ~(legs | cut), act & legs & ~cut):
-                while cands:
-                    low = cands & -cands
-                    if topo.is_non_cutting(low.bit_length() - 1, act):
-                        break
-                    cut, cands = cut | low, cands ^ low
-                if cands:
+            cands, touched = act & ~(legs | cut), act & legs & ~cut
+            while True:
+                if not cands:
+                    if not touched:
+                        raise AssertionError(
+                            "connected active set always has a non-cutting qubit")
+                    cands, touched = touched, 0
+                low = cands & -cands
+                pivot = low.bit_length() - 1
+                near = nbr[pivot] & act
+                if not near & near - 1 or non_cutting(pivot, act):  # a leaf cannot cut
                     break
-            else:
-                raise AssertionError("connected active set always has a non-cutting qubit")
-            pivot = low.bit_length() - 1
-        if legs >> pivot & 1:
-            if x[pivot] >> i & 1:  # X or Y: diagonalize_qubit's gate
-                emit((v if z[pivot] >> i & 1 else h)(pivot))
-            near = topo._nbr_mask[pivot] & act
-            near = near & ~legs or near  # pick_neighbor's choice, lowest first
-            neighbor = (near & -near).bit_length() - 1
-            if not legs >> neighbor & 1:  # disconnect's rules for one gadget
+                cut |= low
+                cands ^= low
+        else:
+            near = nbr[pivot] & act
+        pm = 1 << pivot
+        if legs & pm:
+            if x[pivot] & bit:  # X or Y: diagonalize_qubit's gate
+                emit((v if z[pivot] & bit else h)(pivot))
+            nb = near & ~legs or near  # pick_neighbor's choice, lowest first
+            nb &= -nb
+            neighbor = nb.bit_length() - 1
+            if not legs & nb:  # disconnect's rules for one gadget
                 emit(cx(neighbor, pivot))
-            elif x[neighbor] >> i & 1 and not z[neighbor] >> i & 1:
+            elif x[neighbor] & bit and not z[neighbor] & bit:
                 emit(s(neighbor))
             emit(cx(pivot, neighbor))
-            if (x[pivot] | z[pivot]) >> i & 1 or not (x[neighbor] | z[neighbor]) >> i & 1:
+            if (x[pivot] | z[pivot]) & bit or not (x[neighbor] | z[neighbor]) & bit:
                 raise AssertionError("one-gadget disconnect left a pivot leg or no neighbor leg")
-            legs ^= 1 << pivot | (0 if legs >> neighbor & 1 else 1 << neighbor)
-            if state.debug:
+            legs ^= pm | nb & ~legs
+            if debug:
                 _check_invariant(state)
         # The pivot is leg-free now: drop it from the active set.
-        act ^= 1 << pivot
-        near = topo._nbr_mask[pivot] & act
+        act ^= pm
         if not near & near - 1:
             cut &= ~near
         pivot = -1

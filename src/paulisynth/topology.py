@@ -10,9 +10,11 @@ Inside, a set of qubits is an int bitmask (bit j for qubit j), the graph is
 one neighbour mask per qubit, and every query runs on masks.  A query that
 takes a set of qubits accepts any iterable of device qubits or a Python or
 numpy integer mask, and checks it in one place, ``Topology._qubit_mask``.
-The only unchecked entry is the plain-int guard of ``is_non_cutting`` and
+The unchecked entries are the plain-int guard of ``is_non_cutting`` and
 ``steiner_tree``: Python-int masks already inside the device, as the
-recursion and the peel pass them.
+recursion and the peel pass them; and the private cut test
+``_non_cutting``, which also trusts its caller that the active set is
+connected.  Both cut tests run one BFS loop, ``_reaches``.
 """
 
 from __future__ import annotations
@@ -174,14 +176,31 @@ class Topology:
             if not (_is_int(q) and q >= 0 and active >> int(q) & 1):
                 raise ValueError(f"qubit {q} is not in the active set")
             q = int(q)
-        rest, nbr = active & ~(1 << q), self._nbr_mask
-        need = nbr[q] & active
-        # If active is connected, every part of rest holds a neighbour of q, so
-        # rest is connected iff the BFS from one neighbour reaches the others.
-        target = need if active in self._connected else rest
+        rest, need = active & ~(1 << q), self._nbr_mask[q] & active
+        # A memo hit proves active connected: then the kernel's test holds.
+        if not self._reaches(need if active in self._connected else rest, rest):
+            return False
+        if need:  # rest is connected and q touches it, so active is too
+            self._connected = (active, rest)
+        return True
+
+    def _non_cutting(self, q: int, act: int) -> bool:
+        """``is_non_cutting`` for a connected ``act``, unchecked and unmemoized.
+
+        ``q`` must be a Python int in the Python-int mask ``act``, and ``act``
+        must be connected: then every part of ``act`` without ``q`` holds a
+        neighbour of ``q``, so it is connected iff the BFS from ``q``'s lowest
+        active neighbour reaches the others.  On a disconnected ``act`` the
+        verdict can be wrong."""
+        return self._reaches(self._nbr_mask[q] & act, act & ~(1 << q))
+
+    def _reaches(self, target: int, rest: int) -> bool:
+        """Whether the BFS inside mask ``rest`` from the lowest qubit of
+        ``target`` (a subset of ``rest``) reaches all of ``target``."""
+        nbr = self._nbr_mask
         frontier = target & -target
         unseen = rest ^ frontier
-        while frontier and target & unseen:  # BFS over bitmasks, one level per round
+        while frontier and target & unseen:  # one BFS level per round
             reached = 0
             while frontier:
                 low = frontier & -frontier
@@ -189,11 +208,7 @@ class Topology:
                 frontier ^= low
             frontier = reached & unseen
             unseen ^= frontier
-        if target & unseen:
-            return False
-        if need:  # rest is connected and q touches it, so active is too
-            self._connected = (active, rest)
-        return True
+        return not target & unseen
 
     def _qubit_mask(self, role: str, qubits: Iterable[int] | int) -> int:
         """``qubits`` as a Python-int mask (bit j: qubit j), or a ValueError

@@ -177,6 +177,22 @@ def random_connected_topology(q, rng, extra_edge_prob=0.3):
     return ps.Topology(q, edges)
 
 
+def is_connected(topo, qubits):
+    """Whether ``qubits`` induce a connected subgraph of ``topo`` (or are
+    none): a set BFS over ``topo.edges``."""
+    qubits = set(qubits)
+    if not qubits:
+        return True
+    seen, todo = set(), [min(qubits)]
+    while todo:
+        u = todo.pop()
+        if u not in seen:
+            seen.add(u)
+            todo.extend(w for a, b in topo.edges for x, w in ((a, b), (b, a))
+                        if x == u and w in qubits)
+    return seen == qubits
+
+
 def star_topology(q, center):
     """Every qubit joined to ``center`` alone."""
     return ps.Topology(q, [(center, j) for j in range(q) if j != center])

@@ -14,6 +14,14 @@ import pytest
 import paulisynth as ps
 
 X = ps.Pauli.X
+POLY2 = ps.random_polynomial(ps.RandomSpec(2, 3, seed=1))
+
+
+def trotter(polys, timesteps):
+    """``bench.run_trotter_error`` of the naive method on line:2, no CSV."""
+    return ps.bench.run_trotter_error(polys, ps.Topology.line(2), ["naive"], timesteps, None)
+
+
 BAD = [
     ("line-float", lambda: ps.Topology.line(2.5), "num_qubits must be an integer >= 1, got 2.5"),
     ("line-bool", lambda: ps.Topology.line(True), "num_qubits must be an integer >= 1, got True"),
@@ -123,6 +131,20 @@ BAD = [
      "topo must be a Topology, got 'line:4'"),
     ("synthesize-text-polynomial", lambda: ps.synthesize("XXYZ", ps.Topology.line(4)),
      "poly must be a PauliPolynomial, got 'XXYZ'"),
+    ("trotter-text-polynomial-entry", lambda: trotter([POLY2, "XZ"], [1.0]),
+     "polys[1] must be a PauliPolynomial, got 'XZ'"),
+    ("trotter-bare-polynomial", lambda: trotter(POLY2, [1.0]),
+     "polys must be a sequence of PauliPolynomial, got a PauliPolynomial"),
+    ("trotter-text-timestep", lambda: trotter([POLY2], [0.0, "1.5"]),
+     "timesteps must be finite reals, got [0.0, '1.5']"),
+    ("trotter-none-timestep", lambda: trotter([POLY2], [None]),
+     "timesteps must be finite reals, got [None]"),
+    ("trotter-complex-timestep", lambda: trotter([POLY2], [1j]),
+     "timesteps must be finite reals, got [1j]"),
+    ("trotter-scalar-timesteps", lambda: trotter([POLY2], 1.0),
+     "timesteps must be a sequence of finite reals, got 1.0"),
+    ("trotter-2d-array-timesteps", lambda: trotter([POLY2], np.zeros((1, 2))),
+     "timesteps must be finite reals, got [array([0., 0.])]"),
 ]
 
 
@@ -163,6 +185,11 @@ def test_accepted_forms():
     assert line3.is_non_cutting(0, [0, np.array(1)])
     assert line3.shortest_path(np.array(0), [np.array(2)], 7) == [0, 1, 2]
     assert line3.steiner_tree([np.array(0), 2], (0, np.array(1), 2)) == [(0, 1), (1, 2)]
+
+
+def test_numpy_timesteps_scan_as_a_list():
+    assert trotter([POLY2], np.array([0.0, 1.5])) == trotter([POLY2], [0.0, 1.5])
+    assert trotter((p for p in [POLY2]), (0.0, 1.5)) == trotter([POLY2], [0.0, 1.5])
 
 
 def test_numpy_qubit_counts_synthesize():

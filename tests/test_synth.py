@@ -13,8 +13,8 @@ from paulisynth.synth import (_by_cost, _State, _check_invariant, _lone_gadget, 
                               pick_pivot)
 from paulisynth.topology import tree_postorder
 
-from conftest import (dense_conjugate, heavy_hex_topology, random_connected_topology,
-                      star_topology)
+from conftest import (dense_conjugate, heavy_hex_topology, is_connected,
+                      random_connected_topology, star_topology)
 from recursion_ref import greedy_sets, reference_recursion
 
 
@@ -166,18 +166,7 @@ def test_pick_neighbor_single_candidate_even_all_identity():
 
 def _brute_non_cutting(topo, qb, active):
     """Independent flood fill over ``topo.edges`` without ``qb``."""
-    rest = set(active) - {qb}
-    if not rest:
-        return True
-    seen, todo = set(), [min(rest)]
-    while todo:
-        u = todo.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        todo.extend(w for a, b in topo.edges for x, w in ((a, b), (b, a))
-                    if x == u and w in rest)
-    return seen == rest
+    return is_connected(topo, set(active) - {qb})
 
 
 def _brute_best(candidates, column_text, k):
@@ -565,6 +554,82 @@ def test_recursion_matches_list_reference():
         tag = (case, sorted(topo.edges), n, cfg)
         assert list(res.circuit.gates[:res.recursion_gate_count]) == gates, tag
         assert res.emitted_order == order, tag
+
+
+def test_recursion_matches_list_reference_where_group_and_frame_costs_disagree(monkeypatch):
+    # Many gadgets on 3-6 qubits at k = 1-3: pivot frames hold several letter
+    # groups, and the pivot's neighbours rank differently over the group than
+    # over the whole frame (counted below), so a neighbour costed over the
+    # wrong gadgets changes the gates.  Each group is one contiguous run of
+    # its frame (``_split`` orders a frame by pivot letter, and no gate acts
+    # on the pivot while the frame waits; asserted below), so the group's
+    # legs cost the same in the frame's order as in the group's.
+    disagree = []
+    pick = synth.pick_neighbor
+
+    def counted(state, pivot, g, gm, act):
+        at = [p for p, i in enumerate(g) if gm >> i & 1]
+        assert at == list(range(at[0], at[-1] + 1)), (g, bin(gm))
+        chosen = pick(state, pivot, g, gm, act)
+        disagree.append(chosen != pick(state, pivot, g, sum(1 << i for i in g), act))
+        return chosen
+
+    monkeypatch.setattr(synth, "pick_neighbor", counted)
+    rng = np.random.default_rng(33)
+    cases = []
+    for case in range(60):
+        q, kind = int(rng.integers(3, 7)), case % 3
+        topo = (ps.Topology.complete(q), star_topology(q, int(rng.integers(q))),
+                random_connected_topology(q, rng, 0.5))[kind]
+        poly = ps.random_polynomial(ps.RandomSpec(q, int(rng.integers(4, 25)),
+                                                  seed=int(rng.integers(1 << 40))))
+        mode = ("arbitrary", "commuting-sets")[case % 2]
+        cases.append((poly, topo, int(rng.integers(1, 4)), mode))
+    # At k = 1 qubit 0's column (3 legs in runs of 1 and 2) costs 1 + 1, as
+    # qubit 1's (2 legs) does: the lazy cost order must cost qubit 0 to rank
+    # it first, on its lower index (the in-range test at m - 2 reaches it).
+    tie = ps.PauliPolynomial(3, tuple(ps.PauliGadget(0.1, ps.PauliString.from_str(t))
+                                      for t in ("ZZZ", "IZZ", "ZIZ", "ZIZ")))
+    cases.append((tie, ps.Topology.complete(3), 1, "arbitrary"))
+    for case, (poly, topo, k, mode) in enumerate(cases):
+        cfg = ps.SynthConfig(k=k, mode=mode)
+        res = ps.synthesize(poly, topo, cfg)
+        gates, order = reference_recursion(poly, topo, cfg)
+        tag = (case, sorted(topo.edges), cfg)
+        assert list(res.circuit.gates[:res.recursion_gate_count]) == gates, tag
+        assert res.emitted_order == order, tag
+    assert sum(disagree) >= 10, (sum(disagree), len(disagree))
+
+
+def test_cut_kernel_gets_a_connected_active_set_holding_its_qubit(monkeypatch):
+    # Topology._non_cutting trusts its caller: its verdict holds only for a
+    # connected active set that holds the qubit.  Every call made while
+    # synthesizing must meet that and give the flood fill's verdict.
+    verdicts = []
+    kernel = ps.Topology._non_cutting
+
+    def checked(topo, q, act):
+        members = {j for j in range(topo.num_qubits) if act >> j & 1}
+        assert type(q) is int and type(act) is int and q in members, (q, bin(act))
+        assert is_connected(topo, members), (sorted(topo.edges), sorted(members))
+        verdict = kernel(topo, q, act)
+        assert verdict == _brute_non_cutting(topo, q, members), (q, sorted(members))
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(ps.Topology, "_non_cutting", checked)
+    rng = np.random.default_rng(34)
+    topos = [heavy_hex_topology(2, 3), ps.Topology.grid(6, 6)]
+    for q in (6, 9, 12, 15):
+        topos += [random_connected_topology(q, rng, 0.0), star_topology(q, q // 2),
+                  random_connected_topology(q, rng, 0.1)]
+    for topo in topos:
+        seed = int(rng.integers(1 << 40))
+        poly = ps.random_polynomial(ps.RandomSpec(topo.num_qubits, 30, seed=seed))
+        for mode in ("arbitrary", "commuting-sets"):
+            res = ps.synthesize(poly, topo, ps.SynthConfig(mode=mode))
+            assert check_result(poly, res), (sorted(topo.edges), mode)
+    assert True in verdicts and False in verdicts, len(verdicts)
 
 
 def test_pick_pivot_never_gets_a_lone_gadget(monkeypatch):

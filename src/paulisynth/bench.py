@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import time
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
@@ -14,7 +13,7 @@ import numpy as np
 
 from . import verify
 from .circuit import conforms
-from .paulis import PauliColumns, PauliPolynomial, _check_int
+from .paulis import PauliColumns, PauliPolynomial, _check_int, _is_real
 from .randgen import (RandomSpec, RNG_ALGORITHM, DEFAULT_ANGLE_SET, instance_seed,
                       random_polynomial)
 from .synth import SynthConfig, SynthesisResult, naive_synthesize, synthesize
@@ -71,8 +70,7 @@ def check_result(poly: PauliPolynomial, result: SynthesisResult,
     are ``P(mapping)^``.  The dense functions in ``verify`` are the test
     oracle for this check.
     """
-    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-            or not (math.isfinite(tol) and tol >= 0)):
+    if not (_is_real(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     q = poly.num_qubits
     if result.circuit.num_qubits != q:
@@ -172,8 +170,7 @@ def run_trotter_error(polys: list[PauliPolynomial], topo: Topology,
     timesteps = list(timesteps)
     if not timesteps:
         raise ValueError("at least one timestep is required")
-    if not all(isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t)
-               for t in timesteps):
+    if not all(map(_is_real, timesteps)):
         raise ValueError(f"timesteps must be finite reals, got {timesteps!r}")
     q = max((poly.num_qubits for poly in polys), default=0)
     if q > verify.MAX_DENSE_QUBITS:

@@ -22,22 +22,29 @@ Conventions used throughout the package:
   ``V = exp(i*pi/4) * Rx(pi/2)``).
 * Conjugation may flip the sign of a Pauli; callers fold that flip into the
   gadget angle (``angle -> -angle``) rather than carrying a separate sign.
-* Entry points reject a bad value (a float count, a letter out of range)
-  with a ``ValueError`` naming it; a wrong class gets what Python raises.
+* Entry points reject a bad value (a float count, a letter out of range, a
+  non-finite angle, a gadget that is not a ``PauliGadget``) with a
+  ``ValueError`` naming it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache, wraps
+from numbers import Real
 
 import numpy as np
 
 
 def _is_int(value) -> bool:  # a Python or numpy integer, not a bool
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:  # a finite real number, not a bool
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _check_int(name: str, value, minimum: int) -> None:
@@ -64,7 +71,8 @@ CLIFFORD_KINDS = ("h", "s", "sdg", "v", "vdg", "cx")
 
 @dataclass(frozen=True)
 class Gate:
-    """A circuit gate: one of the Clifford kinds above, or an ``rz`` rotation."""
+    """A circuit gate: one of the Clifford kinds above, with angle 0, or an
+    ``rz`` rotation by a finite real angle, kept as a float."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -78,6 +86,14 @@ class Gate:
             raise ValueError(f"{self.kind} expects {arity} qubit(s), got {self.qubits}")
         if self.kind == "cx" and self.qubits[0] == self.qubits[1]:
             raise ValueError("cx control and target must differ")
+        if self.kind == "rz":
+            # A float, as synthesis emits, skips the slower Real check.
+            if not (type(self.angle) is float and math.isfinite(self.angle)):
+                if not _is_real(self.angle):
+                    raise ValueError(f"rz angle must be a finite real, got {self.angle!r}")
+                object.__setattr__(self, "angle", float(self.angle))
+        elif self.angle != 0:
+            raise ValueError(f"{self.kind} takes no angle, got {self.angle!r}")
 
     @property
     def is_clifford(self) -> bool:
@@ -298,8 +314,11 @@ class PauliGadget:
     string: PauliString
 
     def __post_init__(self):
-        if not math.isfinite(self.angle):
-            raise ValueError(f"gadget angle must be finite, got {self.angle}")
+        if not _is_real(self.angle):
+            raise ValueError(f"gadget angle must be a finite real, got {self.angle!r}")
+        if not isinstance(self.string, PauliString):
+            raise ValueError(f"gadget string must be a PauliString, got {self.string!r}")
+        object.__setattr__(self, "angle", float(self.angle))
 
 
 @dataclass(frozen=True)
@@ -312,7 +331,12 @@ class PauliPolynomial:
     def __post_init__(self):
         _check_int("num_qubits", self.num_qubits, 1)
         object.__setattr__(self, "num_qubits", int(self.num_qubits))  # masks need Python ints
+        if not isinstance(self.gadgets, Iterable):
+            raise ValueError(f"gadgets must be an iterable of PauliGadget, got {self.gadgets!r}")
+        object.__setattr__(self, "gadgets", tuple(self.gadgets))  # hashable, like its members
         for i, g in enumerate(self.gadgets):
+            if not isinstance(g, PauliGadget):
+                raise ValueError(f"gadget {i} must be a PauliGadget, got {g!r}")
             if len(g.string) != self.num_qubits:
                 raise ValueError(
                     f"gadget {i} has {len(g.string)} letters, expected {self.num_qubits}")

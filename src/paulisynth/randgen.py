@@ -5,11 +5,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .paulis import Pauli, PauliGadget, PauliPolynomial, PauliString, _check_int
+from .paulis import Pauli, PauliGadget, PauliPolynomial, PauliString, _check_int, _is_real
 
 DEFAULT_ANGLE_SET = (math.pi, math.pi / 2, math.pi / 4, math.pi / 8, math.pi / 16)
 SMALL_ANGLE_SET = (math.pi / 32, math.pi / 64, math.pi / 128)
@@ -29,8 +28,7 @@ class RandomSpec:
             _check_int(name, getattr(self, name), 1)
         angles = self.angle_set
         if (not isinstance(angles, Sequence) or isinstance(angles, str) or not angles
-                or not all(isinstance(a, Real) and not isinstance(a, bool) and math.isfinite(a)
-                           for a in angles)):
+                or not all(map(_is_real, angles))):
             raise ValueError(f"angle_set must be a non-empty sequence of finite angles, "
                              f"got {angles!r}")
         object.__setattr__(self, "angle_set", tuple(angles))

@@ -44,10 +44,11 @@ gives ``h(p)`` and Y ``v(p)``; n's I gives ``cx(n, p)`` then ``cx(p, n)``, X
 gives ``s(n)`` then ``cx(p, n)``, and Y or Z gives ``cx(p, n)``.  One
 post-condition stands for the two functions' asserts: the gadget has no leg
 on p and one on n.  Every frame's active set is connected: it is the device
-less pivots that were non-cutting when dropped.  So in ``_lone_gadget`` a
-candidate pivot with at most one active neighbour (a leaf) is non-cutting
-without a test, and the others go to ``Topology._non_cutting``, the
-unchecked cut test for a connected set, not to the checked public query.
+less pivots that were non-cutting when dropped.  So every cut test of the
+recursion, in ``pick_pivot`` and in ``_lone_gadget``, goes to
+``Topology._non_cutting``, the unchecked cut test for a connected set, not
+to the checked public query; ``_lone_gadget`` also takes a candidate pivot
+with at most one active neighbour (a leaf) as non-cutting without a call.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class _State(PauliColumns):
         q = poly.num_qubits
         cols = PauliColumns.from_texts([str(g.string) for g in poly.gadgets], q)
         super().__init__(cols.x, cols.z)
-        self.angles = [float(g.angle) for g in poly.gadgets]
+        self.angles = [g.angle for g in poly.gadgets]
         self.gates: list[Gate] = []
         self.tableau = CliffordTableau(q)
         self.emitted: list[int] = []
@@ -198,14 +199,16 @@ def pick_pivot(state: _State, g: list[int], gm: int, act: int) -> int:
 
     The active qubits are cut-tested in ``_by_cost``'s lazy order, which
     costs a column only if its range can decide, and the test stops at the
-    first non-cutting one.  Over the n gadgets of ``g`` a leg-free column
-    costs exactly k*n, the top, so those come first, in index order and
-    uncosted.  Frames of one gadget never reach here (``_lone_gadget``).
+    first non-cutting one.  The test is ``Topology._non_cutting``, since the
+    frame's active set ``act`` is connected; a leaf takes no BFS round there.
+    Over the n gadgets of ``g`` a leg-free column costs exactly k*n, the top,
+    so those come first, in index order and uncosted.  Frames of one gadget
+    never reach here (``_lone_gadget``).
     """
-    x, z, topo = state.x, state.z, state.topo
+    x, z, non_cutting = state.x, state.z, state.topo._non_cutting
     cands = _bits(act)
     for j in _by_cost(g, cands, [(x[j] | z[j]) & gm for j in cands], state.k):
-        if topo.is_non_cutting(j, act):
+        if non_cutting(j, act):
             return j
     raise AssertionError("connected active set always has a non-cutting qubit")
 

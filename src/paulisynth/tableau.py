@@ -210,13 +210,33 @@ def _supports(work: PauliColumns) -> list[int]:
     return [int("".join(bits)[::-1], 2) for bits in zip(*text)][::-1]
 
 
+def _check_tableau(t, *topo) -> int:
+    """t's qubit count, after a ValueError unless t is a ``CliffordTableau``
+    and the topology, if one is given, a ``Topology`` of its size."""
+    if not isinstance(t, CliffordTableau):
+        raise ValueError(f"t must be a CliffordTableau, got {t!r}")
+    for device in topo:
+        if not isinstance(device, Topology):
+            raise ValueError(f"topo must be a Topology, got {device!r}")
+        if device.num_qubits != t.num_qubits:
+            raise ValueError("topology size does not match tableau")
+    return t.num_qubits
+
+
+def _check_pair(r, q: int) -> None:
+    if not (_is_int(r) and 0 <= r < q):
+        raise ValueError(f"row pair must be an integer in 0..{q - 1}, got {r!r}")
+
+
 def row_interaction_cost(t: CliffordTableau, r: int) -> int:
     """Number of wires touched by the X and Z images of logical qubit r."""
+    _check_pair(r, _check_tableau(t))
     return _interaction_cost(_row_supports(t), r)
 
 
 def column_distance_cost(t: CliffordTableau, c: int, topo: Topology) -> int:
     """Distance-weighted spread of the row pair at index c."""
+    _check_pair(c, _check_tableau(t, topo))
     return _distance_cost(_row_supports(t), c, topo)
 
 
@@ -277,9 +297,7 @@ def synthesize_tableau(t: CliffordTableau, topo: Topology,
     is a permutation of the generators with + signs (the identity if
     ``allow_permutation=False``).  t is left unchanged.
     """
-    q = t.num_qubits
-    if topo.num_qubits != q:
-        raise ValueError("topology size does not match tableau")
+    q = _check_tableau(t, topo)
     if not isinstance(allow_permutation, bool):
         raise ValueError(f"allow_permutation must be a bool, got {allow_permutation!r}")
     if not t.is_symplectic():

@@ -1,20 +1,18 @@
 """Connectivity graphs: all-pairs distances by BFS rings, cut-vertex queries,
 Steiner trees.
 
-A topology never changes its graph; recursion over shrinking qubit sets is
-expressed through ``active`` subsets passed to the queries.  It does cache
-connectivity facts about that fixed graph (``is_non_cutting`` keeps the last
-two active sets it proved connected), and those never go stale.
+A topology holds no state that changes after ``__init__``: recursion over
+shrinking qubit sets is expressed through ``active`` subsets passed to the
+queries.
 
 Inside, a set of qubits is an int bitmask (bit j for qubit j), the graph is
 one neighbour mask per qubit, and every query runs on masks.  A query that
 takes a set of qubits accepts any iterable of device qubits or a Python or
-numpy integer mask, and checks it in one place, ``Topology._qubit_mask``.
-The unchecked entries are the plain-int guard of ``is_non_cutting`` and
-``steiner_tree``: Python-int masks already inside the device, as the
-recursion and the peel pass them; and the private cut test
-``_non_cutting``, which also trusts its caller that the active set is
-connected.  Both cut tests run one BFS loop, ``_reaches``.
+numpy integer mask, and checks it in one place, ``Topology._qubit_mask``,
+whose first line returns a Python-int mask inside the device as it is.  The
+one unchecked entry is the cut test ``_non_cutting``, which trusts its
+caller that the qubit is in a connected active set; it and
+``is_non_cutting`` run one BFS loop, ``_reaches``.
 """
 
 from __future__ import annotations
@@ -39,8 +37,14 @@ class Topology:
     def __init__(self, num_qubits: int, edges: Iterable[Edge]):
         _check_int("num_qubits", num_qubits, 1)
         self.num_qubits = num_qubits = int(num_qubits)  # masks need Python ints
+        if not isinstance(edges, Iterable):
+            raise ValueError(f"edges must be an iterable of (u, v) pairs, got {edges!r}")
         edge_set: set[Edge] = set()
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} is not a (u, v) pair") from None
             if not (_is_int(u) and _is_int(v) and 0 <= u < num_qubits and 0 <= v < num_qubits):
                 raise ValueError(f"edge ({u!r},{v!r}) out of range: endpoints must be "
                                  f"integers in 0..{num_qubits - 1}")
@@ -52,7 +56,6 @@ class Topology:
         for u, v in edge_set:
             self._nbr_mask[u] |= 1 << v
             self._nbr_mask[v] |= 1 << u
-        self._connected: tuple[int, ...] = ()  # active masks proven connected
         # _rings[c][d]: the qubits at distance d from c, by one BFS per qubit.
         self._rings = [self._bfs_rings(c) for c in range(num_qubits)]
         if sum(self._rings[0]) != (1 << num_qubits) - 1:
@@ -169,23 +172,14 @@ class Topology:
     def is_non_cutting(self, q: int, active: Iterable[int] | int) -> bool:
         """Whether removing ``q`` keeps the induced subgraph on ``active`` (an
         iterable of qubits, or an integer with bit j set for qubit j) connected."""
-        # A plain-int qubit in a plain-int mask of device qubits needs no other check.
-        if not (type(q) is int and type(active) is int and q >= 0
-                and not active >> self.num_qubits and active >> q & 1):
-            active, q = self._qubit_mask("active", active), _qubit(q)
-            if not (_is_int(q) and q >= 0 and active >> int(q) & 1):
-                raise ValueError(f"qubit {q} is not in the active set")
-            q = int(q)
-        rest, need = active & ~(1 << q), self._nbr_mask[q] & active
-        # A memo hit proves active connected: then the kernel's test holds.
-        if not self._reaches(need if active in self._connected else rest, rest):
-            return False
-        if need:  # rest is connected and q touches it, so active is too
-            self._connected = (active, rest)
-        return True
+        active, q = self._qubit_mask("active", active), _qubit(q)
+        if not (_is_int(q) and q >= 0 and active >> int(q) & 1):
+            raise ValueError(f"qubit {q} is not in the active set")
+        rest = active & ~(1 << int(q))
+        return self._reaches(rest, rest)
 
     def _non_cutting(self, q: int, act: int) -> bool:
-        """``is_non_cutting`` for a connected ``act``, unchecked and unmemoized.
+        """``is_non_cutting`` for a connected ``act``, unchecked.
 
         ``q`` must be a Python int in the Python-int mask ``act``, and ``act``
         must be connected: then every part of ``act`` without ``q`` holds a
@@ -215,6 +209,8 @@ class Topology:
         naming what is wrong with it.  ``qubits`` is an iterable of device
         qubits, read once, repeats allowed, or a Python or numpy integer mask
         (a 0-d integer array too, as a member may be)."""
+        if type(qubits) is int and not qubits >> self.num_qubits:  # needs no other check
+            return qubits
         n = self.num_qubits
         if isinstance(qubits, np.ndarray) and not qubits.ndim:
             qubits = qubits[()]  # a 0-d array cannot be iterated: take its scalar
@@ -280,15 +276,12 @@ class Topology:
         Nearest-terminal shortest-path merging; every leaf of the result is a
         terminal.  Returns [] for a single terminal.
         """
-        # Plain-int masks of device qubits, with active terminals, need no other check.
-        if not (type(terminals) is int and type(active) is int and terminals > 0
-                and not active >> self.num_qubits and not terminals & ~active):
-            terminals = self._qubit_mask("terminal", terminals)
-            active = self._qubit_mask("active", active)
-            if not terminals:
-                raise ValueError("terminals must be non-empty")
-            if terminals & ~active:
-                raise ValueError("terminals must lie inside the active set")
+        terminals = self._qubit_mask("terminal", terminals)
+        active = self._qubit_mask("active", active)
+        if not terminals:
+            raise ValueError("terminals must be non-empty")
+        if terminals & ~active:
+            raise ValueError("terminals must lie inside the active set")
         remaining, tree = terminals, terminals & -terminals
         edges: list[Edge] = []
         while remaining := remaining & ~tree:

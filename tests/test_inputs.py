@@ -14,7 +14,11 @@ import pytest
 import paulisynth as ps
 
 X = ps.Pauli.X
+XZ = ps.PauliString.from_str("XZ")
 POLY2 = ps.random_polynomial(ps.RandomSpec(2, 3, seed=1))
+TAB3 = ps.CliffordTableau(3)
+row_interaction_cost, column_distance_cost = (ps.tableau.row_interaction_cost,
+                                              ps.tableau.column_distance_cost)
 
 
 def trotter(polys, timesteps):
@@ -145,6 +149,50 @@ BAD = [
      "timesteps must be a sequence of finite reals, got 1.0"),
     ("trotter-2d-array-timesteps", lambda: trotter([POLY2], np.zeros((1, 2))),
      "timesteps must be finite reals, got [array([0., 0.])]"),
+    ("rz-nan-angle", lambda: ps.rz(math.nan, 0), "rz angle must be a finite real, got nan"),
+    ("rz-infinite-angle", lambda: ps.rz(-math.inf, 0), "rz angle must be a finite real, got -inf"),
+    ("rz-text-angle", lambda: ps.rz("a", 0), "rz angle must be a finite real, got 'a'"),
+    ("rz-bool-angle", lambda: ps.rz(True, 0), "rz angle must be a finite real, got True"),
+    ("rz-complex-angle", lambda: ps.Gate("rz", (0,), 1j), "rz angle must be a finite real, got 1j"),
+    ("clifford-with-angle", lambda: ps.Gate("h", (0,), 0.5), "h takes no angle, got 0.5"),
+    ("cx-with-angle", lambda: ps.Gate("cx", (0, 1), math.nan), "cx takes no angle, got nan"),
+    ("gadget-text-angle", lambda: ps.PauliGadget("a", XZ),
+     "gadget angle must be a finite real, got 'a'"),
+    ("gadget-complex-angle", lambda: ps.PauliGadget(1j, XZ),
+     "gadget angle must be a finite real, got 1j"),
+    ("gadget-bool-angle", lambda: ps.PauliGadget(False, XZ),
+     "gadget angle must be a finite real, got False"),
+    ("gadget-text-string", lambda: ps.PauliGadget(0.1, "XZ"),
+     "gadget string must be a PauliString, got 'XZ'"),
+    ("polynomial-text-gadget", lambda: ps.PauliPolynomial(2, ["XZ"]),
+     "gadget 0 must be a PauliGadget, got 'XZ'"),
+    ("polynomial-none-gadgets", lambda: ps.PauliPolynomial(2, None),
+     "gadgets must be an iterable of PauliGadget, got None"),
+    ("topology-int-edge", lambda: ps.Topology(3, [1]), "edge 1 is not a (u, v) pair"),
+    ("topology-none-edges", lambda: ps.Topology(3, None),
+     "edges must be an iterable of (u, v) pairs, got None"),
+    ("topology-triple-edge", lambda: ps.Topology(3, [(0, 1), (0, 1, 2)]),
+     "edge (0, 1, 2) is not a (u, v) pair"),
+    ("topology-one-qubit-edge", lambda: ps.Topology(3, [(0,)]), "edge (0,) is not a (u, v) pair"),
+    ("interaction-cost-negative-row", lambda: row_interaction_cost(TAB3, -1),
+     "row pair must be an integer in 0..2, got -1"),
+    ("interaction-cost-row-past-end", lambda: row_interaction_cost(TAB3, 3),
+     "row pair must be an integer in 0..2, got 3"),
+    ("interaction-cost-bool-row", lambda: row_interaction_cost(TAB3, True), "got True"),
+    ("interaction-cost-none-tableau", lambda: row_interaction_cost(None, 0),
+     "t must be a CliffordTableau, got None"),
+    ("distance-cost-negative-row", lambda: column_distance_cost(TAB3, -1, ps.Topology.line(3)),
+     "row pair must be an integer in 0..2, got -1"),
+    ("distance-cost-row-past-end", lambda: column_distance_cost(TAB3, 3, ps.Topology.line(3)),
+     "row pair must be an integer in 0..2, got 3"),
+    ("distance-cost-other-size", lambda: column_distance_cost(TAB3, 0, ps.Topology.line(4)),
+     "topology size does not match tableau"),
+    ("distance-cost-spec-topology", lambda: column_distance_cost(TAB3, 0, "line:3"),
+     "topo must be a Topology, got 'line:3'"),
+    ("tableau-synthesis-spec-topology", lambda: ps.synthesize_tableau(TAB3, "line:3"),
+     "topo must be a Topology, got 'line:3'"),
+    ("tableau-synthesis-none-tableau", lambda: ps.synthesize_tableau(None, ps.Topology.line(3)),
+     "t must be a CliffordTableau, got None"),
 ]
 
 
@@ -185,6 +233,17 @@ def test_accepted_forms():
     assert line3.is_non_cutting(0, [0, np.array(1)])
     assert line3.shortest_path(np.array(0), [np.array(2)], 7) == [0, 1, 2]
     assert line3.steiner_tree([np.array(0), 2], (0, np.array(1), 2)) == [(0, 1), (1, 2)]
+    # Angles are kept as floats, so numpy angles write as numbers, and a
+    # polynomial's gadgets as a tuple.
+    assert ps.rz(np.float32(0.5), 0) == ps.rz(0.5, 0) and type(ps.rz(1, 0).angle) is float
+    assert ps.to_qasm2(ps.Circuit(1, (ps.rz(np.float64(0.5), 0),))).endswith("rz(0.5) q[0];\n")
+    gadgets = (ps.PauliGadget(0.5, XZ),)
+    text = ps.serialize_polynomial(ps.PauliPolynomial(2, (ps.PauliGadget(np.float64(0.5), XZ),)))
+    assert text == "qubits 2\n0.5 XZ\n" and ps.parse_polynomial(text).gadgets == gadgets
+    poly = ps.PauliPolynomial(2, list(gadgets))
+    assert poly.gadgets == gadgets and hash(poly) == hash(ps.PauliPolynomial(2, gadgets))
+    assert ps.Topology(3, ([0, 1], np.array([1, 2]))).edges == ps.Topology.line(3).edges
+    assert row_interaction_cost(TAB3, np.int64(2)) == 2
 
 
 def test_numpy_timesteps_scan_as_a_list():

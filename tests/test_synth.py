@@ -1,4 +1,5 @@
 import copy
+import sys
 
 import numpy as np
 import pytest
@@ -604,11 +605,13 @@ def test_recursion_matches_list_reference_where_group_and_frame_costs_disagree(m
 def test_cut_kernel_gets_a_connected_active_set_holding_its_qubit(monkeypatch):
     # Topology._non_cutting trusts its caller: its verdict holds only for a
     # connected active set that holds the qubit.  Every call made while
-    # synthesizing must meet that and give the flood fill's verdict.
-    verdicts = []
+    # synthesizing must meet that and give the flood fill's verdict; both
+    # _lone_gadget and pick_pivot make such calls.
+    verdicts, callers = [], set()
     kernel = ps.Topology._non_cutting
 
     def checked(topo, q, act):
+        callers.add(sys._getframe(1).f_code.co_name)
         members = {j for j in range(topo.num_qubits) if act >> j & 1}
         assert type(q) is int and type(act) is int and q in members, (q, bin(act))
         assert is_connected(topo, members), (sorted(topo.edges), sorted(members))
@@ -630,6 +633,7 @@ def test_cut_kernel_gets_a_connected_active_set_holding_its_qubit(monkeypatch):
             res = ps.synthesize(poly, topo, ps.SynthConfig(mode=mode))
             assert check_result(poly, res), (sorted(topo.edges), mode)
     assert True in verdicts and False in verdicts, len(verdicts)
+    assert callers == {"_lone_gadget", "pick_pivot"}, callers
 
 
 def test_pick_pivot_never_gets_a_lone_gadget(monkeypatch):

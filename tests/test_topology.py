@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import paulisynth as ps
+from paulisynth import synth
 from paulisynth.topology import Topology, tree_postorder
 
 from conftest import random_connected_topology
@@ -177,7 +178,8 @@ def test_cut_vertex_survives_non_cutting_removal(rng):
 
 def test_connectivity_memo_skips_sets_where_q_had_no_active_neighbour():
     # {0, 3, 4} minus qubit 0 is connected, but qubit 0 touches none of it,
-    # so {0, 3, 4} itself is not: a later query must not treat it as connected.
+    # so {0, 3, 4} itself is not: no query, later ones included, may treat it
+    # as connected, as the connected-set kernel ``_non_cutting`` would.
     line5 = Topology.line(5)
     assert line5.is_non_cutting(0, {0, 3, 4})
     assert not line5.is_non_cutting(3, {0, 3, 4})
@@ -185,10 +187,10 @@ def test_connectivity_memo_skips_sets_where_q_had_no_active_neighbour():
 
 
 def test_non_cutting_on_peels_interleaved_with_random_sets(rng):
-    # Peel steps remove a non-cutting qubit, so the memo usually holds the
-    # active set; random, possibly disconnected, queries on the same object
-    # in between must get exact answers and must not poison later ones.
-    peel_calls = early = disconnected = 0
+    # Peel steps remove a non-cutting qubit, so the active set stays
+    # connected; random, possibly disconnected, queries on the same object
+    # in between must get exact answers and must not change later ones.
+    disconnected = 0
     for trial in range(60):
         q = int(rng.integers(3, 13))
         kind = trial % 4
@@ -200,8 +202,6 @@ def test_non_cutting_on_peels_interleaved_with_random_sets(rng):
             mask = sum(1 << j for j in active)
             free = []
             for v in sorted(active):
-                peel_calls += 1
-                early += mask in t._connected
                 ans = t.is_non_cutting(v, mask)
                 assert ans == brute_force_connected(t, active - {v}), (t.edges, active, v)
                 free += [v] * ans
@@ -213,7 +213,6 @@ def test_non_cutting_on_peels_interleaved_with_random_sets(rng):
                             brute_force_connected(t, other - {w}), (t.edges, other, w)
             active.remove(int(rng.choice(free)))
     assert disconnected >= 50, disconnected
-    assert early > 0.6 * peel_calls, (early, peel_calls)
 
 
 def test_non_cutting_requires_active_vertex():
@@ -250,8 +249,8 @@ def test_non_cutting_applies_the_integer_rule(q, active, msg):
 
 
 def test_non_cutting_mask_forms_agree(rng):
-    # A plain-int mask takes the unchecked path; a numpy-int mask and an
-    # iterable take the checked one.  All three give the same verdict.
+    # A plain-int mask takes ``_qubit_mask``'s fast return; a numpy-int mask
+    # and an iterable take the checks.  All three give the same verdict.
     for _ in range(12):
         q = int(rng.integers(2, 8))
         t = random_connected_topology(q, rng, extra_edge_prob=0.3)
@@ -496,8 +495,8 @@ def test_mask_paths_and_trees_match_the_set_reference(rng):
 
 def test_steiner_masks_match_the_sets(rng):
     # On random instances of the reference corpus above, integer masks take
-    # the unchecked path and give the same edges, or the same failure, as
-    # sets; so does a numpy mask, which takes the checked path.
+    # ``_qubit_mask``'s fast return and give the same edges, or the same
+    # failure, as sets; so does a numpy mask, which takes the checks.
     for trial in range(300):
         t = Topology.grid(8, 8) if trial % 5 == 0 else \
             random_connected_topology(int(rng.integers(2, 13)), rng)
@@ -527,8 +526,7 @@ def _qubit_forms(qubits):
 def test_every_query_accepts_every_qubit_form(rng):
     # Every query gives the set reference's answer, or its error, for each
     # form of the same qubits: one checked boundary serves them all.  The
-    # Python-int mask is the unchecked guard path of is_non_cutting and
-    # steiner_tree; the other forms take the checked one.
+    # Python-int mask takes its fast return; the other forms take the checks.
     for trial in range(60):
         q = int(rng.integers(2, 8))
         t = random_connected_topology(q, rng, extra_edge_prob=0.3)
@@ -573,17 +571,29 @@ def test_mixed_bad_members_give_one_named_error():
 
 @pytest.mark.parametrize("allow_permutation", [False, True])
 @pytest.mark.parametrize("mode", ["arbitrary", "commuting-sets"])
-def test_synthesize_takes_only_the_plain_int_guards(monkeypatch, mode, allow_permutation):
-    # The recursion and the peel pass Python-int masks of device qubits, so
-    # they never reach the checked boundary.
+def test_recursion_makes_no_public_cut_test(monkeypatch, mode, allow_permutation):
+    # Every frame's active set is connected, so the recursion's cut tests go
+    # to the kernel; only the final peel in synthesize_tableau asks the
+    # public, checked query.
     poly = ps.random_polynomial(ps.RandomSpec(16, 60, seed=5))
     cfg = ps.SynthConfig(mode=mode, allow_permutation=allow_permutation)
     want = ps.synthesize(poly, Topology.grid(4, 4), cfg).circuit
+    query, peel, peeling = Topology.is_non_cutting, synth.synthesize_tableau, []
 
-    def refuse(self, role, qubits):
-        raise AssertionError(f"synthesize checked {role} qubits {qubits!r}")
+    def guarded(self, q, active):
+        if not peeling:
+            raise AssertionError(f"public cut test of qubit {q} outside the peel")
+        return query(self, q, active)
 
-    monkeypatch.setattr(Topology, "_qubit_mask", refuse)
+    def marked_peel(*args):
+        peeling.append(True)
+        try:
+            return peel(*args)
+        finally:
+            peeling.pop()
+
+    monkeypatch.setattr(Topology, "is_non_cutting", guarded)
+    monkeypatch.setattr(synth, "synthesize_tableau", marked_peel)
     assert ps.synthesize(poly, Topology.grid(4, 4), cfg).circuit == want
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import verify
 from .circuit import conforms
-from .paulis import PauliColumns, PauliPolynomial, _check_int, _is_real
+from .paulis import PauliColumns, PauliPolynomial, _check_int, _check_type, _is_real
 from .randgen import (RandomSpec, RNG_ALGORITHM, DEFAULT_ANGLE_SET, instance_seed,
                       random_polynomial)
 from .synth import SynthConfig, SynthesisResult, naive_synthesize, synthesize
@@ -70,6 +70,8 @@ def check_result(poly: PauliPolynomial, result: SynthesisResult,
     are ``P(mapping)^``.  The dense functions in ``verify`` are the test
     oracle for this check.
     """
+    _check_type("poly", poly, PauliPolynomial)
+    _check_type("result", result, SynthesisResult)
     if not (_is_real(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     q = poly.num_qubits

@@ -7,11 +7,12 @@ wire counts as one U3 slot.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 
-from .paulis import Gate, _is_int
+from .paulis import Gate, _check_type, _is_int
 from .topology import Topology, _norm_edge
 
 
@@ -21,12 +22,17 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not isinstance(self.gates, Iterable):
+            raise ValueError(f"gates must be an iterable of Gate, got {self.gates!r}")
         object.__setattr__(self, "gates", tuple(self.gates))  # frozen: no caller's list
         n = self.num_qubits
         if not _is_int(n):
             raise ValueError(f"num_qubits must be an integer, got {n!r}")
         if n <= 0:
             raise ValueError("num_qubits must be positive")
+        if not all(issubclass(kind, Gate) for kind in set(map(type, self.gates))):
+            i, bad = next((i, g) for i, g in enumerate(self.gates) if not isinstance(g, Gate))
+            raise ValueError(f"gate {i} must be a Gate, got {bad!r}")
         wires = tuple(chain.from_iterable(map(attrgetter("qubits"), self.gates)))
         # Types first: a set merges 1, 1.0 and True, and cannot hold a list.
         typed = dict(zip(map(type, wires), wires)).values()
@@ -69,6 +75,8 @@ def metrics(c: Circuit) -> Metrics:
 def conforms(c: Circuit, topo: Topology) -> bool:
     """True iff every CNOT acts on a topology edge (a wire outside the
     topology is on none)."""
+    _check_type("c", c, Circuit)
+    _check_type("topo", topo, Topology)
     return all(g.kind != "cx" or _norm_edge(*g.qubits) in topo.edges for g in c.gates)
 
 

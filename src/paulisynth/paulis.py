@@ -53,6 +53,12 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    """Arguments of a given class: a named ValueError unless ``value`` is one."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 class Pauli(IntEnum):
     I = 0
     X = 1
@@ -81,6 +87,10 @@ class Gate:
     def __post_init__(self):
         if self.kind not in CLIFFORD_KINDS and self.kind != "rz":
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if type(self.qubits) is not tuple:  # frozen and hashable: no caller's list
+            if not isinstance(self.qubits, Iterable):
+                raise ValueError(f"qubits must be an iterable of wires, got {self.qubits!r}")
+            object.__setattr__(self, "qubits", tuple(self.qubits))
         arity = 2 if self.kind == "cx" else 1
         if len(self.qubits) != arity:
             raise ValueError(f"{self.kind} expects {arity} qubit(s), got {self.qubits}")
@@ -280,6 +290,8 @@ class PauliString:
     letters: tuple[Pauli, ...]
 
     def __post_init__(self):
+        if not isinstance(self.letters, Iterable):
+            raise ValueError(f"letters must be an iterable of Paulis, got {self.letters!r}")
         letters = tuple(self.letters)
         if not all(type(p) is Pauli for p in letters):
             for p in letters:
@@ -316,8 +328,7 @@ class PauliGadget:
     def __post_init__(self):
         if not _is_real(self.angle):
             raise ValueError(f"gadget angle must be a finite real, got {self.angle!r}")
-        if not isinstance(self.string, PauliString):
-            raise ValueError(f"gadget string must be a PauliString, got {self.string!r}")
+        _check_type("gadget string", self.string, PauliString)
         object.__setattr__(self, "angle", float(self.angle))
 
 

@@ -20,35 +20,19 @@ tableau, the final peel, ``bench.check_result`` and the debug invariant
 alike.  An emitted Clifford is a few bitwise operations on whole columns,
 with no live-gadget mask: emitted gadgets keep being conjugated and are
 never read again.  The sign is folded into the angle when the gadget's
-``rz`` is emitted.  A frame is ``(g, gm, pivot, act)``: its gadgets in
-frame order (column costs read runs in that order), their bitmask (bit i for
-gadget i), its pivot, and its active qubits as a bitmask.  All other frame
-reads are bitwise on columns under these masks, from the sweep to ``_split``
-and ``disconnect``.
+``rz`` is emitted.
 
-The recursion runs on an explicit stack of non-empty pivot frames, so deep
-polynomials do not hit the interpreter recursion limit.  The id step
-(``_id_step``) sweeps, then peels pivots in a loop while two or more gadgets
-are left, pushing a pivot frame per pivot.  A pivot frame (``_p_step``)
-sweeps, disconnects one letter group, pushes itself again and runs the id
-step on the gadgets it freed from the pivot at once, since that step would
-be popped next anyway.  A frame's gadgets are live and have legs only on its
-active qubits, which are all the sweep reads.  Every frame of one gadget
-(most frames on sparse devices: popped, left by a pivot frame's sweep, or
-last in an id step's peel) runs in ``_lone_gadget`` until the gadget is
-emitted: nothing else is pushed or popped meanwhile, so it works on bitmasks
-of the gadget's legs and the active set, and keeps the cut-vertex verdicts
-that still hold.  There ``diagonalize_qubit`` and ``disconnect`` reduce to a
-table on the gadget's letters at the pivot p and the neighbour n: p's X
-gives ``h(p)`` and Y ``v(p)``; n's I gives ``cx(n, p)`` then ``cx(p, n)``, X
-gives ``s(n)`` then ``cx(p, n)``, and Y or Z gives ``cx(p, n)``.  One
-post-condition stands for the two functions' asserts: the gadget has no leg
-on p and one on n.  Every frame's active set is connected: it is the device
-less pivots that were non-cutting when dropped.  So every cut test of the
-recursion, in ``pick_pivot`` and in ``_lone_gadget``, goes to
-``Topology._non_cutting``, the unchecked cut test for a connected set, not
-to the checked public query; ``_lone_gadget`` also takes a candidate pivot
-with at most one active neighbour (a leaf) as non-cutting without a call.
+The recursion is one loop, ``_run_recursion``, over an explicit stack of
+frames, so deep polynomials do not hit the interpreter recursion limit;
+``tests/recursion_ref.py`` runs the same rules on lists.  A frame is ``(g,
+gm, pivot, act)``: its gadgets in frame order (column costs read runs in
+that order), their bitmask (bit i for gadget i), its pivot (-1 for an id
+frame, which has none yet), and its active qubits as a bitmask.  Its gadgets
+are live and have legs only on its active qubits.  All other frame reads
+are bitwise on columns under these masks, from the sweep to ``_split`` and
+``disconnect``.  A frame of one gadget, most frames on sparse devices, runs
+in ``_lone_gadget``: its docstring gives the one-gadget letter table, and
+why every cut test of the recursion may skip the checked public query.
 """
 
 from __future__ import annotations
@@ -57,7 +41,8 @@ import os
 from dataclasses import dataclass
 
 from .circuit import Circuit, Metrics, metrics
-from .paulis import TO_Z, Gate, Pauli, PauliColumns, PauliPolynomial, _check_int, cx, h, rz, s, v
+from .paulis import (TO_Z, Gate, Pauli, PauliColumns, PauliPolynomial, _check_int, _check_type,
+                     cx, h, rz, s, v)
 from .tableau import (CliffordTableau, QubitPermutation, _inverse_columns, steiner_ladder,
                       synthesize_tableau)
 from .topology import Topology, _bits
@@ -80,9 +65,7 @@ class SynthConfig:
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         object.__setattr__(self, "mode", mode)
-        if not isinstance(self.allow_permutation, bool):
-            raise ValueError(
-                f"allow_permutation must be a bool, got {self.allow_permutation!r}")
+        _check_type("allow_permutation", self.allow_permutation, bool)
 
 
 @dataclass
@@ -199,8 +182,8 @@ def pick_pivot(state: _State, g: list[int], gm: int, act: int) -> int:
 
     The active qubits are cut-tested in ``_by_cost``'s lazy order, which
     costs a column only if its range can decide, and the test stops at the
-    first non-cutting one.  The test is ``Topology._non_cutting``, since the
-    frame's active set ``act`` is connected; a leaf takes no BFS round there.
+    first non-cutting one, ``Topology._non_cutting`` (``_lone_gadget`` says
+    why it may be), which answers a leaf without a BFS round.
     Over the n gadgets of ``g`` a leg-free column costs exactly k*n, the top,
     so those come first, in index order and uncosted.  Frames of one gadget
     never reach here (``_lone_gadget``).
@@ -241,22 +224,6 @@ def _split(state: _State, g: list[int], gm: int,
     for i in g:
         groups[(xs >> i & 1) | (zs >> i & 1) << 1].append(i)
     return groups[1] + groups[3] + groups[2], on, groups[0], gm ^ on
-
-
-def _id_step(state: _State, g: list[int], gm: int, act: int, stack: list) -> None:
-    """Sweep the frame, then peel pivots while two or more gadgets are left,
-    pushing the frame of the gadgets on each pivot.  A last gadget goes to
-    ``_lone_gadget`` with no pivot: its pivot's frame would be popped next."""
-    g, gm = _single_leg_sweep(state, g, gm, act)
-    # Peel the id child in place: it is popped next and its sweep emits nothing.
-    while len(g) > 1:
-        pivot = pick_pivot(state, g, gm, act)
-        rest, rm, g, gm = _split(state, g, gm, pivot)
-        if rest:
-            stack.append((rest, rm, pivot, act))
-        act ^= 1 << pivot
-    if g:
-        _lone_gadget(state, g[0], -1, act)
 
 
 def diagonalize_qubit(state: _State, gm: int, qubit: int) -> None:
@@ -312,37 +279,6 @@ def disconnect(state: _State, pivot: int, neighbor: int, gm: int) -> None:
         raise AssertionError("disconnect left a matched gadget on the pivot")
 
 
-def _p_step(state: _State, g: list[int], gm: int, pivot: int, act: int,
-            stack: list) -> None:
-    """A popped pivot frame: ``_lone_gadget`` if it holds one gadget or its
-    sweep leaves one; else disconnect the pivot's largest letter group, push
-    the gadgets still on the pivot and run the others' id step at once."""
-    if len(g) > 1:
-        g, gm = _single_leg_sweep(state, g, gm, act)
-    if len(g) == 1:
-        return _lone_gadget(state, g[0], pivot, act)
-    if not g:
-        return
-    xs, zs = state.x[pivot] & gm, state.z[pivot] & gm
-    if (xs | zs) != gm:
-        raise AssertionError("pivot frame gadgets must touch the pivot")
-
-    # Largest pivot-letter group; ties prefer Z (no diagonalization gate),
-    # then X, then Y.
-    zg, xg, yg = zs & ~xs, xs & ~zs, xs & zs
-    nz, nx, ny = zg.bit_count(), xg.bit_count(), yg.bit_count()
-    gpiv = zg if nz >= nx and nz >= ny else xg if nx >= ny else yg
-    diagonalize_qubit(state, gpiv, pivot)
-    neighbor = pick_neighbor(state, pivot, g, gpiv, act)
-    disconnect(state, pivot, neighbor, gpiv)
-
-    rest, rm, ids, idm = _split(state, g, gm, pivot)  # the steps above emit no rz
-    if rest:
-        stack.append((rest, rm, pivot, act))
-    if ids:  # the id child would be popped next, so run it now
-        _id_step(state, ids, idm, act ^ 1 << pivot, stack)
-
-
 def _lone_gadget(state: _State, i: int, pivot: int, act: int) -> None:
     """Run the frame of one gadget i to its end: the one-gadget rule.
 
@@ -362,12 +298,14 @@ def _lone_gadget(state: _State, i: int, pivot: int, act: int) -> None:
     ``AssertionError``), which replaces the two functions' asserts.
 
     The legs and the active set are bitmasks: the table moves the pivot's
-    leg to the neighbour, or merges it there.  ``act`` must be connected, as
-    every frame's active set is, and it stays so, since only non-cutting
-    pivots leave it.  That decides each candidate pivot without the public
-    ``is_non_cutting``: one with at most one active neighbour is a leaf, so
-    non-cutting, and any other gets ``Topology._non_cutting``, whose BFS from
-    one neighbour must reach the others.  Known cut vertices are not tested
+    leg to the neighbour, or merges it there.  ``act`` must be connected.
+    Every frame's active set is, since it is the device less pivots that were
+    non-cutting when dropped (by ``pick_pivot`` or here).  So no cut test of
+    the recursion needs the checked public ``is_non_cutting``: here a
+    candidate with at most one active neighbour is a leaf, so non-cutting,
+    and any other gets ``Topology._non_cutting``, whose BFS from one
+    neighbour must reach the others; ``pick_pivot`` sends every candidate
+    there.  Known cut vertices are not tested
     again: removing a non-cutting qubit u keeps every cut vertex cut, except
     u's only active neighbour if u has exactly one.
     """
@@ -425,13 +363,48 @@ def _lone_gadget(state: _State, i: int, pivot: int, act: int) -> None:
 
 
 def _run_recursion(state: _State, indices: list[int]) -> None:
-    stack: list = []
-    _id_step(state, indices, sum(1 << i for i in indices), (1 << state.poly.num_qubits) - 1,
-             stack)
-    if state.debug:
-        _check_invariant(state)
+    """Run the frames of the gadgets ``indices`` off one stack, starting from
+    an id frame on every qubit; the debug check closes each popped frame.
+
+    A frame of two or more gadgets is swept first.  An id frame (pivot -1)
+    then peels pivots in place while two or more gadgets are left: it pushes
+    the frame of the gadgets on each pivot and drops the pivot from ``act``,
+    since the id frame it would push above is popped next and its sweep
+    emits nothing.  One gadget left runs in ``_lone_gadget``.  A pivot frame
+    of two or more disconnects its largest pivot-letter group, then pushes
+    the gadgets still on the pivot and, above them, the freed ones as an id
+    frame without the pivot.
+    """
+    stack = [(indices, sum(1 << i for i in indices), -1, (1 << state.poly.num_qubits) - 1)]
     while stack:
-        _p_step(state, *stack.pop(), stack)
+        g, gm, pivot, act = stack.pop()
+        if len(g) > 1:
+            g, gm = _single_leg_sweep(state, g, gm, act)
+        if pivot < 0:
+            while len(g) > 1:
+                peel = pick_pivot(state, g, gm, act)
+                rest, rm, g, gm = _split(state, g, gm, peel)
+                if rest:
+                    stack.append((rest, rm, peel, act))
+                act ^= 1 << peel
+        if len(g) == 1:
+            _lone_gadget(state, g[0], pivot, act)
+        elif g:  # a pivot frame: an id frame has peeled down to one gadget
+            xs, zs = state.x[pivot] & gm, state.z[pivot] & gm
+            if (xs | zs) != gm:
+                raise AssertionError("pivot frame gadgets must touch the pivot")
+            # Largest pivot-letter group; ties prefer Z (no diagonalization
+            # gate), then X, then Y.
+            zg, xg, yg = zs & ~xs, xs & ~zs, xs & zs
+            nz, nx, ny = zg.bit_count(), xg.bit_count(), yg.bit_count()
+            gpiv = zg if nz >= nx and nz >= ny else xg if nx >= ny else yg
+            diagonalize_qubit(state, gpiv, pivot)
+            disconnect(state, pivot, pick_neighbor(state, pivot, g, gpiv, act), gpiv)
+            rest, rm, ids, idm = _split(state, g, gm, pivot)  # the steps above emit no rz
+            if rest:
+                stack.append((rest, rm, pivot, act))
+            if ids:
+                stack.append((ids, idm, -1, act ^ 1 << pivot))
         if state.debug:
             _check_invariant(state)
 
@@ -471,10 +444,9 @@ def partition_commuting_sets(poly: PauliPolynomial) -> list[list[int]]:
 def _check_args(poly, topo, cfg) -> SynthConfig:
     """``cfg``, after a ``ValueError`` naming an argument of the wrong type,
     or a polynomial and a topology with different qubit counts."""
-    for name, value, kind in (("poly", poly, PauliPolynomial), ("topo", topo, Topology),
-                              ("cfg", cfg, SynthConfig)):
-        if not isinstance(value, kind):
-            raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+    _check_type("poly", poly, PauliPolynomial)
+    _check_type("topo", topo, Topology)
+    _check_type("cfg", cfg, SynthConfig)
     if poly.num_qubits != topo.num_qubits:
         raise ValueError(
             f"polynomial has {poly.num_qubits} qubits but topology has {topo.num_qubits}")

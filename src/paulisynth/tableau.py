@@ -27,12 +27,13 @@ signs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .circuit import Circuit
-from .paulis import (XZ_LETTER, Gate, Pauli, PauliColumns, _check_int, _is_int, cx, h, s,
-                     sdg, v)
+from .paulis import (XZ_LETTER, Gate, Pauli, PauliColumns, _check_int, _check_type, _is_int, cx,
+                     h, s, sdg, v)
 from .topology import Topology, _bits, tree_postorder
 
 
@@ -48,9 +49,12 @@ class QubitPermutation:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(map(_is_int, self.mapping)):
+        if not isinstance(self.mapping, Iterable):
+            raise ValueError(f"mapping must be an iterable of integers, got {self.mapping!r}")
+        mapping = tuple(self.mapping)  # an iterator can be read only once
+        if not all(map(_is_int, mapping)):
             raise ValueError(f"permutation entries must be integers, got {self.mapping}")
-        object.__setattr__(self, "mapping", tuple(map(int, self.mapping)))
+        object.__setattr__(self, "mapping", tuple(map(int, mapping)))
         if sorted(self.mapping) != list(range(len(self.mapping))):
             raise ValueError(f"not a permutation: {self.mapping}")
 
@@ -213,11 +217,9 @@ def _supports(work: PauliColumns) -> list[int]:
 def _check_tableau(t, *topo) -> int:
     """t's qubit count, after a ValueError unless t is a ``CliffordTableau``
     and the topology, if one is given, a ``Topology`` of its size."""
-    if not isinstance(t, CliffordTableau):
-        raise ValueError(f"t must be a CliffordTableau, got {t!r}")
+    _check_type("t", t, CliffordTableau)
     for device in topo:
-        if not isinstance(device, Topology):
-            raise ValueError(f"topo must be a Topology, got {device!r}")
+        _check_type("topo", device, Topology)
         if device.num_qubits != t.num_qubits:
             raise ValueError("topology size does not match tableau")
     return t.num_qubits
@@ -298,8 +300,7 @@ def synthesize_tableau(t: CliffordTableau, topo: Topology,
     ``allow_permutation=False``).  t is left unchanged.
     """
     q = _check_tableau(t, topo)
-    if not isinstance(allow_permutation, bool):
-        raise ValueError(f"allow_permutation must be a bool, got {allow_permutation!r}")
+    _check_type("allow_permutation", allow_permutation, bool)
     if not t.is_symplectic():
         raise ValueError("tableau matrix is not symplectic")
     work = _inverse_columns(t)

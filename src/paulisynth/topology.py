@@ -160,11 +160,7 @@ class Topology:
     def neighbors(self, q: int, active: Iterable[int] | int | None = None) -> list[int]:
         """Neighbours of ``q`` in ascending order, only those in ``active`` if
         given (an iterable of qubits, or an integer with bit j set for qubit j)."""
-        q = _qubit(q)
-        if not (_is_int(q) and 0 <= q < self.num_qubits):
-            raise ValueError(f"qubit {int(q) if _is_int(q) else repr(q)} not in "
-                             f"0..{self.num_qubits - 1}")
-        near = self._nbr_mask[q]
+        near = self._nbr_mask[self._one_qubit(q)]
         if active is not None:
             near &= self._qubit_mask("active", active)
         return _bits(near)
@@ -172,10 +168,8 @@ class Topology:
     def is_non_cutting(self, q: int, active: Iterable[int] | int) -> bool:
         """Whether removing ``q`` keeps the induced subgraph on ``active`` (an
         iterable of qubits, or an integer with bit j set for qubit j) connected."""
-        active, q = self._qubit_mask("active", active), _qubit(q)
-        if not (_is_int(q) and q >= 0 and active >> int(q) & 1):
-            raise ValueError(f"qubit {q} is not in the active set")
-        rest = active & ~(1 << int(q))
+        active = self._qubit_mask("active", active)
+        rest = active & ~(1 << self._one_qubit(q, active))
         return self._reaches(rest, rest)
 
     def _non_cutting(self, q: int, act: int) -> bool:
@@ -203,6 +197,18 @@ class Topology:
             frontier = reached & unseen
             unseen ^= frontier
         return not target & unseen
+
+    def _one_qubit(self, q, active: int | None = None) -> int:
+        """``q`` as a Python int, or a ValueError unless it is a device qubit
+        (one in the Python-int mask ``active``, if given).  A 0-d integer array
+        reads as its scalar, as a numpy integer does."""
+        q, allowed = _qubit(q), (1 << self.num_qubits) - 1 if active is None else active
+        if _is_int(q) and q >= 0 and allowed >> int(q) & 1:
+            return int(q)
+        if active is None:
+            raise ValueError(f"qubit {int(q) if _is_int(q) else repr(q)} not in "
+                             f"0..{self.num_qubits - 1}")
+        raise ValueError(f"qubit {q} is not in the active set")
 
     def _qubit_mask(self, role: str, qubits: Iterable[int] | int) -> int:
         """``qubits`` as a Python-int mask (bit j: qubit j), or a ValueError

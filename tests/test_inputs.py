@@ -193,6 +193,24 @@ BAD = [
      "topo must be a Topology, got 'line:3'"),
     ("tableau-synthesis-none-tableau", lambda: ps.synthesize_tableau(None, ps.Topology.line(3)),
      "t must be a CliffordTableau, got None"),
+    ("gate-int-qubits", lambda: ps.Gate("h", 0), "qubits must be an iterable of wires, got 0"),
+    ("circuit-int-gate", lambda: ps.Circuit(2, [1]), "gate 0 must be a Gate, got 1"),
+    ("circuit-text-gate-after-gates", lambda: ps.Circuit(2, [ps.h(0), ps.cx(0, 1), "h"]),
+     "gate 2 must be a Gate, got 'h'"),
+    ("circuit-none-gates", lambda: ps.Circuit(2, None), "gates must be an iterable of Gate, got None"),
+    ("string-none-letters", lambda: ps.PauliString(None),
+     "letters must be an iterable of Paulis, got None"),
+    ("permutation-none-mapping", lambda: ps.QubitPermutation(None),
+     "mapping must be an iterable of integers, got None"),
+    ("check-none-result", lambda: ps.bench.check_result(POLY2, None),
+     "result must be a SynthesisResult, got None"),
+    ("check-text-polynomial",
+     lambda: ps.bench.check_result("x", ps.synthesize(POLY2, ps.Topology.line(2))),
+     "poly must be a PauliPolynomial, got 'x'"),
+    ("conforms-spec-topology", lambda: ps.conforms(ps.Circuit(3), "line:3"),
+     "topo must be a Topology, got 'line:3'"),
+    ("conforms-gate-list", lambda: ps.conforms([ps.cx(0, 1)], ps.Topology.line(3)),
+     "c must be a Circuit, got [Gate(kind='cx'"),
 ]
 
 
@@ -244,6 +262,13 @@ def test_accepted_forms():
     assert poly.gadgets == gadgets and hash(poly) == hash(ps.PauliPolynomial(2, gadgets))
     assert ps.Topology(3, ([0, 1], np.array([1, 2]))).edges == ps.Topology.line(3).edges
     assert row_interaction_cost(TAB3, np.int64(2)) == 2
+    # Gate wires given as a list are kept as a tuple: hashable, and equal to
+    # the factory's gate.
+    listed = ps.Gate("h", [0])
+    assert listed == ps.h(0) and hash(listed) == hash(ps.h(0)) and listed.qubits == (0,)
+    assert ps.Circuit(2, [listed]).gates == (ps.h(0),)
+    # An iterator is read once, so a permutation from a generator keeps its entries.
+    assert ps.QubitPermutation(j for j in (1, 0)).mapping == (1, 0)
 
 
 def test_numpy_timesteps_scan_as_a_list():

@@ -602,6 +602,57 @@ def test_recursion_matches_list_reference_where_group_and_frame_costs_disagree(m
     assert sum(disagree) >= 10, (sum(disagree), len(disagree))
 
 
+def test_debug_invariant_closes_both_frame_kinds_on_cut_vertex_devices(monkeypatch):
+    # On trees, stars and heavy hex, where cut vertices decide the picks, the
+    # debug check closes every frame the loop pops, id frames (pivot -1) and
+    # pivot frames alike, and the gates still match the list reference.
+    monkeypatch.setenv("PAULISYNTH_DEBUG", "1")
+    check, kinds = synth._check_invariant, set()
+
+    def counted(state):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_run_recursion":
+            kinds.add("id" if caller.f_locals["pivot"] < 0 else "pivot")
+        return check(state)
+
+    monkeypatch.setattr(synth, "_check_invariant", counted)
+    rng = np.random.default_rng(35)
+    for case in range(24):
+        q = int(rng.integers(2, 13))
+        topo = (random_connected_topology(q, rng, 0.0), star_topology(q, int(rng.integers(q))),
+                heavy_hex_topology(2, 3))[case % 3]
+        poly = ps.random_polynomial(ps.RandomSpec(topo.num_qubits, int(rng.integers(2, 21)),
+                                                  seed=int(rng.integers(1 << 40))))
+        cfg = ps.SynthConfig(k=int(rng.integers(1, 21)),
+                             mode=("arbitrary", "commuting-sets")[case // 3 % 2])
+        res = ps.synthesize(poly, topo, cfg)
+        gates, order = reference_recursion(poly, topo, cfg)
+        tag = (case, sorted(topo.edges), cfg)
+        assert list(res.circuit.gates[:res.recursion_gate_count]) == gates, tag
+        assert res.emitted_order == order, tag
+    assert kinds == {"id", "pivot"}, kinds
+
+
+def test_recursion_runs_within_a_few_dozen_interpreter_frames():
+    # The frames sit on an explicit stack, so a deep instance (32 pivots on
+    # a line, 400 gadgets) synthesizes with the interpreter's recursion limit
+    # a few dozen frames above the caller's depth, in both modes.
+    topo = ps.Topology.line(32)
+    poly = ps.random_polynomial(ps.RandomSpec(32, 400, seed=5))
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        results = [ps.synthesize(poly, topo, ps.SynthConfig(mode=mode))
+                   for mode in ("arbitrary", "commuting-sets")]
+    finally:
+        sys.setrecursionlimit(limit)
+    for res in results:
+        assert check_result(poly, res)
+
+
 def test_cut_kernel_gets_a_connected_active_set_holding_its_qubit(monkeypatch):
     # Topology._non_cutting trusts its caller: its verdict holds only for a
     # connected active set that holds the qubit.  Every call made while
